@@ -7,11 +7,20 @@ meets the restarting ramp.  Stage propagation uses the eigenstructure of
 the off-stage matrix when it is clean, which makes the crossing scan a
 vectorized exponential evaluation; a plain matrix-stepping fallback covers
 defective or awkward cases.
+
+On the fast path the scan's exponential table depends only on the model,
+the ramp and the guess period, so each run builds it once and every cycle
+reduces to a mat-vec against it.  The modal coordinates of the state after
+the on-time are formed once per cycle and shared by the scan, the root
+refiner and the state update.  Caching changes no arithmetic: a trace is
+bit-identical to evaluating every term afresh in every cycle.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +80,23 @@ class Trace:
 
 
 class _CycleEngine:
-    """Per-run precomputation for the stage maps and the crossing scan."""
+    """Per-run precomputation for the stage maps and the crossing scan.
+
+    Work that does not depend on the state is done once per engine: the
+    on-stage map, the off-stage eigenstructure (or its stepping matrices on
+    the fallback path) and the crossing-scan table.  The table holds
+    ``exp(lam * tau_k)`` and the ramp term ``ma * (d + tau_k)`` on the scan
+    grid; it is built lazily, one chunk of ``2 * SCAN_DIVISIONS`` grid
+    points at a time, so a run whose crossings all fall in the first chunk
+    never builds the rest.  Work that depends on the state is done once per
+    cycle: the modal coordinates ``z`` of the post-on-time state and the
+    refiner's coefficients ``cv[i] * z[i]``.  A fast-path cycle then costs
+    one table mat-vec per scanned chunk plus a few scalar evaluations.
+    """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
+        if not math.isfinite(T_guess):
+            raise DomainError(f"T_guess must be finite, got {T_guess!r}")
         if T_guess <= ramp.d:
             raise DomainError(
                 f"guess period {T_guess!r} must exceed the on-time {ramp.d!r}")
@@ -88,6 +111,7 @@ class _CycleEngine:
         self.du = float(m.Dvec @ self.u)
         self.step = self.T_guess / SCAN_DIVISIONS
         self.tau_max = HORIZON_PERIODS * self.T_guess
+        self.kmax = int(np.ceil(self.tau_max / self.step))
         self._setup_stage2()
 
     def _setup_stage2(self):
@@ -120,6 +144,7 @@ class _CycleEngine:
                     self.w = w
                     self.cv = self.m.Cvec @ vecs
                     self.const = self.du - float(self.m.Cvec @ w)
+                    self._table = []    # scan chunks, filled on demand
         if not self.fast:
             self.phi_step = expm(self.m.A2, self.step)
             self.j_step = expm_integral(self.m.A2, self.m.B2, self.step) @ self.u
@@ -128,45 +153,52 @@ class _CycleEngine:
     def on_stage(self, x: np.ndarray) -> np.ndarray:
         return self.p1 @ x + self.j1u
 
-    def phi_at(self, x_d: np.ndarray, tau: float) -> float:
-        """Feedback minus ramp at time d + tau, exact scalar evaluation."""
-        d = self.ramp.d
-        if self.fast:
-            z = self.vinv @ (x_d + self.w)
-            acc = 0.0
-            for i in range(len(self.lam)):
-                acc += (self.cv[i] * z[i] * cmath.exp(self.lam[i] * tau)).real
-            return acc + self.const - self.ramp.ma * (d + tau)
-        xt = expm(self.m.A2, tau) @ x_d + expm_integral(
-            self.m.A2, self.m.B2, tau) @ self.u
-        return float(self.m.Cvec @ xt) + self.du - self.ramp.ma * (d + tau)
+    def _refiner(self, x_d: np.ndarray, z):
+        """This cycle's phi(tau), the feedback minus the ramp at d + tau.
 
-    def state_at(self, x_d: np.ndarray, tau: float) -> np.ndarray:
-        if self.fast:
-            z = self.vinv @ (x_d + self.w)
+        Exact scalar evaluation.  ``z`` holds the modal coordinates on the
+        fast path and is None on the fallback path.
+        """
+        d = self.ramp.d
+        ma = self.ramp.ma
+        if z is None:
+            def phi(tau):
+                xt = expm(self.m.A2, tau) @ x_d + expm_integral(
+                    self.m.A2, self.m.B2, tau) @ self.u
+                return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
+            return phi
+        terms = [(self.cv[i] * z[i], self.lam[i]) for i in range(len(self.lam))]
+        const = self.const
+
+        def phi(tau):
+            acc = 0.0
+            for cz, lam in terms:
+                acc += (cz * cmath.exp(lam * tau)).real
+            return acc + const - ma * (d + tau)
+        return phi
+
+    def state_at(self, x_d: np.ndarray, z, tau: float) -> np.ndarray:
+        if z is not None:
             out = self.vecs @ (np.exp(self.lam * tau) * z)
             return out.real - self.w
         return expm(self.m.A2, tau) @ x_d + expm_integral(
             self.m.A2, self.m.B2, tau) @ self.u
 
-    def _scan_fast(self, x_d: np.ndarray):
+    def _scan_fast(self, z: np.ndarray):
         """Vectorized crossing scan; returns bracketing interval or None."""
-        d = self.ramp.d
-        z = self.vinv @ (x_d + self.w)
         az = self.cv * z
         chunk = 2 * SCAN_DIVISIONS
-        k0 = 1
-        kmax = int(np.ceil(self.tau_max / self.step))
-        while k0 <= kmax:
-            ks = np.arange(k0, min(k0 + chunk, kmax + 1))
-            taus = ks * self.step
-            vals = (np.exp(np.outer(taus, self.lam)) @ az).real
-            phis = vals + self.const - self.ramp.ma * (d + taus)
+        for i, k0 in enumerate(range(1, self.kmax + 1, chunk)):
+            if i == len(self._table):
+                taus = np.arange(k0, min(k0 + chunk, self.kmax + 1)) * self.step
+                self._table.append((np.exp(np.outer(taus, self.lam)),
+                                    self.ramp.ma * (self.ramp.d + taus)))
+            table, ramp_term = self._table[i]
+            phis = (table @ az).real + self.const - ramp_term
             hits = np.nonzero(phis <= 0.0)[0]
             if hits.size:
-                k = ks[hits[0]]
+                k = k0 + int(hits[0])
                 return (k - 1) * self.step, k * self.step, phis[hits[0]]
-            k0 = ks[-1] + 1
         return None
 
     def _scan_steps(self, x_d: np.ndarray):
@@ -181,11 +213,10 @@ class _CycleEngine:
                 return (k - 1) * self.step, k * self.step, phi
         return None
 
-    def _phi_scale(self, x_d: np.ndarray, tau_hi: float) -> float:
+    def _phi_scale(self, x_d: np.ndarray, z, tau_hi: float) -> float:
         """Magnitude of the terms whose cancellation forms phi."""
         mag = abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + tau_hi)
-        if self.fast:
-            z = self.vinv @ (x_d + self.w)
+        if z is not None:
             mag += float(np.sum(np.abs(self.cv * z))) + abs(self.const)
         else:
             mag += float(np.abs(self.m.Cvec) @ np.abs(x_d))
@@ -198,29 +229,34 @@ class _CycleEngine:
         if phi0 <= 0.0:
             # ramp already at or above the feedback when the on-time ends
             return CycleStep(x_d, d, float(self.m.Cvec @ x_d) + self.du, True)
-        found = self._scan_fast(x_d) if self.fast else self._scan_steps(x_d)
+        if self.fast:
+            z = self.vinv @ (x_d + self.w)
+            found = self._scan_fast(z)
+        else:
+            z = None
+            found = self._scan_steps(x_d)
         if found is None:
             raise MissedSwitchingError(
                 f"no ramp crossing within {HORIZON_PERIODS} guess periods")
         lo, hi, _ = found
         # judge the bracket with the refiner's own evaluator: the scan and
         # the scalar path may disagree by a few ulp around an exact zero
-        flo = self.phi_at(x_d, lo) if lo > 0.0 else phi0
-        fhi = self.phi_at(x_d, hi)
+        phi = self._refiner(x_d, z)
+        flo = phi(lo) if lo > 0.0 else phi0
+        fhi = phi(hi)
         if fhi == 0.0:
             tau = hi
         elif flo > 0.0 > fhi:
-            tau = find_root(lambda t: self.phi_at(x_d, t), lo, hi,
-                            tol=REFINE_REL_TOL * self.T_guess)
+            tau = find_root(phi, lo, hi, tol=REFINE_REL_TOL * self.T_guess)
         else:
-            noise = 64.0 * np.finfo(float).eps * self._phi_scale(x_d, hi)
+            noise = 64.0 * np.finfo(float).eps * self._phi_scale(x_d, z, hi)
             if min(abs(flo), abs(fhi)) <= noise:
                 tau = lo if abs(flo) < abs(fhi) else hi
             else:
                 raise MissedSwitchingError(
                     "crossing scan and refiner disagree beyond roundoff; "
                     f"phi({lo:.3e}) = {flo:.3e}, phi({hi:.3e}) = {fhi:.3e}")
-        x_next = self.state_at(x_d, tau)
+        x_next = self.state_at(x_d, z, tau)
         return CycleStep(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, False)
 
@@ -246,6 +282,11 @@ def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
     Raises MissedSwitchingError, tagged with the cycle index, if the
     feedback never returns to the ramp within the scan horizon.
     """
+    try:
+        ncycles = operator.index(ncycles)
+    except TypeError:
+        raise DomainError(
+            f"ncycles must be an integer, got {ncycles!r}") from None
     if ncycles < 1:
         raise DomainError(f"ncycles must be >= 1, got {ncycles!r}")
     if T_guess is None:

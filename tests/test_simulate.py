@@ -31,7 +31,7 @@ from cotstab.errors import (
     UsageError,
 )
 from cotstab.sampled import consistent_vc, poles, steady_state_at
-from cotstab.simulate import OTHER, PERIOD1, PERIOD2
+from cotstab.simulate import OTHER, PERIOD1, PERIOD2, _CycleEngine
 
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T
 
@@ -110,6 +110,31 @@ def test_simulate_input_validation():
         simulate(m, ramp, np.zeros(2), u, 0, FAST_T)
     with pytest.raises(DomainError):
         simulate(m, ramp, np.zeros(3), u, 10, FAST_T)
+    with pytest.raises(DomainError, match="ncycles"):
+        simulate(m, ramp, np.zeros(2), u, 5.5, FAST_T)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="T_guess"):
+            simulate(m, ramp, np.zeros(2), u, 10, bad)
+
+
+def test_critical_damping_uses_stepping_fallback():
+    # R = sqrt(L/C)/2 with no ESR gives the off-stage a double eigenvalue,
+    # so the engine cannot diagonalize it and scans by matrix stepping; a
+    # hair more damping splits the pair and the fast path takes over.  The
+    # first cycles move by about 8x the relative change in R, hence 5e-5
+    # over the whole trace; the settled period must agree far closer.
+    L, C = 2e-6, 2e-5
+    p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
+    fam = make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
+    m, ramp, u, T, x0 = fam(5000.0)
+    assert not _CycleEngine(m, ramp, u, T).fast
+    tr = simulate(m, ramp, x0, u, 400, T)
+    assert classify_orbit(tr, settle=300) == PERIOD1
+    m_split = build_model(p.with_(R=p.R * (1.0 + 1e-6)), Scheme.V_COTC)
+    assert _CycleEngine(m_split, ramp, u, T).fast
+    ref = simulate(m_split, ramp, x0, u, 400, T)
+    assert np.max(np.abs(tr.Tn / ref.Tn - 1.0)) <= 5e-5
+    assert tr.Tn[-1] == pytest.approx(ref.Tn[-1], rel=1e-8)
 
 
 def test_classifier_contracts_on_synthetic_traces():
