@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleEvaluationError, UsageError
+from .errors import (CotstabError, DomainError, PoleEvaluationError,
+                     UsageError)
 from .linalg import eigenvalues, expm, find_root, solve_linear
 from .models import BuckParams, ConverterModel, Scheme, build_model
 from .sampled import SteadyState, linearize, steady_state_at
@@ -547,9 +548,10 @@ def critical_ramp_eig(m: ConverterModel, d: float, T: float, u, target: float,
 def sweep(func, lo: float, hi: float, n: int):
     """Uniform 1-D sweep of a scalar analysis function.
 
-    Evaluation failures are recorded as NaN with the error message kept,
-    never raised, so a sweep across a resolvent pole still yields a usable
-    curve.  Returns (xs, ys, notes).
+    Evaluation failures (any :class:`CotstabError`) are recorded as NaN
+    with the error message kept, never raised, so a sweep across a
+    resolvent pole still yields a usable curve; any other exception is a
+    bug and propagates.  Returns (xs, ys, notes).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
@@ -559,7 +561,7 @@ def sweep(func, lo: float, hi: float, n: int):
     for i, x in enumerate(xs):
         try:
             ys[i] = func(float(x))
-        except Exception as exc:  # recorded per point by contract
+        except CotstabError as exc:  # recorded per point by contract
             ys[i] = math.nan
             notes.append(f"x={x:.6g}: {exc}")
     return xs, ys, notes

@@ -245,7 +245,7 @@ def _emit(args, table: Table, code: int = EXIT_OK) -> int:
 
 
 def _nh(args, cfg: dict) -> int:
-    if getattr(args, "nh", None):
+    if getattr(args, "nh", None) is not None:
         if args.nh < 1:
             raise ConfigError(f"--nh must be positive, got {args.nh}")
         return args.nh

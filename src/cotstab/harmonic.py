@@ -7,12 +7,18 @@ half-frequency perturbation and balances it against the ramp; the
 saddle-node condition differentiates the steady series with respect to the
 period.  The series converge slowly (terms fall off like 1/n), so partial
 sums are averaged over their final stretch before use.
+
+One vectorised kernel, ``_gain``, evaluates the filter gain and its exact
+derivative over a whole array of complex frequencies; every series builds
+its terms as arrays from it, and the scalar gains are one-point views of
+it.  No stage exponential is used anywhere on this route.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -49,10 +55,31 @@ def _tail_average(terms: np.ndarray):
     return np.mean(partials[-k:])
 
 
+def _check_series(nh, d=None, T=None, name: str = "nh") -> None:
+    """Reject a truncation depth or a timing no series is defined for."""
+    try:
+        nh = operator.index(nh)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {nh!r}") from None
+    if nh < 1:
+        raise DomainError(f"{name} must be positive, got {nh!r}")
+    if T is None:
+        return
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"period must be finite and positive, got T={T!r}")
+    if not 0.0 < d <= T:
+        raise DomainError(f"need 0 < d <= T, got d={d!r}, T={T!r}")
+
+
 def convergence_points(nh: int) -> list[int]:
     """Truncation depths reported alongside a series result."""
     pts = sorted({max(1, nh // 4), max(1, nh // 2), nh})
     return pts
+
+
+def _square_wave(n, vs: float, d: float, T: float):
+    """Diode-voltage Fourier coefficients for harmonics n != 0 (array-wise)."""
+    return vs / (2j * math.pi * n) * (1.0 - np.exp(-2j * math.pi * n * d / T))
 
 
 def square_wave_coeff(n: int, vs: float, d: float, T: float) -> complex:
@@ -64,7 +91,7 @@ def square_wave_coeff(n: int, vs: float, d: float, T: float) -> complex:
     """
     if n == 0:
         return complex(vs * d / T)
-    return vs / (2j * math.pi * n) * (1.0 - cmath.exp(-2j * math.pi * n * d / T))
+    return complex(_square_wave(n, vs, d, T))
 
 
 def period2_coeff(n: int, vs: float, d: float, T: float,
@@ -84,80 +111,84 @@ def period2_coeff(n: int, vs: float, d: float, T: float,
     return pulse * comb
 
 
-def _filter_polys(p: BuckParams):
-    """Shared denominator and the two numerators of the power-stage filter."""
-    den = (p.L * p.C * (1.0 + p.Rc / p.R),
-           p.L / p.R + p.Rc * p.C,
-           1.0)
-    num_v = (p.Rc * p.C, 1.0)
-    num_i = ((1.0 + p.Rc / p.R) * p.C, 1.0 / p.R)
-    return den, num_v, num_i
+def _gain(s, p: BuckParams, weights, derivative: bool = False):
+    """Weighted filter gain wv gv(s) + wi gi(s), elementwise over ``s``.
+
+    The one place the power-stage filter is written: numerators a1 s + a0
+    of the voltage and current paths over the shared denominator
+    b2 s^2 + b1 s + 1, each path divided before it is weighted.  With
+    ``derivative`` the pair (G, dG/ds) is returned.
+    """
+    r = 1.0 + p.Rc / p.R
+    b2, b1 = p.L * p.C * r, p.L / p.R + p.Rc * p.C
+    s = np.asarray(s, dtype=complex)
+    den = (b2 * s + b1) * s + 1.0
+    g = dg = 0.0
+    for w, a1, a0 in zip(weights, (p.Rc * p.C, r * p.C), (1.0, 1.0 / p.R)):
+        if not w:
+            continue
+        num = a1 * s + a0
+        g = g + w * (num / den)
+        if derivative:
+            dg = dg + w * (a1 * den - num * (2.0 * b2 * s + b1)) / (den * den)
+    return (g, dg) if derivative else g
+
+
+def _cmul(a, b):
+    """Elementwise complex product, rounded as a scalar product rounds
+    (numpy's vector loop may fuse multiply-adds and move the last bit)."""
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
 
 
 def gv(s: complex, p: BuckParams) -> complex:
     """Diode voltage to output voltage transfer function."""
-    den, num_v, _ = _filter_polys(p)
-    return complex(np.polyval(num_v, s) / np.polyval(den, s))
+    return complex(_gain(s, p, (1.0, 0.0)))
 
 
 def gi(s: complex, p: BuckParams) -> complex:
     """Diode voltage to inductor current transfer function."""
-    den, _, num_i = _filter_polys(p)
-    return complex(np.polyval(num_i, s) / np.polyval(den, s))
+    return complex(_gain(s, p, (0.0, 1.0)))
 
 
-def _scheme_weights(scheme: Scheme, p: BuckParams):
-    """Weights (voltage path, scaled current path) of the feedback signal."""
-    if scheme is Scheme.V_COTC:
-        return 1.0, 0.0
-    if scheme is Scheme.C_COTC:
-        return 0.0, p.Ri
-    if scheme is Scheme.V_COTC_CURRENT_RAMP:
-        return 1.0, p.Ri
-    raise UsageError(f"unknown scheme {scheme!r}")
-
-
-def scheme_gain(s: complex, p: BuckParams, scheme: Scheme) -> complex:
-    """Loop transfer numerator: minus the diode-to-feedback path.
+def _loop_weights(scheme: Scheme, p: BuckParams):
+    """Loop-gain weights of the voltage and sense-scaled current paths.
 
     The feedback comparator closes with negative sign, so the gain that
     enters every balance condition is the negative of the physical path
     (output voltage, sense-scaled inductor current, or their sum).
     """
-    wv, wi = _scheme_weights(scheme, p)
-    out = 0.0 + 0.0j
-    if wv:
-        out += wv * gv(s, p)
-    if wi:
-        out += wi * gi(s, p)
-    return -out
+    if scheme is Scheme.V_COTC:
+        return -1.0, 0.0
+    if scheme is Scheme.C_COTC:
+        return 0.0, -p.Ri
+    if scheme is Scheme.V_COTC_CURRENT_RAMP:
+        return -1.0, -p.Ri
+    raise UsageError(f"unknown scheme {scheme!r}")
+
+
+def scheme_gain(s: complex, p: BuckParams, scheme: Scheme) -> complex:
+    """Loop transfer numerator: minus the diode-to-feedback path."""
+    return complex(_gain(s, p, _loop_weights(scheme, p)))
 
 
 def scheme_gain_derivative(s: complex, p: BuckParams, scheme: Scheme) -> complex:
     """d/ds of :func:`scheme_gain`, by exact rational differentiation."""
-    den, num_v, num_i = _filter_polys(p)
-    wv, wi = _scheme_weights(scheme, p)
-    dden = np.polyder(np.array(den))
-    dval = np.polyval(den, s)
-    ddval = np.polyval(dden, s)
-    out = 0.0 + 0.0j
-    for w, num in ((wv, num_v), (wi, num_i)):
-        if not w:
-            continue
-        nval = np.polyval(num, s)
-        dnval = np.polyval(np.polyder(np.array(num)), s)
-        out += w * (dnval * dval - nval * ddval) / (dval * dval)
-    return -complex(out)
+    return complex(_gain(s, p, _loop_weights(scheme, p), derivative=True)[1])
+
+
+def _normalized(val: complex, p: BuckParams, ma: float, T: float) -> complex:
+    if ma == 0.0:
+        raise InfiniteLoopGainError(
+            "the loop gain is unbounded without a ramp; use the unscaled "
+            "series forms instead")
+    return val * p.vs / (ma * T)
 
 
 def loop_gain(s: complex, p: BuckParams, scheme: Scheme, ma: float,
               T: float) -> complex:
     """Sampled-loop transfer function scaled by source and ramp height."""
-    if ma == 0.0:
-        raise InfiniteLoopGainError(
-            "loop gain is unbounded without a ramp; use the unscaled "
-            "series forms instead")
-    return scheme_gain(s, p, scheme) * p.vs / (ma * T)
+    return _normalized(scheme_gain(s, p, scheme), p, ma, T)
 
 
 def y0_series(t, p: BuckParams, scheme: Scheme, vc: float, d: float,
@@ -168,29 +199,48 @@ def y0_series(t, p: BuckParams, scheme: Scheme, vc: float, d: float,
     Accepts a scalar or an array of times; returns real values (the
     conjugate-pair sum is taken explicitly).
     """
+    _check_series(nh, d, T)
     ws = 2.0 * math.pi / T
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     base = float(square_wave_coeff(0, p.vs, d, T).real
                  * (-scheme_gain(0.0, p, scheme)).real) - vc
     ns = np.arange(1, nh + 1)
-    coeffs = np.array([square_wave_coeff(int(n), p.vs, d, T) for n in ns])
-    gains = np.array([-scheme_gain(1j * n * ws, p, scheme) for n in ns])
+    coeffs = _square_wave(ns, p.vs, d, T)
+    gains = -_gain(1j * ns * ws, p, _loop_weights(scheme, p))
     phases = np.exp(1j * np.outer(tt, ns) * ws)
     vals = base + 2.0 * np.real(phases @ (coeffs * gains))
     return vals[0] if np.isscalar(t) or np.ndim(t) == 0 else vals
 
 
 def _pdb_terms(p: BuckParams, scheme: Scheme, d: float, T: float,
-               nh: int) -> np.ndarray:
-    """One-sided half-harmonic terms of the period-doubling balance."""
+               nh: int, side: float = 1.0) -> np.ndarray:
+    """Half-harmonic terms n = 1..nh of the period-doubling balance.
+
+    ``side`` = -1 gives the conjugate terms at the negative frequencies.
+    """
+    _check_series(nh, d, T)
     ws = 2.0 * math.pi / T
     ns = np.arange(1, nh + 1)
-    terms = np.empty(nh, dtype=complex)
-    for i, n in enumerate(ns):
-        s = 0.5j * n * ws
-        terms[i] = ((cmath.exp(-0.5j * n * ws * d) - 1.0) * (-1.0) ** n
-                    * scheme_gain(s, p, scheme))
-    return terms
+    return _cmul((np.exp(-side * 0.5j * ns * ws * d) - 1.0) * (-1.0) ** ns,
+                 _gain(side * 0.5j * ns * ws, p, _loop_weights(scheme, p)))
+
+
+def _h_sum(p, scheme, d, T, nh) -> complex:
+    return complex(_tail_average(_pdb_terms(p, scheme, d, T, nh)))
+
+
+def _l2_sum(p, scheme, d, T, nh) -> complex:
+    # explicit conjugate pairs: the negative-frequency terms are summed,
+    # not taken as conjugates of the positive ones
+    return complex(_tail_average(_pdb_terms(p, scheme, d, T, nh, 1.0)
+                                 + _pdb_terms(p, scheme, d, T, nh, -1.0)))
+
+
+def _period(omega_s: float) -> float:
+    if not (math.isfinite(omega_s) and omega_s > 0.0):
+        raise DomainError(
+            f"switching frequency must be finite and positive, got {omega_s!r}")
+    return 2.0 * math.pi / omega_s
 
 
 def h_plot(omega_s: float, p: BuckParams, scheme: Scheme, d: float,
@@ -199,10 +249,7 @@ def h_plot(omega_s: float, p: BuckParams, scheme: Scheme, d: float,
 
     The period-doubling boundary in this form reads Re H = T ma / vs.
     """
-    if omega_s <= 0.0:
-        raise DomainError(f"switching frequency must be positive, got {omega_s!r}")
-    T = 2.0 * math.pi / omega_s
-    return complex(_tail_average(_pdb_terms(p, scheme, d, T, nh)))
+    return _h_sum(p, scheme, d, _period(omega_s), nh)
 
 
 def l2_plot(omega_s: float, p: BuckParams, scheme: Scheme, d: float,
@@ -213,27 +260,14 @@ def l2_plot(omega_s: float, p: BuckParams, scheme: Scheme, d: float,
     agreement with twice the real part of :func:`h_plot` is a genuine
     cross-check rather than an algebraic identity of the code.
     """
-    if omega_s <= 0.0:
-        raise DomainError(f"switching frequency must be positive, got {omega_s!r}")
-    T = 2.0 * math.pi / omega_s
-    ws = omega_s
-    terms = np.empty(nh, dtype=complex)
-    for i, n in enumerate(range(1, nh + 1)):
-        up = ((cmath.exp(-0.5j * n * ws * d) - 1.0) * (-1.0) ** n
-              * scheme_gain(0.5j * n * ws, p, scheme))
-        dn = ((cmath.exp(0.5j * n * ws * d) - 1.0) * (-1.0) ** n
-              * scheme_gain(-0.5j * n * ws, p, scheme))
-        terms[i] = up + dn
-    return complex(_tail_average(terms))
+    return _l2_sum(p, scheme, d, _period(omega_s), nh)
 
 
 def l1_plot(omega_s: float, p: BuckParams, scheme: Scheme, ma: float,
             d: float, nh: int = 2000) -> complex:
     """Two-sided balance sum normalized by the loop scale; boundary at 2."""
-    if ma == 0.0:
-        raise InfiniteLoopGainError("the normalized form needs a nonzero ramp")
-    T = 2.0 * math.pi / omega_s
-    return l2_plot(omega_s, p, scheme, d, nh) * p.vs / (ma * T)
+    T = _period(omega_s)
+    return _normalized(_l2_sum(p, scheme, d, T, nh), p, ma, T)
 
 
 def loop_gain_pdb(p: BuckParams, scheme: Scheme, ma: float, d: float,
@@ -245,22 +279,16 @@ def loop_gain_pdb(p: BuckParams, scheme: Scheme, ma: float, d: float,
     ``first_harmonic`` truncates the one-sided form at the half-switching
     frequency, the classical slope-compensation estimate.
     """
-    omega_s = 2.0 * math.pi / T
     if form == "two_sided":
-        return l1_plot(omega_s, p, scheme, ma, d, nh)
-    if form == "one_sided":
-        if ma == 0.0:
-            raise InfiniteLoopGainError("the normalized form needs a nonzero ramp")
-        return h_plot(omega_s, p, scheme, d, nh) * p.vs / (ma * T)
-    if form == "first_harmonic":
-        if ma == 0.0:
-            raise InfiniteLoopGainError("the normalized form needs a nonzero ramp")
-        D = d / T
-        term = (1.0 - cmath.exp(-1j * math.pi * D)) * scheme_gain(
-            0.5j * omega_s, p, scheme)
-        return term * p.vs / (ma * T)
-    raise UsageError(
-        f"form must be two_sided, one_sided or first_harmonic, got {form!r}")
+        val = _l2_sum(p, scheme, d, T, nh)
+    elif form == "one_sided":
+        val = _h_sum(p, scheme, d, T, nh)
+    elif form == "first_harmonic":
+        val = complex(_pdb_terms(p, scheme, d, T, 1)[0])
+    else:
+        raise UsageError(
+            f"form must be two_sided, one_sided or first_harmonic, got {form!r}")
+    return _normalized(val, p, ma, T)
 
 
 def hb_pdb_splot(p: BuckParams, scheme: Scheme, d: float, T: float,
@@ -270,18 +298,13 @@ def hb_pdb_splot(p: BuckParams, scheme: Scheme, d: float, T: float,
     Independent of the stage-transition route; the two are compared
     point by point in the regression suite.
     """
-    omega_s = 2.0 * math.pi / T
-    return float(h_plot(omega_s, p, scheme, d, nh).real * p.vs / T)
+    return float(_h_sum(p, scheme, d, T, nh).real * p.vs / T)
 
 
 def hb_pdb_first_harmonic(p: BuckParams, scheme: Scheme, d: float,
                           T: float) -> float:
     """First-harmonic estimate of the critical ramp slope."""
-    omega_s = 2.0 * math.pi / T
-    D = d / T
-    term = (1.0 - cmath.exp(-1j * math.pi * D)) * scheme_gain(
-        0.5j * omega_s, p, scheme)
-    return float(term.real * p.vs / T)
+    return float(_pdb_terms(p, scheme, d, T, 1)[0].real * p.vs / T)
 
 
 def hb_snb_condition(p: BuckParams, scheme: Scheme, d: float, T: float,
@@ -290,19 +313,19 @@ def hb_snb_condition(p: BuckParams, scheme: Scheme, d: float, T: float,
 
     Differentiates the steady balance with respect to the period; each
     harmonic contributes a filtered term plus a frequency-sensitivity term
-    through the exact derivative of the path gain.
+    through the exact derivative of the path gain, at both signs of the
+    frequency.
     """
+    _check_series(nh, d, T)
     ws = 2.0 * math.pi / T
+    ns = np.arange(1, nh + 1)
+    sides = np.array([[1.0], [-1.0]])
+    g, dg = _gain(1j * sides * ns * ws, p, _loop_weights(scheme, p),
+                  derivative=True)
+    e = np.exp(-1j * sides * ns * ws * d)
     terms = np.empty(nh + 1, dtype=complex)
     terms[0] = d / T ** 2 * scheme_gain(0.0, p, scheme)
-    for i, n in enumerate(range(1, nh + 1)):
-        val = 0.0 + 0.0j
-        for sign in (1.0, -1.0):
-            s = 1j * sign * n * ws
-            e = cmath.exp(-1j * sign * n * ws * d)
-            val += (d / T ** 2 * e * scheme_gain(s, p, scheme)
-                    + (1.0 - e) / T ** 2 * scheme_gain_derivative(s, p, scheme))
-        terms[i + 1] = val
+    terms[1:] = (d / T ** 2 * e * g + (1.0 - e) / T ** 2 * dg).sum(axis=0)
     return float(_tail_average(terms).real * p.vs)
 
 
@@ -312,6 +335,7 @@ def series_identities_check(D: float, nterms: int = 2000) -> dict[str, tuple[flo
     Returns computed-versus-exact pairs for the alternating cosine series
     (limit -pi^2 D^2 / 4) and the alternating sine series (limit -pi D / 2).
     """
+    _check_series(nterms, name="nterms")
     if not 0.0 <= D <= 1.0:
         raise DomainError(f"duty must lie in [0, 1], got {D!r}")
     ks = np.arange(1, nterms + 1, dtype=float)

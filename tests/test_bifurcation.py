@@ -347,3 +347,11 @@ def test_sweep_records_failures_as_nan():
     assert math.isnan(ys[2])  # lam = 1 is the artificial pole
     assert np.isfinite(ys[[0, 1, 3, 4]]).all()
     assert len(notes) == 1 and "1" in notes[0]
+
+
+def test_sweep_propagates_programming_errors():
+    def broken(x):
+        return x + "1"  # a bug, not a numeric failure
+
+    with pytest.raises(TypeError):
+        sweep(broken, 0.0, 1.0, 3)

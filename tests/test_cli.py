@@ -331,6 +331,15 @@ def test_config_rejects_bad_number(capsys, tmp_path):
     assert "half" in err
 
 
+@pytest.mark.parametrize("command", ["pdb-boundary", "hb-splot"])
+@pytest.mark.parametrize("nh", ["0", "-5"])
+def test_nh_flag_rejects_non_positive_depth(capsys, conf, command, nh):
+    rc, out, err = run_cli(capsys, [command, "--config", conf, "--nh", nh])
+    assert rc == 2
+    assert "ConfigError" in err and nh in err
+    assert out == ""
+
+
 def test_config_rejects_period_and_duty_together(capsys, conf):
     rc, _, err = run_cli(capsys, ["poles", "--config", conf,
                                   "--set", "D=0.4"])

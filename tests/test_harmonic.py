@@ -11,7 +11,7 @@ from cotstab import (DomainError, InfiniteLoopGainError, Scheme, UsageError,
                      snb_boundary_exact)
 from cotstab.harmonic import (convergence_points, gi, gv, h_plot,
                               hb_pdb_first_harmonic, hb_pdb_splot,
-                              hb_snb_condition, l1_plot, l2_plot,
+                              hb_snb_condition, l1_plot, l2_plot, loop_gain,
                               loop_gain_pdb, period2_coeff, scheme_gain,
                               scheme_gain_derivative, series_identities_check,
                               square_wave_coeff, y0_series)
@@ -56,6 +56,16 @@ def test_gain_derivative_matches_finite_differences():
                        - scheme_gain(s - h, CURRENT, scheme)) / (2.0 * h)
             exact = scheme_gain_derivative(s, CURRENT, scheme)
             assert exact == pytest.approx(numeric, rel=1e-5)
+
+
+def test_loop_gain_is_the_scaled_scheme_gain():
+    s = 0.5j * WS
+    ma = 943.4
+    for p, scheme in ((FAST, Scheme.V_COTC), (CURRENT, Scheme.C_COTC)):
+        assert loop_gain(s, p, scheme, ma, FAST_T) == pytest.approx(
+            scheme_gain(s, p, scheme) * p.vs / (ma * FAST_T), rel=1e-15)
+    with pytest.raises(InfiniteLoopGainError):
+        loop_gain(s, FAST, Scheme.V_COTC, 0.0, FAST_T)
 
 
 def test_square_wave_coefficients():
@@ -170,3 +180,70 @@ def test_series_identities():
         assert want_sin == pytest.approx(-math.pi * D / 2.0)
         assert got_cos == pytest.approx(want_cos, abs=1e-6)
         assert got_sin == pytest.approx(want_sin, abs=1e-6)
+
+
+def _omega(T):
+    # the frequency forms take omega_s; T = 0 is an infinite frequency
+    return 2.0 * math.pi / T if T else math.inf
+
+
+_SERIES = {
+    "hb_pdb_splot": lambda nh, d, T: hb_pdb_splot(FAST, Scheme.V_COTC, d, T,
+                                                  nh),
+    "hb_snb_condition": lambda nh, d, T: hb_snb_condition(
+        FAST, Scheme.V_COTC, d, T, nh),
+    "h_plot": lambda nh, d, T: h_plot(_omega(T), FAST, Scheme.V_COTC, d,
+                                      nh),
+    "l2_plot": lambda nh, d, T: l2_plot(_omega(T), FAST, Scheme.V_COTC, d,
+                                        nh),
+    "l1_plot": lambda nh, d, T: l1_plot(_omega(T), FAST, Scheme.V_COTC,
+                                        943.4, d, nh),
+    "loop_gain_pdb": lambda nh, d, T: loop_gain_pdb(
+        FAST, Scheme.V_COTC, 943.4, d, T, nh, "one_sided"),
+    "y0_series": lambda nh, d, T: y0_series(0.3 * FAST_T, FAST,
+                                            Scheme.V_COTC, 1.9, d, T, nh),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES))
+@pytest.mark.parametrize("nh, d, T", [
+    (0, FAST_D, FAST_T),
+    (-3, FAST_D, FAST_T),
+    (2.5, FAST_D, FAST_T),
+    ("40", FAST_D, FAST_T),
+    (40, -1e-6, FAST_T),
+    (40, 0.0, FAST_T),
+    (40, 4e-6, FAST_T),
+    (40, math.nan, FAST_T),
+    (40, FAST_D, 0.0),
+    (40, FAST_D, -FAST_T),
+    (40, FAST_D, math.nan),
+    (40, FAST_D, math.inf),
+])
+def test_series_reject_bad_depth_and_timing(name, nh, d, T):
+    # a typed error, never a NaN or a plausible partial sum
+    with pytest.raises(DomainError):
+        _SERIES[name](nh, d, T)
+
+
+@pytest.mark.parametrize("d, T", [(-1e-6, FAST_T), (4e-6, FAST_T),
+                                  (FAST_D, 0.0), (FAST_D, math.nan)])
+def test_first_harmonic_rejects_bad_timing(d, T):
+    with pytest.raises(DomainError):
+        hb_pdb_first_harmonic(FAST, Scheme.V_COTC, d, T)
+    with pytest.raises(DomainError):
+        loop_gain_pdb(FAST, Scheme.V_COTC, 943.4, d, T, 40, "first_harmonic")
+
+
+def test_series_accept_the_zero_off_time_corner():
+    # d = T is the degenerate edge the exact route also accepts
+    assert math.isfinite(hb_pdb_splot(FAST, Scheme.V_COTC, FAST_T, FAST_T,
+                                      40))
+    assert math.isfinite(hb_pdb_splot(FAST, Scheme.V_COTC, FAST_D, FAST_T,
+                                      np.int64(40)))
+
+
+@pytest.mark.parametrize("nterms", [0, -1, 2.5])
+def test_series_identities_reject_bad_term_count(nterms):
+    with pytest.raises(DomainError):
+        series_identities_check(0.4, nterms=nterms)
