@@ -10,11 +10,9 @@ graphic way to find the real poles; here we do it numerically.
 
 from pathlib import Path
 
-import numpy as np
-
 from cotstab import BuckParams, RampSpec, Scheme, build_model
 from cotstab.bifurcation import s_approx, s_exact, sweep
-from cotstab.sampled import consistent_vc, poles, steady_state_at
+from cotstab.sampled import consistent_steady_state, poles
 from cotstab.tables import Table, write_table
 
 # a fast low-output buck: 5 V in, 2 V out, 333 kHz equivalent rate
@@ -23,9 +21,7 @@ d, T = 1.2e-6, 3e-6
 
 m = build_model(p, Scheme.V_COTC)
 ramp = RampSpec(ma=0.0, d=d)
-vc = consistent_vc(m, ramp, T, p.vs)
-u = np.array([p.vs, vc])
-ss = steady_state_at(m, d, T, u)
+ss = consistent_steady_state(m, ramp, T, p.vs)
 
 # the locus over a window around the unit circle; the exact curve and its
 # short series approximation (which has an artificial pole at lam = 1)
@@ -42,7 +38,7 @@ print(f"locus written to {out.name} ({len(table.rows)} points)")
 
 # without a ramp the map always parks one pole at the origin; the other
 # sits outside the unit circle here, so the bare loop subharmonics
-lam = sorted(poles(m, ramp, u, T), key=abs)
+lam = sorted(poles(m, ramp, ss.u, T), key=abs)
 print(f"poles at ma=0:      {lam[0]:+.6f}, {lam[1]:+.6f}")
 print(f"S at the unstable pole: {s_exact(m, ss, lam[1]):+.3f} V/s "
       "(zero, as it must be on the locus)")

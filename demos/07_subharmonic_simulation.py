@@ -13,7 +13,7 @@ import numpy as np
 
 from cotstab import BuckParams, RampSpec, Scheme, build_model
 from cotstab.bifurcation import pdb_boundary_exact
-from cotstab.sampled import consistent_vc, steady_state_at
+from cotstab.sampled import consistent_steady_state
 from cotstab.simulate import (
     classify_orbit,
     make_ramp_family,
@@ -30,11 +30,10 @@ print(f"predicted boundary: {ma_crit:.2f} V/s")
 
 def probe(ma, ncycles=1200, settle=600):
     ramp = RampSpec(ma=ma, d=d)
-    vc = consistent_vc(m, ramp, T, p.vs)
-    u = np.array([p.vs, vc])
-    x0 = steady_state_at(m, d, T, u).x0_0.copy()
+    ss = consistent_steady_state(m, ramp, T, p.vs)
+    x0 = ss.x0_0.copy()
     x0[-1] *= 1.0 + 1e-5   # tiny kick off the exact orbit
-    return simulate(m, ramp, x0, u, ncycles, T), settle
+    return simulate(m, ramp, x0, ss.u, ncycles, T), settle
 
 
 # slightly above the boundary the kick dies out and the cycle lengths

@@ -8,7 +8,7 @@ the closed-form design rules that approximate them, and cross-checks the
 routes against each other.
 """
 
-from .bifurcation import (FORMULA_IDS, BoundaryResult, closed_form_pole,
+from .bifurcation import (FORMULA_IDS, closed_form_pole,
                           critical_ramp_eig, ct_pole_formula,
                           equivalent_ct_pole, exact_max_on_time,
                           exact_min_ri, family_point, max_on_time,
@@ -27,12 +27,12 @@ from .harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
                        l2_plot, loop_gain, loop_gain_pdb, period2_coeff,
                        scheme_gain, scheme_gain_derivative,
                        series_identities_check, square_wave_coeff, y0_series)
-from .linalg import (eigenvalues, expm, expm_integral, find_root,
-                     regularize_poles, solve_linear)
-from .models import (BuckParams, ConverterModel, OperatingPoint, RampSpec,
-                     Scheme, build_model, slope_normalizer)
+from .linalg import eigenvalues, expm, expm_integral, find_root, solve_linear
+from .models import (BuckParams, ConverterModel, RampSpec, Scheme, build_model,
+                     slope_normalizer)
 from .sampled import (LinearizedMap, SteadyState, audio_susceptibility,
-                      consistent_vc, control_to_output, linearize,
+                      consistent_steady_state, consistent_vc,
+                      control_to_output, linearize,
                       orbit_sample, period_residual, poles, solve_period,
                       steady_state_at)
 from .simulate import (CycleStep, Trace, classify_orbit, estimate_multiplier,

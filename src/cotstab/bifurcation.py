@@ -13,7 +13,6 @@ catalog.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .sampled import SteadyState, linearize, steady_state_at
 
 __all__ = [
     "FORMULA_IDS",
-    "BoundaryResult",
     "s_exact",
     "s_approx",
     "pdb_boundary_exact",
@@ -55,22 +53,6 @@ FORMULA_IDS = frozenset({
     "Eq40", "Eq41", "Eq42", "Eq43", "Eq44", "Eq45", "Eq46", "Eq47", "Eq49",
     "Eq50", "Eq51", "Eq53", "Eq54", "Eq55", "Eq56",
 })
-
-
-@dataclass(frozen=True)
-class BoundaryResult:
-    """A critical parameter value tagged with its computation route."""
-
-    kind: str                 # "PDB" or "SNB"
-    critical_value: float
-    unit: str
-    formula_id: str
-
-    def __post_init__(self):
-        if self.kind not in ("PDB", "SNB"):
-            raise DomainError(f"kind must be PDB or SNB, got {self.kind!r}")
-        if self.formula_id not in FORMULA_IDS:
-            raise DomainError(f"unknown formula_id {self.formula_id!r}")
 
 
 def _check_formula(formula: str, allowed):
@@ -546,22 +528,29 @@ def critical_ramp_eig(m: ConverterModel, d: float, T: float, u, target: float,
 
 
 def sweep(func, lo: float, hi: float, n: int):
-    """Uniform 1-D sweep of a scalar analysis function.
+    """Uniform 1-D sweep of an analysis function.
 
-    Evaluation failures (any :class:`CotstabError`) are recorded as NaN
-    with the error message kept, never raised, so a sweep across a
-    resolvent pole still yields a usable curve; any other exception is a
-    bug and propagates.  Returns (xs, ys, notes).
+    ``func`` returns one value, or a fixed-length tuple of values, per
+    point.  Evaluation failures (any :class:`CotstabError`) are recorded as
+    NaN in every column with the error message kept, never raised, so a
+    sweep across a resolvent pole still yields a usable curve; any other
+    exception is a bug and propagates.  Returns (xs, ys, notes): ys holds
+    one value or one row per point, and is a single NaN column when no
+    point succeeded.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
     xs = np.linspace(lo, hi, int(n)) if n else np.empty(0)
-    ys = np.empty_like(xs)
+    values: list = []
     notes: list[str] = []
-    for i, x in enumerate(xs):
+    for x in xs:
         try:
-            ys[i] = func(float(x))
+            values.append(func(float(x)))
         except CotstabError as exc:  # recorded per point by contract
-            ys[i] = math.nan
+            values.append(math.nan)
             notes.append(f"x={x:.6g}: {exc}")
+    shape = max((np.shape(v) for v in values), key=len, default=())
+    ys = np.empty(xs.shape + shape)
+    for i, value in enumerate(values):
+        ys[i] = value
     return xs, ys, notes

@@ -22,7 +22,7 @@ from .bifurcation import (closed_form_pole, critical_ramp_eig, ct_pole_formula,
                           snb_boundary_exact)
 from .harmonic import hb_pdb_splot, l1_plot
 from .models import BuckParams, RampSpec, Scheme, build_model
-from .sampled import consistent_vc, linearize, steady_state_at
+from .sampled import consistent_steady_state, linearize
 from .simulate import estimate_multiplier
 
 __all__ = ["Check", "CaseResult", "CASE_NAMES", "run_case", "run_cases"]
@@ -65,10 +65,8 @@ _CUR_D, _CUR_T = 0.26e-6, 1.04e-6
 
 def _operating(p, scheme, d, T, ma):
     m = build_model(p, scheme)
-    vc = consistent_vc(m, RampSpec(ma, d), T, p.vs)
-    u = np.array([p.vs, vc])
-    ss = steady_state_at(m, d, T, u)
-    return m, u, ss, linearize(m, ss, ma)
+    ss = consistent_steady_state(m, RampSpec(ma, d), T, p.vs)
+    return m, ss, linearize(m, ss, ma)
 
 
 def _sorted_real_poles(lin):
@@ -78,9 +76,9 @@ def _sorted_real_poles(lin):
 def case_no_ramp_poles() -> CaseResult:
     """Voltage feedback without a ramp: one pole at 0, one past -1."""
     p = _fast_buck()
-    m, u, ss, lin = _operating(p, Scheme.V_COTC, _FAST_D, _FAST_T, 0.0)
+    m, ss, lin = _operating(p, Scheme.V_COTC, _FAST_D, _FAST_T, 0.0)
     lo, hi = _sorted_real_poles(lin)
-    mult = estimate_multiplier(m, RampSpec(0.0, _FAST_D), u, _FAST_T, ss.x0_0)
+    mult = estimate_multiplier(m, RampSpec(0.0, _FAST_D), ss.u, _FAST_T, ss.x0_0)
     return CaseResult("no-ramp-poles", "pole pair without slope compensation", (
         Check("pole at origin", hi, 0.0, 1e-9),
         Check("subharmonic pole", lo, -1.0512484, 1e-5),
@@ -94,7 +92,7 @@ def case_no_ramp_poles() -> CaseResult:
 
 def case_placed_poles() -> CaseResult:
     """A finite ramp slope pulls both poles inside the unit circle."""
-    _, _, _, lin = _operating(_fast_buck(), Scheme.V_COTC, _FAST_D, _FAST_T, 9500.0)
+    _, _, lin = _operating(_fast_buck(), Scheme.V_COTC, _FAST_D, _FAST_T, 9500.0)
     lo, hi = _sorted_real_poles(lin)
     return CaseResult("placed-poles", "pole placement by ramp slope", (
         Check("faster pole", lo, -0.4989042, 1e-5),
@@ -105,9 +103,9 @@ def case_placed_poles() -> CaseResult:
 def case_min_ramp() -> CaseResult:
     """Boundary formula and eigenvalue search agree on the critical slope."""
     p = _fast_buck()
-    m, u, ss, _ = _operating(p, Scheme.V_COTC, _FAST_D, _FAST_T, 0.0)
+    m, ss, _ = _operating(p, Scheme.V_COTC, _FAST_D, _FAST_T, 0.0)
     direct = pdb_boundary_exact(m, p.vs, _FAST_D, _FAST_T)
-    searched = critical_ramp_eig(m, _FAST_D, _FAST_T, u, -1.0, 200.0, 5000.0)
+    searched = critical_ramp_eig(m, _FAST_D, _FAST_T, ss.u, -1.0, 200.0, 5000.0)
     return CaseResult("min-ramp", "minimum stabilizing ramp slope", (
         Check("boundary formula", direct, 943.41831, 1e-3),
         Check("eigenvalue search", searched, 943.41831, 1e-3),
@@ -132,7 +130,7 @@ def case_marginal_point() -> CaseResult:
     dstar = pdb_onset_duty(p, Scheme.V_COTC, 0.0, _FAST_D, 2.0, 0.2, 1.0)
     T = _FAST_D / dstar
     vs = 2.0 / dstar
-    _, _, _, lin = _operating(p.with_(vs=vs), Scheme.V_COTC, _FAST_D, T, 0.0)
+    _, _, lin = _operating(p.with_(vs=vs), Scheme.V_COTC, _FAST_D, T, 0.0)
     lo, hi = _sorted_real_poles(lin)
     return CaseResult("marginal-point", "marginal operating point", (
         Check("implied period", T, 3.3300308e-6, 1e-11),
@@ -169,8 +167,8 @@ def case_min_ri() -> CaseResult:
     f47 = min_sense_resistance(p, _FAST_D, _FAST_T, "Eq47")
     best = min((abs(f - exact), name)
                for f, name in ((f44, "Eq44"), (f45, "Eq45"), (f47, "Eq47")))[1]
-    _, _, _, lin = _operating(p.with_(Ri=exact), Scheme.V_COTC_CURRENT_RAMP,
-                              _FAST_D, _FAST_T, 0.0)
+    _, _, lin = _operating(p.with_(Ri=exact), Scheme.V_COTC_CURRENT_RAMP,
+                           _FAST_D, _FAST_T, 0.0)
     lo, _ = _sorted_real_poles(lin)
     return CaseResult("min-ri", "minimum current-sense resistance", (
         Check("exact limit", exact, 1.8188241e-3, 1e-9),
@@ -185,9 +183,9 @@ def case_min_ri() -> CaseResult:
 def case_current_slow_pole() -> CaseResult:
     """Current feedback: a slow real pole near +1 and its ct equivalent."""
     p = _current_buck()
-    m, u, ss, lin = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, 0.0)
+    m, ss, lin = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, 0.0)
     lo, hi = _sorted_real_poles(lin)
-    mult = estimate_multiplier(m, RampSpec(0.0, _CUR_D), u, _CUR_T, ss.x0_0)
+    mult = estimate_multiplier(m, RampSpec(0.0, _CUR_D), ss.u, _CUR_T, ss.x0_0)
     return CaseResult("current-slow-pole", "slow pole under current feedback", (
         Check("pole at origin", lo, 0.0, 1e-9),
         Check("slow pole", hi, 0.9995085, 1e-6),
@@ -201,11 +199,11 @@ def case_current_slow_pole() -> CaseResult:
 def case_tangency() -> CaseResult:
     """Negative ramp slopes reach a saddle-node of the switching cycle."""
     p = _current_buck()
-    m, _, ss, _ = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, 0.0)
+    m, ss, _ = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, 0.0)
     exact = snb_boundary_exact(m, p.vs, _CUR_D, _CUR_T)
     via_pole = s_exact(m, ss, 1.0)
     approx = snb_boundary_approx(m, p, _CUR_D, _CUR_T, "Eq56")
-    _, _, _, lin9 = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, -1e5)
+    _, _, lin9 = _operating(p, Scheme.C_COTC, _CUR_D, _CUR_T, -1e5)
     lo, hi = _sorted_real_poles(lin9)
     return CaseResult("tangency", "saddle-node reached by negative ramp", (
         Check("exact threshold", exact, -67540.068, 0.01),

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,14 +25,16 @@ from .bifurcation import (FORMULA_IDS, closed_form_pole, ct_pole_formula,
                           family_point, max_on_time, min_ramp_formula,
                           min_ramp_normalized, min_sense_resistance,
                           pdb_boundary_approx, pdb_boundary_exact, s_approx,
-                          s_exact, snb_boundary_approx, snb_boundary_exact)
+                          s_exact, snb_boundary_approx, snb_boundary_exact,
+                          sweep)
 from .cases import run_cases
 from .errors import (ConfigError, CotstabError, DimensionError, DomainError,
                      InfiniteLoopGainError, UsageError)
 from .harmonic import (convergence_points, h_plot, hb_pdb_splot, hb_snb_condition,
                        l1_plot, l2_plot)
-from .models import BuckParams, RampSpec, Scheme, build_model
-from .sampled import consistent_vc, linearize, steady_state_at
+from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
+from .sampled import (SteadyState, consistent_steady_state, linearize,
+                      steady_state_at)
 from .simulate import (classify_orbit, make_duty_family, make_ramp_family,
                        nominal_probe_state, onset_search, simulate)
 from .tables import Table, write_table
@@ -52,7 +55,7 @@ _USER_ERRORS = (ConfigError, UsageError, DomainError, DimensionError,
 _FLOAT_KEYS = frozenset({"vs", "vc", "R", "L", "C", "Rc", "Ri", "d", "T", "D",
                          "ma", "vo", "iL0", "vC0"})
 _INT_KEYS = frozenset({"Nh", "ncycles", "settle"})
-_RANGE_KEYS = frozenset({"D_range", "lambda_range", "ma_range", "fs_range"})
+_RANGE_KEYS = frozenset({"D_range", "lambda_range", "fs_range"})
 _ALL_KEYS = frozenset({"scheme"}) | _FLOAT_KEYS | _INT_KEYS | _RANGE_KEYS
 
 
@@ -169,58 +172,41 @@ def _timing(cfg: dict, what: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _Op:
-    """One fully resolved operating point."""
+    """One fully resolved operating point; ``ss`` carries d, T and u."""
 
     p: BuckParams
     scheme: Scheme
-    m: object
-    d: float
-    T: float
+    m: ConverterModel
     ramp: RampSpec
-    vc: float
+    ss: SteadyState
     vc_derived: bool
-    u: np.ndarray
 
 
 def _operating(cfg: dict, what: str) -> _Op:
+    """The configured cycle, at the given vc or else the consistent one."""
     p = _params(cfg, what)
     scheme = _scheme(cfg, what)
     m = build_model(p, scheme)
     d, T = _timing(cfg, what)
     ramp = RampSpec(ma=cfg.get("ma", 0.0), d=d)
     if "vc" in cfg:
-        vc, derived = cfg["vc"], False
+        ss = steady_state_at(m, d, T, np.array([p.vs, cfg["vc"]]))
     else:
-        vc, derived = consistent_vc(m, ramp, T, p.vs), True
-    u = np.array([p.vs, vc])
-    return _Op(p, scheme, m, d, T, ramp, vc, derived, u)
+        ss = consistent_steady_state(m, ramp, T, p.vs)
+    return _Op(p, scheme, m, ramp, ss, "vc" not in cfg)
 
 
 def _op_metadata(op: _Op) -> dict:
     return {
         "scheme": op.scheme.name,
-        "d_seconds": op.d,
-        "T_seconds": op.T,
-        "duty": op.d / op.T,
+        "d_seconds": op.ss.d,
+        "T_seconds": op.ss.T,
+        "duty": op.ss.D,
         "ma_volts_per_second": op.ramp.ma,
         "vs_volts": op.p.vs,
-        "vc_volts": op.vc,
+        "vc_volts": op.ss.u[1],
         "vc_derived": op.vc_derived,
     }
-
-
-def _grid(args, cfg: dict, key: str, range_key: str, default):
-    """Sweep grid from --sweep, else the config, else the default."""
-    if getattr(args, "sweep", None):
-        skey, lo, hi, n = _parse_sweep(args.sweep, (key,))
-        return np.linspace(lo, hi, n)
-    if range_key in cfg:
-        lo, hi, n = cfg[range_key]
-        return np.linspace(lo, hi, n)
-    if default is None:
-        raise ConfigError(f"give --sweep {key}=lo:hi:n or config {range_key}")
-    lo, hi, n = default
-    return np.linspace(lo, hi, n)
 
 
 def _parse_sweep(text: str, allowed) -> tuple[str, float, float, int]:
@@ -235,53 +221,62 @@ def _parse_sweep(text: str, allowed) -> tuple[str, float, float, int]:
     return key, lo, hi, n
 
 
-def _emit(args, table: Table, code: int = EXIT_OK) -> int:
-    text = write_table(table, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        LOG.info("wrote %s", args.out)
-    return code
+def _grid(args, cfg: dict, key: str, range_key: str, default):
+    """Sweep grid (lo, hi, n) from --sweep, else the config, else the default."""
+    if args.sweep:
+        return _parse_sweep(args.sweep, (key,))[1:]
+    return cfg.get(range_key, default)
 
 
-def _nh(args, cfg: dict) -> int:
-    if getattr(args, "nh", None) is not None:
-        if args.nh < 1:
-            raise ConfigError(f"--nh must be positive, got {args.nh}")
-        return args.nh
-    return cfg.get("Nh", 2000)
+def _count(args, flag: str, cfg: dict, key: str, default: int) -> int:
+    """Positive count from ``--flag``, else config ``key``, else the default."""
+    value = getattr(args, flag)
+    if value is None:
+        return cfg.get(key, default)
+    if value < 1:
+        raise ConfigError(f"--{flag} must be positive, got {value}")
+    return value
 
 
-def _formula_filter(args, rows):
-    wanted = getattr(args, "formula", None)
-    if wanted is None:
-        return rows
-    if wanted not in FORMULA_IDS:
-        raise UsageError(f"unknown formula id {wanted!r}")
-    kept = [row for row in rows if row[0] == wanted]
-    if not kept:
-        raise UsageError(f"formula {wanted} does not apply to this command "
-                         "or scheme")
-    return kept
+def _sweep_rows(table: Table, grid, *funcs) -> Table:
+    """One row per grid point: the point, then each function's value(s).
+
+    A function that fails at a point reads NaN in its columns there; one
+    that fails everywhere gives a single NaN column, widened to the table.
+    """
+    columns = []
+    for func in funcs:
+        xs, ys, notes = sweep(func, *grid)
+        for note in notes:
+            LOG.debug("sweep point failed: %s", note)
+        columns.append(ys)
+    values = np.broadcast_to(np.column_stack(columns),
+                             (len(xs), len(table.columns) - 1))
+    for x, row in zip(xs, values):
+        table.add(float(x), *row)
+    return table
+
+
+_FORMULA_COLUMNS = ["formula_id", "route", "value", "unit"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each body takes the parsed arguments and the config and
+# returns the table to emit
 
 
-def cmd_steady_state(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "steady-state")
-    ss = steady_state_at(op.m, op.d, op.T, op.u)
+def _steady_state(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    ss = op.ss
     table = Table(["quantity", "value", "unit"], metadata=_op_metadata(op))
     table.add("iL_cycle_start", float(ss.x0_0[0]), "A")
     table.add("vC_cycle_start", float(ss.x0_0[1]), "V")
     table.add("iL_switch_off", float(ss.x0_d[0]), "A")
     table.add("vC_switch_off", float(ss.x0_d[1]), "V")
     table.add("feedback_cycle_end", float(ss.y_end), "V")
-    table.add("ramp_cycle_end", op.ramp.ma * op.T, "V")
+    table.add("ramp_cycle_end", op.ramp.ma * ss.T, "V")
     table.add("duty", ss.D, "dimensionless")
-    return _emit(args, table)
+    return table
 
 
 _POLE_FORMS = {
@@ -292,57 +287,51 @@ _POLE_FORMS = {
 _CT_FORMS = {Scheme.V_COTC: "Eq43", Scheme.C_COTC: "Eq51"}
 
 
-def cmd_poles(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "poles")
-    ss = steady_state_at(op.m, op.d, op.T, op.u)
-    lin = linearize(op.m, ss, op.ramp.ma)
-    rows = []
-    for z in lin.poles():
-        real_pole = abs(z.imag) <= 1e-12 * (1.0 + abs(z.real))
-        ct = equivalent_ct_pole(z.real, op.T) if real_pole else math.nan
-        rows.append(("Eq15", "cycle_map", z.real, z.imag, abs(z), ct))
-    # Closed forms model the no-ramp pole; with a ramp they describe a
-    # different operating point, so they are only reported when ma = 0.
-    if op.ramp.ma == 0.0:
-        forms = ("Eq20", "Eq21") + _POLE_FORMS[op.scheme]
-        for formula in forms:
-            value = closed_form_pole(op.p, op.scheme, op.d, op.T, formula)
-            rows.append((formula, "closed_form", value, 0.0, abs(value),
-                         equivalent_ct_pole(value, op.T)))
-        ct_id = _CT_FORMS.get(op.scheme)
-        if ct_id is not None:
-            value = ct_pole_formula(op.p, op.scheme, op.d, op.T, ct_id)
-            rows.append((ct_id, "closed_form_ct", math.nan, math.nan,
-                         math.nan, value))
-    rows = _formula_filter(args, rows)
+def _poles(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    d, T = op.ss.d, op.ss.T
+    lin = linearize(op.m, op.ss, op.ramp.ma)
     meta = _op_metadata(op)
     meta["ct_equivalent"] = "(1 - pole) / T, real poles only"
     table = Table(["formula_id", "route", "real", "imag", "magnitude",
                    "ct_equivalent_per_second"], metadata=meta)
-    for row in rows:
-        table.add(*row)
-    return _emit(args, table)
+    for z in lin.poles():
+        real_pole = abs(z.imag) <= 1e-12 * (1.0 + abs(z.real))
+        ct = equivalent_ct_pole(z.real, T) if real_pole else math.nan
+        table.add("Eq15", "cycle_map", z.real, z.imag, abs(z), ct)
+    # Closed forms model the no-ramp pole; with a ramp they describe a
+    # different operating point, so they are only reported when ma = 0.
+    if op.ramp.ma == 0.0:
+        for formula in ("Eq20", "Eq21") + _POLE_FORMS[op.scheme]:
+            value = closed_form_pole(op.p, op.scheme, d, T, formula)
+            table.add(formula, "closed_form", value, 0.0, abs(value),
+                      equivalent_ct_pole(value, T))
+        ct_id = _CT_FORMS.get(op.scheme)
+        if ct_id is not None:
+            value = ct_pole_formula(op.p, op.scheme, d, T, ct_id)
+            table.add(ct_id, "closed_form_ct", math.nan, math.nan, math.nan,
+                      value)
+    return table
 
 
 def _splot_mode(cfg: dict, what: str):
-    """Duty-sweep mode: fixed output (vo) or fixed period (T)."""
+    """Duty-sweep mode, fixed output (vo) or fixed period (T), and metadata."""
     p = _params(cfg, what)
     scheme = _scheme(cfg, what)
     m = build_model(p, scheme)
     _need(cfg, ("d",), what)
     d = cfg["d"]
     if "vo" in cfg:
-        return p, scheme, m, d, ("family", cfg["vo"])
+        mode = ("family", cfg["vo"])
+        return p, scheme, m, d, mode, {"vo_volts": cfg["vo"], "d_seconds": d}
     if "T" in cfg:
-        if not 0.0 < d <= cfg["T"]:
-            raise ConfigError(f"need 0 < d <= T, got d={d!r}, T={cfg['T']!r}")
-        return p, scheme, m, d, ("fixed_period", cfg["T"])
+        _, T = _timing(cfg, what)
+        return p, scheme, m, d, ("fixed_period", T), {"T_seconds": T}
     raise ConfigError(f"{what} needs vo (fixed-output family) or T "
                       "(fixed period)")
 
 
-def _splot_point(p, m, d, mode, D):
+def _splot_point(p, d, mode, D):
     """Source voltage, on-time and period implied by one duty value."""
     kind, value = mode
     if kind == "family":
@@ -352,301 +341,202 @@ def _splot_point(p, m, d, mode, D):
     return p.vs, D * T, T
 
 
-def cmd_splot(args) -> int:
-    cfg = load_config(args.config, args.set)
-    p, scheme, m, d, mode = _splot_mode(cfg, "splot")
-    duties = _grid(args, cfg, "D", "D_range", (0.05, 0.95, 91))
+def _splot(args, cfg: dict) -> Table:
+    p, scheme, m, d, mode, mode_meta = _splot_mode(cfg, args.command)
+    grid = _grid(args, cfg, "D", "D_range", (0.05, 0.95, 91))
     meta = {"scheme": scheme.name, "mode": mode[0],
             "column_pdb_exact": "Eq22", "column_pdb_series": "Eq24",
-            "column_pdb_series_linear": "Eq26"}
-    if mode[0] == "family":
-        meta["vo_volts"] = mode[1]
-        meta["d_seconds"] = d
-    else:
-        meta["T_seconds"] = mode[1]
+            "column_pdb_series_linear": "Eq26", **mode_meta}
     table = Table(["duty", "pdb_exact_volts_per_second",
                    "pdb_series_volts_per_second",
                    "pdb_series_linear_volts_per_second"], metadata=meta)
-    for D in duties:
-        try:
-            vs, dd, T = _splot_point(p, m, d, mode, float(D))
-            exact = pdb_boundary_exact(m, vs, dd, T)
-            full = pdb_boundary_approx(m, vs, dd, T, "full")
-            lin = pdb_boundary_approx(m, vs, dd, T, "linear")
-        except CotstabError as exc:
-            LOG.debug("splot point D=%g failed: %s", D, exc)
-            exact = full = lin = math.nan
-        table.add(float(D), exact, full, lin)
-    return _emit(args, table)
+
+    def point(D):
+        vs, dd, T = _splot_point(p, d, mode, D)
+        return (pdb_boundary_exact(m, vs, dd, T),
+                pdb_boundary_approx(m, vs, dd, T, "full"),
+                pdb_boundary_approx(m, vs, dd, T, "linear"))
+
+    return _sweep_rows(table, grid, point)
 
 
-def cmd_pole_locus(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "pole-locus")
-    ss = steady_state_at(op.m, op.d, op.T, op.u)
-    lams = _grid(args, cfg, "lambda", "lambda_range", (-1.5, 1.5, 121))
-    meta = _op_metadata(op)
-    meta["column_ramp_slope_exact"] = "Eq17"
-    meta["column_ramp_slope_series"] = "Eq19"
+def _pole_locus(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    grid = _grid(args, cfg, "lambda", "lambda_range", (-1.5, 1.5, 121))
+    meta = {**_op_metadata(op), "column_ramp_slope_exact": "Eq17",
+            "column_ramp_slope_series": "Eq19"}
     table = Table(["lambda", "ramp_slope_exact_volts_per_second",
                    "ramp_slope_series_volts_per_second"], metadata=meta)
-    for lam in lams:
-        try:
-            exact = s_exact(op.m, ss, float(lam))
-        except CotstabError:
-            exact = math.nan
-        try:
-            approx = s_approx(op.m, ss, float(lam))
-        except CotstabError:
-            approx = math.nan
-        table.add(float(lam), exact, approx)
-    return _emit(args, table)
+    return _sweep_rows(table, grid, lambda lam: s_exact(op.m, op.ss, lam),
+                       lambda lam: s_approx(op.m, op.ss, lam))
 
 
-def cmd_pdb_boundary(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "pdb-boundary")
-    nh = _nh(args, cfg)
-    ss = steady_state_at(op.m, op.d, op.T, op.u)
+def _pdb_boundary(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    nh = _count(args, "nh", cfg, "Nh", 2000)
+    p, scheme, m, ss = op.p, op.scheme, op.m, op.ss
+    d, T = ss.d, ss.T
     rows = [
-        ("Eq22", "stage_transition", pdb_boundary_exact(
-            op.m, op.p.vs, op.d, op.T), "V/s"),
-        ("Eq17", "pole_placement", s_exact(op.m, ss, -1.0), "V/s"),
-        ("Eq19", "pole_placement_series", s_approx(op.m, ss, -1.0), "V/s"),
-        ("Eq24", "series", pdb_boundary_approx(
-            op.m, op.p.vs, op.d, op.T, "full"), "V/s"),
+        ("Eq22", "stage_transition", pdb_boundary_exact(m, p.vs, d, T), "V/s"),
+        ("Eq17", "pole_placement", s_exact(m, ss, -1.0), "V/s"),
+        ("Eq19", "pole_placement_series", s_approx(m, ss, -1.0), "V/s"),
+        ("Eq24", "series", pdb_boundary_approx(m, p.vs, d, T, "full"), "V/s"),
         ("Eq26", "series_linear", pdb_boundary_approx(
-            op.m, op.p.vs, op.d, op.T, "linear"), "V/s"),
+            m, p.vs, d, T, "linear"), "V/s"),
     ]
-    if op.scheme is Scheme.V_COTC:
+    if scheme is Scheme.V_COTC:
         for formula in ("Eq32", "Eq34"):
             rows.append((formula, "closed_form", min_ramp_formula(
-                op.p, op.scheme, op.d, op.T, formula), "V/s"))
+                p, scheme, d, T, formula), "V/s"))
         for formula in ("Eq36", "Eq37"):
             rows.append((formula, "closed_form_normalized", min_ramp_normalized(
-                op.p, op.d, op.T, formula), "ratio_to_ripple_slope"))
-    elif op.scheme is Scheme.C_COTC:
+                p, d, T, formula), "ratio_to_ripple_slope"))
+    elif scheme is Scheme.C_COTC:
         rows.append(("Eq49", "closed_form", min_ramp_formula(
-            op.p, op.scheme, op.d, op.T, "Eq49"), "V/s"))
-    rows.append(("-", "harmonic_balance", hb_pdb_splot(
-        op.p, op.scheme, op.d, op.T, nh), "V/s"))
-    rows = _formula_filter(args, rows)
-    meta = _op_metadata(op)
-    meta["kind"] = "PDB"
-    meta["nh"] = nh
-    table = Table(["formula_id", "route", "value", "unit"], metadata=meta)
-    for row in rows:
-        table.add(*row)
-    return _emit(args, table)
+            p, scheme, d, T, "Eq49"), "V/s"))
+    rows.append(("-", "harmonic_balance", hb_pdb_splot(p, scheme, d, T, nh),
+                 "V/s"))
+    return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "PDB",
+                                          "nh": nh})
 
 
 _SNB_FORMS = {Scheme.V_COTC: ("Eq54", "Eq55"), Scheme.C_COTC: ("Eq54", "Eq56"),
               Scheme.V_COTC_CURRENT_RAMP: ("Eq54",)}
 
 
-def cmd_snb_boundary(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "snb-boundary")
-    nh = _nh(args, cfg)
-    ss = steady_state_at(op.m, op.d, op.T, op.u)
+def _snb_boundary(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    nh = _count(args, "nh", cfg, "Nh", 2000)
+    p, m, ss = op.p, op.m, op.ss
     rows = [
         ("Eq53", "stage_transition", snb_boundary_exact(
-            op.m, op.p.vs, op.d, op.T), "V/s"),
-        ("Eq17", "pole_placement", s_exact(op.m, ss, 1.0), "V/s"),
+            m, p.vs, ss.d, ss.T), "V/s"),
+        ("Eq17", "pole_placement", s_exact(m, ss, 1.0), "V/s"),
     ]
     for formula in _SNB_FORMS[op.scheme]:
         rows.append((formula, "series", snb_boundary_approx(
-            op.m, op.p, op.d, op.T, formula), "V/s"))
+            m, p, ss.d, ss.T, formula), "V/s"))
     rows.append(("-", "harmonic_balance", hb_snb_condition(
-        op.p, op.scheme, op.d, op.T, nh), "V/s"))
-    rows = _formula_filter(args, rows)
-    meta = _op_metadata(op)
-    meta["kind"] = "SNB"
-    meta["nh"] = nh
-    table = Table(["formula_id", "route", "value", "unit"], metadata=meta)
-    for row in rows:
-        table.add(*row)
-    return _emit(args, table)
+        p, op.scheme, ss.d, ss.T, nh), "V/s"))
+    return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "SNB",
+                                          "nh": nh})
 
 
 _ON_TIME_FORMS = ("Eq27", "Eq33", "Eq35", "Eq38", "Eq39", "Eq41",
                   "Eq44", "Eq45")
 
 
-def cmd_max_on_time(args) -> int:
-    cfg = load_config(args.config, args.set)
-    what = "max-on-time"
-    p = _params(cfg, what)
-    scheme = _scheme(cfg, what)
-    _need(cfg, ("D",), what)
+def _max_on_time(args, cfg: dict) -> Table:
+    p = _params(cfg, args.command)
+    scheme = _scheme(cfg, args.command)
+    _need(cfg, ("D",), args.command)
     D = cfg["D"]
     ma = cfg.get("ma", 0.0)
-    if getattr(args, "sweep", None):
+    if args.sweep:
         _, d_lo, d_hi, _ = _parse_sweep(args.sweep, ("d",))
     elif "d" in cfg:
         d_lo, d_hi = cfg["d"] / 5.0, cfg["d"] * 5.0
     else:
-        raise ConfigError(f"{what} needs d as a bracket scale "
+        raise ConfigError(f"{args.command} needs d as a bracket scale "
                           "or --sweep d=lo:hi:n")
     meta = {"scheme": scheme.name, "duty": D, "ma_volts_per_second": ma,
             "bracket_lo_seconds": d_lo, "bracket_hi_seconds": d_hi,
             "kind": "PDB"}
-    rows = []
+    # Eq41 needs the period; D is given, so T never is: the search supplies it.
     try:
         exact = exact_max_on_time(p, scheme, ma, D, d_lo, d_hi)
-        rows.append(("-", "search", exact, "s"))
+        T41 = exact / D
+        meta["Eq41_period_seconds"] = T41
     except CotstabError as exc:
-        exact = math.nan
+        exact, T41 = math.nan, None
         meta["search_note"] = str(exc)
-        rows.append(("-", "search", exact, "s"))
-    # Eq41 needs the cycle period: from the config, else from the search.
-    T_for_41 = cfg.get("T")
-    if T_for_41 is None and math.isfinite(exact):
-        T_for_41 = exact / D
-        meta["Eq41_period_seconds"] = T_for_41
+    rows = [("-", "search", exact, "s")]
     for formula in _ON_TIME_FORMS:
         try:
             value = max_on_time(p, scheme, ma, D, formula,
-                                T=T_for_41 if formula == "Eq41" else None)
-        except UsageError:
-            continue
+                                T=T41 if formula == "Eq41" else None)
         except CotstabError as exc:
             LOG.debug("%s failed: %s", formula, exc)
             continue
         rows.append((formula, "closed_form", value, "s"))
-    rows = _formula_filter(args, rows)
-    table = Table(["formula_id", "route", "value", "unit"], metadata=meta)
-    for row in rows:
-        table.add(*row)
-    return _emit(args, table)
+    return Table(_FORMULA_COLUMNS, rows, meta)
 
 
-def cmd_min_ri(args) -> int:
-    cfg = load_config(args.config, args.set)
-    what = "min-ri"
-    p = _params(cfg, what)
+def _min_ri(args, cfg: dict) -> Table:
+    p = _params(cfg, args.command)
     if "scheme" in cfg and cfg["scheme"] is not Scheme.V_COTC_CURRENT_RAMP:
         raise ConfigError("min-ri applies to the added current ramp scheme "
                           f"V_COTC_CURRENT_RAMP, config says {cfg['scheme'].name}")
-    d, T = _timing(cfg, what)
+    d, T = _timing(cfg, args.command)
     rows = [("-", "search", exact_min_ri(p, d, T), "ohm")]
     for formula in ("Eq44", "Eq45", "Eq47"):
         rows.append((formula, "closed_form",
                      min_sense_resistance(p, d, T, formula), "ohm"))
-    rows = _formula_filter(args, rows)
     meta = {"scheme": Scheme.V_COTC_CURRENT_RAMP.name, "d_seconds": d,
             "T_seconds": T, "duty": d / T, "kind": "PDB"}
-    table = Table(["formula_id", "route", "value", "unit"], metadata=meta)
-    for row in rows:
-        table.add(*row)
-    return _emit(args, table)
+    return Table(_FORMULA_COLUMNS, rows, meta)
 
 
-def cmd_hb_splot(args) -> int:
-    cfg = load_config(args.config, args.set)
-    p, scheme, m, d, mode = _splot_mode(cfg, "hb-splot")
-    nh = _nh(args, cfg)
+def _hb_splot(args, cfg: dict) -> Table:
+    p, scheme, m, d, mode, mode_meta = _splot_mode(cfg, args.command)
+    nh = _count(args, "nh", cfg, "Nh", 2000)
     depths = convergence_points(nh)
-    duties = _grid(args, cfg, "D", "D_range", (0.05, 0.95, 91))
+    grid = _grid(args, cfg, "D", "D_range", (0.05, 0.95, 91))
     columns = ["duty"]
     columns += [f"pdb_hb_n{depth}_volts_per_second" for depth in depths]
     columns.append("pdb_exact_volts_per_second")
     meta = {"scheme": scheme.name, "mode": mode[0], "nh": nh,
-            "column_pdb_exact": "Eq22"}
-    if mode[0] == "family":
-        meta["vo_volts"] = mode[1]
-        meta["d_seconds"] = d
-    else:
-        meta["T_seconds"] = mode[1]
-    table = Table(columns, metadata=meta)
-    for D in duties:
-        try:
-            vs, dd, T = _splot_point(p, m, d, mode, float(D))
-            pp = p.with_(vs=vs)
-            hb = [hb_pdb_splot(pp, scheme, dd, T, depth) for depth in depths]
-            exact = pdb_boundary_exact(m, vs, dd, T)
-        except CotstabError as exc:
-            LOG.debug("hb-splot point D=%g failed: %s", D, exc)
-            hb = [math.nan] * len(depths)
-            exact = math.nan
-        table.add(float(D), *hb, exact)
-    return _emit(args, table)
+            "column_pdb_exact": "Eq22", **mode_meta}
+
+    def point(D):
+        vs, dd, T = _splot_point(p, d, mode, D)
+        pp = p.with_(vs=vs)
+        hb = [hb_pdb_splot(pp, scheme, dd, T, depth) for depth in depths]
+        return (*hb, pdb_boundary_exact(m, vs, dd, T))
+
+    return _sweep_rows(Table(columns, metadata=meta), grid, point)
 
 
-def _fs_grid(args, cfg: dict, d: float):
-    if getattr(args, "sweep", None) or "fs_range" in cfg:
-        return _grid(args, cfg, "fs", "fs_range", None)
-    # Default window around the design point, kept below the 1/d ceiling.
-    _, T0 = _timing(cfg, "the default frequency sweep")
-    hi = min(2.5 / T0, 0.98 / d)
-    return np.linspace(0.25 / T0, hi, 121)
+def _freq_sweep(prefix: str, boundary_text: str, series, boundary, args,
+                cfg: dict, needs_ramp: bool = False) -> Table:
+    """A subharmonic sum against switching frequency.
 
-
-def _freq_sweep(args, which: str):
-    cfg = load_config(args.config, args.set)
-    what = which
-    p = _params(cfg, what)
-    scheme = _scheme(cfg, what)
-    _need(cfg, ("d",), what)
+    ``series(omega_s, p, scheme, ma, d, nh)`` is the sum, ``boundary(T, ma,
+    vs)`` the value its real part crosses at the stability boundary, and
+    ``needs_ramp`` marks a sum normalized by the ramp amplitude.
+    """
+    p = _params(cfg, args.command)
+    scheme = _scheme(cfg, args.command)
+    _need(cfg, ("d",), args.command)
     d = cfg["d"]
     ma = cfg.get("ma", 0.0)
-    nh = _nh(args, cfg)
-    fss = _fs_grid(args, cfg, d)
-    return cfg, p, scheme, d, ma, nh, fss
-
-
-def cmd_hplot(args) -> int:
-    _, p, scheme, d, ma, nh, fss = _freq_sweep(args, "hplot")
+    nh = _count(args, "nh", cfg, "Nh", 2000)
+    if args.sweep or "fs_range" in cfg:
+        fss = np.linspace(*_grid(args, cfg, "fs", "fs_range", None))
+    else:
+        # Default window around the design point, kept below the 1/d ceiling.
+        _, T0 = _timing(cfg, "the default frequency sweep")
+        fss = np.linspace(0.25 / T0, min(2.5 / T0, 0.98 / d), 121)
+    if needs_ramp and ma == 0.0:
+        raise ConfigError(f"{args.command} needs a nonzero ma (the sum is "
+                          "normalized by the ramp amplitude)")
     meta = {"scheme": scheme.name, "d_seconds": d, "nh": nh,
-            "ma_volts_per_second": ma, "boundary": "real part = T*ma/vs"}
-    table = Table(["fs_hertz", "H_real", "H_imag", "boundary"], metadata=meta)
+            "ma_volts_per_second": ma, "boundary": boundary_text}
+    table = Table(["fs_hertz", f"{prefix}_real", f"{prefix}_imag", "boundary"],
+                  metadata=meta)
     for fs in fss:
         T = 1.0 / float(fs)
         if T <= d:
             table.add(float(fs), math.nan, math.nan, math.nan)
             continue
-        val = h_plot(2.0 * math.pi * float(fs), p, scheme, d, nh)
-        table.add(float(fs), val.real, val.imag, T * ma / p.vs)
-    return _emit(args, table)
+        val = series(2.0 * math.pi * float(fs), p, scheme, ma, d, nh)
+        table.add(float(fs), val.real, val.imag, boundary(T, ma, p.vs))
+    return table
 
 
-def cmd_l2(args) -> int:
-    _, p, scheme, d, ma, nh, fss = _freq_sweep(args, "l2")
-    meta = {"scheme": scheme.name, "d_seconds": d, "nh": nh,
-            "ma_volts_per_second": ma, "boundary": "real part = 2*T*ma/vs"}
-    table = Table(["fs_hertz", "L2_real", "L2_imag", "boundary"], metadata=meta)
-    for fs in fss:
-        T = 1.0 / float(fs)
-        if T <= d:
-            table.add(float(fs), math.nan, math.nan, math.nan)
-            continue
-        val = l2_plot(2.0 * math.pi * float(fs), p, scheme, d, nh)
-        table.add(float(fs), val.real, val.imag, 2.0 * T * ma / p.vs)
-    return _emit(args, table)
-
-
-def cmd_l1(args) -> int:
-    _, p, scheme, d, ma, nh, fss = _freq_sweep(args, "l1")
-    if ma == 0.0:
-        raise ConfigError("l1 needs a nonzero ma (the sum is normalized "
-                          "by the ramp amplitude)")
-    meta = {"scheme": scheme.name, "d_seconds": d, "nh": nh,
-            "ma_volts_per_second": ma, "boundary": "real part = 2"}
-    table = Table(["fs_hertz", "L1_real", "L1_imag", "boundary"], metadata=meta)
-    for fs in fss:
-        T = 1.0 / float(fs)
-        if T <= d:
-            table.add(float(fs), math.nan, math.nan, math.nan)
-            continue
-        val = l1_plot(2.0 * math.pi * float(fs), p, scheme, ma, d, nh)
-        table.add(float(fs), val.real, val.imag, 2.0)
-    return _emit(args, table)
-
-
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set)
-    op = _operating(cfg, "simulate")
-    ncycles = args.cycles or cfg.get("ncycles", 2000)
+def _simulate(args, cfg: dict) -> Table:
+    op = _operating(cfg, args.command)
+    ncycles = _count(args, "cycles", cfg, "ncycles", 2000)
     settle = cfg.get("settle", 500)
     have = [k for k in ("iL0", "vC0") if k in cfg]
     if len(have) == 1:
@@ -654,8 +544,8 @@ def cmd_simulate(args) -> int:
     if have:
         x0 = np.array([cfg["iL0"], cfg["vC0"]])
     else:
-        x0 = nominal_probe_state(op.p, op.d / op.T, op.d)
-    trace = simulate(op.m, op.ramp, x0, op.u, ncycles, T_guess=op.T)
+        x0 = nominal_probe_state(op.p, op.ss.D, op.ss.d)
+    trace = simulate(op.m, op.ramp, x0, op.ss.u, ncycles, T_guess=op.ss.T)
     meta = _op_metadata(op)
     meta["ncycles"] = ncycles
     meta["settle"] = settle
@@ -672,24 +562,22 @@ def cmd_simulate(args) -> int:
         table.add(k, float(trace.Tn[k]), float(trace.x_end[k, 0]),
                   float(trace.x_end[k, 1]), float(trace.y_switch[k]),
                   int(trace.saturated[k]))
-    return _emit(args, table)
+    return table
 
 
-def cmd_onset(args) -> int:
-    cfg = load_config(args.config, args.set)
-    what = "onset"
+def _onset(args, cfg: dict) -> Table:
     if not args.sweep:
         raise ConfigError("onset needs --sweep ma=lo:hi:n or --sweep D=lo:hi:n "
                           "(n is ignored; the bracket is bisected)")
     key, lo, hi, _ = _parse_sweep(args.sweep, ("ma", "D"))
-    p = _params(cfg, what)
-    scheme = _scheme(cfg, what)
-    _need(cfg, ("d",), what)
+    p = _params(cfg, args.command)
+    scheme = _scheme(cfg, args.command)
+    _need(cfg, ("d",), args.command)
     d = cfg["d"]
-    cycles = args.cycles or cfg.get("ncycles", 3000)
+    cycles = _count(args, "cycles", cfg, "ncycles", 3000)
     settle = cfg.get("settle", 500)
     if key == "ma":
-        _, T = _timing(cfg, what)
+        _, T = _timing(cfg, args.command)
         family = make_ramp_family(p, scheme, d, T)
         unit = "V/s"
     else:
@@ -703,10 +591,10 @@ def cmd_onset(args) -> int:
             "d_seconds": d}
     table = Table(["parameter", "onset", "unit"], metadata=meta)
     table.add(key, value, unit)
-    return _emit(args, table)
+    return table
 
 
-def cmd_examples(args) -> int:
+def _examples(args, cfg: dict) -> tuple[Table, int]:
     results = run_cases()
     table = Table(["case", "check", "value", "expected", "tolerance", "status"],
                   metadata={})
@@ -717,55 +605,64 @@ def cmd_examples(args) -> int:
     npass = sum(1 for r in results if r.passed)
     table.metadata["cases_total"] = len(results)
     table.metadata["cases_passed"] = npass
-    code = EXIT_OK if npass == len(results) else EXIT_REGRESSION
-    return _emit(args, table, code)
+    return table, EXIT_OK if npass == len(results) else EXIT_REGRESSION
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# declaration, parser and runner
 
-
-_DISPATCH = {
-    "steady-state": cmd_steady_state,
-    "poles": cmd_poles,
-    "splot": cmd_splot,
-    "pole-locus": cmd_pole_locus,
-    "pdb-boundary": cmd_pdb_boundary,
-    "snb-boundary": cmd_snb_boundary,
-    "max-on-time": cmd_max_on_time,
-    "min-ri": cmd_min_ri,
-    "hb-splot": cmd_hb_splot,
-    "l1": cmd_l1,
-    "l2": cmd_l2,
-    "hplot": cmd_hplot,
-    "simulate": cmd_simulate,
-    "onset": cmd_onset,
-    "examples": cmd_examples,
+# name -> (help, optional flags, body).  A body returns its table, or the
+# table and an exit code.
+_COMMANDS = {
+    "steady-state": ("periodic orbit at the operating point",
+                     (), _steady_state),
+    "poles": ("cycle-map poles, exact and closed-form",
+              ("formula",), _poles),
+    "splot": ("period-doubling threshold against duty, three routes",
+              ("sweep",), _splot),
+    "pole-locus": ("ramp slope that places a pole at each real lambda",
+                   ("sweep",), _pole_locus),
+    "pdb-boundary": ("period-doubling threshold at one point, every route",
+                     ("nh", "formula"), _pdb_boundary),
+    "snb-boundary": ("saddle-node threshold at one point, every route",
+                     ("nh", "formula"), _snb_boundary),
+    "max-on-time": ("largest stable on-time at fixed duty",
+                    ("sweep", "formula"), _max_on_time),
+    "min-ri": ("smallest stabilizing current-sense resistance",
+               ("formula",), _min_ri),
+    "hb-splot": ("period-doubling threshold from the harmonic series",
+                 ("sweep", "nh"), _hb_splot),
+    "l1": ("normalized subharmonic sum against switching frequency",
+           ("sweep", "nh"),
+           partial(_freq_sweep, "L1", "real part = 2", l1_plot,
+                   lambda T, ma, vs: 2.0, needs_ramp=True)),
+    "l2": ("two-sided subharmonic sum against switching frequency",
+           ("sweep", "nh"),
+           partial(_freq_sweep, "L2", "real part = 2*T*ma/vs",
+                   lambda w, p, scheme, ma, d, nh: l2_plot(w, p, scheme, d, nh),
+                   lambda T, ma, vs: 2.0 * T * ma / vs)),
+    "hplot": ("one-sided subharmonic sum against switching frequency",
+              ("sweep", "nh"),
+              partial(_freq_sweep, "H", "real part = T*ma/vs",
+                      lambda w, p, scheme, ma, d, nh: h_plot(w, p, scheme, d, nh),
+                      lambda T, ma, vs: T * ma / vs)),
+    "simulate": ("cycle-by-cycle time-domain trace",
+                 ("cycles",), _simulate),
+    "onset": ("simulated instability onset by bisection",
+              ("sweep", "cycles"), _onset),
+    "examples": ("re-run the built-in worked cases (exit 4 on regression)",
+                 (), _examples),
 }
 
-_HELP = {
-    "steady-state": "periodic orbit at the operating point",
-    "poles": "cycle-map poles, exact and closed-form",
-    "splot": "period-doubling threshold against duty, three routes",
-    "pole-locus": "ramp slope that places a pole at each real lambda",
-    "pdb-boundary": "period-doubling threshold at one point, every route",
-    "snb-boundary": "saddle-node threshold at one point, every route",
-    "max-on-time": "largest stable on-time at fixed duty",
-    "min-ri": "smallest stabilizing current-sense resistance",
-    "hb-splot": "period-doubling threshold from the harmonic series",
-    "l1": "normalized subharmonic sum against switching frequency",
-    "l2": "two-sided subharmonic sum against switching frequency",
-    "hplot": "one-sided subharmonic sum against switching frequency",
-    "simulate": "cycle-by-cycle time-domain trace",
-    "onset": "simulated instability onset by bisection",
-    "examples": "re-run the built-in worked cases (exit 4 on regression)",
+# optional flags, in the order they are added to every subcommand
+_FLAGS = {
+    "sweep": dict(metavar="KEY=lo:hi:n",
+                  help="sweep grid (onset: bisection bracket)"),
+    "nh": dict(type=int, metavar="N",
+               help="harmonic truncation depth (default 2000)"),
+    "formula": dict(metavar="ID", help="keep only this catalog formula's row"),
+    "cycles": dict(type=int, metavar="N", help="simulated switching cycles"),
 }
-
-_SWEEPABLE = {"splot", "pole-locus", "hb-splot", "l1", "l2", "hplot",
-              "max-on-time", "onset"}
-_HARMONIC = {"pdb-boundary", "snb-boundary", "hb-splot", "l1", "l2", "hplot"}
-_FORMULA = {"poles", "pdb-boundary", "snb-boundary", "max-on-time", "min-ri"}
-_CYCLES = {"simulate", "onset"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -774,14 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability boundaries of constant on-time buck converters.",
         epilog="Config files are flat key=value lines with # comments; "
                "values in SI units. Keys: scheme vs vc R L C Rc Ri d T D ma "
-               "vo iL0 vC0 Nh ncycles settle D_range lambda_range ma_range "
+               "vo iL0 vC0 Nh ncycles settle D_range lambda_range "
                "fs_range (ranges as lo:hi:n). Give exactly one of T or D.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-    for name, func in _DISPATCH.items():
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="PATH",
                          help="key=value config file")
         cmd.add_argument("--set", action="append", default=[],
@@ -789,20 +686,31 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", metavar="PATH",
                          help="write the table here instead of stdout")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name in _SWEEPABLE:
-            cmd.add_argument("--sweep", metavar="KEY=lo:hi:n",
-                             help="sweep grid (onset: bisection bracket)")
-        if name in _HARMONIC:
-            cmd.add_argument("--nh", type=int, metavar="N",
-                             help="harmonic truncation depth (default 2000)")
-        if name in _FORMULA:
-            cmd.add_argument("--formula", metavar="ID",
-                             help="keep only this catalog formula's row")
-        if name in _CYCLES:
-            cmd.add_argument("--cycles", type=int, metavar="N",
-                             help="simulated switching cycles")
-        cmd.set_defaults(func=func)
+        for flag, options in _FLAGS.items():
+            if flag in flags:
+                cmd.add_argument(f"--{flag}", **options)
     return parser
+
+
+def _run(args) -> int:
+    """Load the config, run the body, keep the --formula row, emit."""
+    _, flags, body = _COMMANDS[args.command]
+    cfg = load_config(args.config, args.set)
+    result = body(args, cfg)
+    table, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+    if "formula" in flags and args.formula is not None:
+        if args.formula not in FORMULA_IDS:
+            raise UsageError(f"unknown formula id {args.formula!r}")
+        table.rows = [row for row in table.rows if row[0] == args.formula]
+        if not table.rows:
+            raise UsageError(f"formula {args.formula} does not apply to this "
+                             "command or scheme")
+    text = write_table(table, args.format, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        LOG.info("wrote %s", args.out)
+    return code
 
 
 def _setup_logging():
@@ -819,7 +727,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except _USER_ERRORS as exc:
         print(f"cotstab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -56,13 +56,17 @@ def _tail_average(terms: np.ndarray):
 
 
 def _check_series(nh, d=None, T=None, name: str = "nh") -> None:
-    """Reject a truncation depth or a timing no series is defined for."""
-    try:
-        nh = operator.index(nh)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {nh!r}") from None
-    if nh < 1:
-        raise DomainError(f"{name} must be positive, got {nh!r}")
+    """Reject a truncation depth or a timing no series is defined for.
+
+    ``nh=None`` checks the timing alone, ``T=None`` the depth alone.
+    """
+    if nh is not None:
+        try:
+            nh = operator.index(nh)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {nh!r}") from None
+        if nh < 1:
+            raise DomainError(f"{name} must be positive, got {nh!r}")
     if T is None:
         return
     if not (math.isfinite(T) and T > 0.0):
@@ -73,6 +77,7 @@ def _check_series(nh, d=None, T=None, name: str = "nh") -> None:
 
 def convergence_points(nh: int) -> list[int]:
     """Truncation depths reported alongside a series result."""
+    _check_series(nh)
     pts = sorted({max(1, nh // 4), max(1, nh // 2), nh})
     return pts
 
@@ -89,6 +94,7 @@ def square_wave_coeff(n: int, vs: float, d: float, T: float) -> complex:
     is taken against exp(-j n ws t) with ws = 2 pi / T.  The n = 0 limit
     is the average vs d / T.
     """
+    _check_series(None, d, T)
     if n == 0:
         return complex(vs * d / T)
     return complex(_square_wave(n, vs, d, T))
@@ -103,11 +109,12 @@ def period2_coeff(n: int, vs: float, d: float, T: float,
     later.  The base period is 2 T, so even coefficients at delta = 0
     reduce to the one-cycle coefficients and odd ones vanish.
     """
+    _check_series(None, d, T)
     if n == 0:
         return complex(vs * d / T)
     ws = 2.0 * math.pi / T
     pulse = vs / (2j * math.pi * n) * (1.0 - cmath.exp(-1j * n * ws * d / 2.0))
-    comb = 1.0 + (-1) ** n * cmath.exp(1j * n * ws * delta / 2.0)
+    comb = 1.0 + (-1.0) ** n * cmath.exp(1j * n * ws * delta / 2.0)
     return pulse * comb
 
 

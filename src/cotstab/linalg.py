@@ -31,7 +31,6 @@ __all__ = [
     "eigenvalues",
     "solve_linear",
     "find_root",
-    "regularize_poles",
 ]
 
 #: solves refuse to proceed past this condition estimate
@@ -205,21 +204,3 @@ def find_root(f, lo, hi, tol=None):
             last_side = +1
     return 0.5 * (a + b)
 
-
-def regularize_poles(a, delta=1e-9, zero_tol=None):
-    """Shift exact-zero eigenvalues of ``a`` to ``-delta`` (1/s).
-
-    Convenience for models with a pure integrator pole, whose steady-state
-    and boundary formulas divide by ``a``: the caller opts in explicitly,
-    nothing is regularised silently.  Eigenvalues with magnitude below
-    ``zero_tol`` (default ``1e6 * eps * norm(a)``) are treated as zero.
-    """
-    a = _as_square(a, "a")
-    if zero_tol is None:
-        zero_tol = 1e6 * _EPS * max(1.0, float(np.linalg.norm(a, 2)))
-    w, v = np.linalg.eig(a)
-    if np.min(np.abs(w)) > zero_tol:
-        return a.copy()
-    w = np.where(np.abs(w) <= zero_tol, -float(delta), w)
-    out = v @ np.diag(w) @ np.linalg.inv(v)
-    return np.real_if_close(out, tol=1e6).astype(float)

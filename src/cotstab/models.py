@@ -34,7 +34,6 @@ __all__ = [
     "Scheme",
     "BuckParams",
     "RampSpec",
-    "OperatingPoint",
     "ConverterModel",
     "build_model",
     "slope_normalizer",
@@ -106,7 +105,7 @@ class RampSpec:
     """External stabilising ramp: slope ``ma`` (V/s), fixed on-time ``d`` (s).
 
     The ramp restarts at zero at every cycle start, so its value at the end
-    of a cycle of length ``T`` is the amplitude ``vh(T) = ma * T``.  ``ma``
+    of a cycle of length ``T`` is the amplitude ``ma * T``.  ``ma``
     may take either sign; negative slopes model droop-like compensation.
     """
 
@@ -118,49 +117,6 @@ class RampSpec:
             raise DomainError(f"RampSpec.d must be finite and > 0, got {self.d!r}")
         if not math.isfinite(self.ma):
             raise DomainError(f"RampSpec.ma must be finite, got {self.ma!r}")
-
-    def vh(self, T):
-        """Ramp amplitude accumulated over a cycle of length ``T``."""
-        return self.ma * T
-
-    def value(self, t):
-        """Ramp height at time ``t`` past the cycle start."""
-        return self.ma * t
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Nominal steady-state cycle: period ``T`` and on-time ``d`` (seconds)."""
-
-    T: float
-    d: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise DomainError(f"OperatingPoint.T must be finite and > 0, got {self.T!r}")
-        if not (0.0 < self.d < self.T):
-            raise DomainError(
-                f"on-time must satisfy 0 < d < T, got d={self.d!r}, T={self.T!r}")
-
-    @classmethod
-    def from_duty(cls, D, d):
-        """Build from duty ratio ``D = d/T`` and on-time ``d``."""
-        D = float(D)
-        if not 0.0 < D < 1.0:
-            raise DomainError(f"duty ratio must lie in (0, 1), got {D!r}")
-        return cls(T=float(d) / D, d=float(d))
-
-    @property
-    def D(self):
-        return self.d / self.T
-
-    @property
-    def fs(self):
-        return 1.0 / self.T
-
-    @property
-    def omega_s(self):
-        return 2.0 * math.pi / self.T
 
 
 def _check_matrix(name, m, shape):
@@ -235,21 +191,6 @@ class ConverterModel:
     def y(self, x, u):
         """Modulator feedback signal ``Cvec x + Dvec u``."""
         return float(self.Cvec @ np.asarray(x, dtype=float) + self.Dvec @ u)
-
-    def regularized(self, delta=1e-9):
-        """Copy with exact-zero state-matrix poles shifted to ``-delta``.
-
-        Explicit opt-in for integrator-containing models whose boundary
-        formulas invert the state matrix; see
-        :func:`cotstab.linalg.regularize_poles`.
-        """
-        from .linalg import regularize_poles
-
-        return replace(
-            self,
-            A1=regularize_poles(self.A1, delta),
-            A2=regularize_poles(self.A2, delta),
-        )
 
 
 def _needs_ri(scheme):

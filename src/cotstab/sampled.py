@@ -31,6 +31,7 @@ __all__ = [
     "LinearizedMap",
     "steady_state_at",
     "consistent_vc",
+    "consistent_steady_state",
     "period_residual",
     "solve_period",
     "linearize",
@@ -92,9 +93,7 @@ def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
         x0 = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            "periodicity matrix I - exp(A2 (T-d)) exp(A1 d) is singular; "
-            "for models with an integrator state, build the analysis from "
-            "ConverterModel.regularized() to shift the zero pole. "
+            "periodicity matrix I - exp(A2 (T-d)) exp(A1 d) is singular. "
             + str(exc),
             condition=exc.condition,
         ) from exc
@@ -119,6 +118,18 @@ def consistent_vc(m: ConverterModel, ramp: RampSpec, T: float, vs: float) -> flo
         raise DegenerateSwitchingError(
             "switching residual does not depend on the control reference")
     return -r0 / slope
+
+
+def consistent_steady_state(m: ConverterModel, ramp: RampSpec, T: float,
+                            vs: float) -> SteadyState:
+    """Periodic orbit at the consistent operating point.
+
+    The control reference comes from :func:`consistent_vc`, so the cycle
+    (``ramp.d``, ``T``) closes on the ramp: ``y_end`` equals ``ramp.ma * T``
+    and the reference is ``u[1]`` of the result.
+    """
+    vc = consistent_vc(m, ramp, T, vs)
+    return steady_state_at(m, ramp.d, T, np.array([vs, vc]))
 
 
 def period_residual(m: ConverterModel, ramp: RampSpec, u, T: float) -> float:

@@ -29,7 +29,7 @@ from .errors import (BracketError, DomainError, MissedSwitchingError,
                      UsageError)
 from .linalg import expm, expm_integral, find_root
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
-from .sampled import consistent_vc
+from .sampled import SteadyState, consistent_steady_state
 
 __all__ = [
     "CycleStep",
@@ -401,16 +401,14 @@ def nominal_probe_state(p: BuckParams, D: float, d: float,
                      D * p.vs * (1.0 + kick)])
 
 
-def _kicked_orbit_start(m: ConverterModel, d: float, T: float, u,
-                        kick: float) -> np.ndarray:
+def _kicked_orbit_start(ss: SteadyState, kick: float) -> np.ndarray:
     """Exact cycle-start state with a relative kick on the last component.
 
     Probing stability demands starting on the periodic orbit itself: any
     baseline offset acts as a large kick and, near a subcritical boundary,
     throws the probe onto the coexisting large-signal attractor.
     """
-    from .sampled import steady_state_at
-    x0 = steady_state_at(m, d, T, u).x0_0.copy()
+    x0 = ss.x0_0.copy()
     x0[-1] *= 1.0 + kick
     return x0
 
@@ -426,9 +424,8 @@ def make_ramp_family(p: BuckParams, scheme: Scheme, d: float, T: float,
 
     def family(ma: float):
         ramp = RampSpec(ma=ma, d=d)
-        vc = consistent_vc(m, ramp, T, p.vs)
-        u = np.array([p.vs, vc])
-        return m, ramp, u, T, _kicked_orbit_start(m, d, T, u, kick)
+        ss = consistent_steady_state(m, ramp, T, p.vs)
+        return m, ramp, ss.u, T, _kicked_orbit_start(ss, kick)
 
     return family
 
@@ -448,9 +445,8 @@ def make_duty_family(p: BuckParams, scheme: Scheme, d: float, vo: float,
         T = d / D
         pd = p.with_(vs=vo / D)
         m = build_model(pd, scheme)
-        vc = consistent_vc(m, ramp, T, pd.vs)
-        u = np.array([pd.vs, vc])
-        return m, ramp, u, T, _kicked_orbit_start(m, d, T, u, kick)
+        ss = consistent_steady_state(m, ramp, T, pd.vs)
+        return m, ramp, ss.u, T, _kicked_orbit_start(ss, kick)
 
     return family
 

@@ -7,10 +7,8 @@ operating points from physically plausible ranges with a seeded generator.
 
 from __future__ import annotations
 
-import numpy as np
-
-from cotstab import (BuckParams, RampSpec, Scheme, build_model, consistent_vc,
-                     steady_state_at)
+from cotstab import (BuckParams, RampSpec, Scheme, build_model,
+                     consistent_steady_state)
 
 # Low-voltage, high-ripple buck under output-voltage feedback.  Large ESR
 # against the load makes the no-ramp orbit unstable, which exercises every
@@ -32,10 +30,8 @@ def operating(p, scheme, d, T, ma):
     """Model, inputs, steady state at a self-consistent control reference."""
     m = build_model(p, scheme)
     ramp = RampSpec(ma=ma, d=d)
-    vc = consistent_vc(m, ramp, T, p.vs)
-    u = np.array([p.vs, vc])
-    ss = steady_state_at(m, d, T, u)
-    return m, ramp, u, ss
+    ss = consistent_steady_state(m, ramp, T, p.vs)
+    return m, ramp, ss.u, ss
 
 
 def random_buck(rng) -> BuckParams:

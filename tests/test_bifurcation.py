@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cotstab import (FORMULA_IDS, BoundaryResult, BuckParams, DomainError,
+from cotstab import (FORMULA_IDS, BuckParams, DomainError,
                      PoleEvaluationError, Scheme, UsageError, build_model,
                      closed_form_pole, critical_ramp_eig, ct_pole_formula,
                      equivalent_ct_pole, exact_max_on_time, exact_min_ri,
@@ -31,17 +31,6 @@ def test_formula_catalog_is_frozen():
     assert len(FORMULA_IDS) == 33
     assert {"Eq22", "Eq24", "Eq53", "Eq47", "Eq37"} <= FORMULA_IDS
     assert "Eq23" not in FORMULA_IDS  # gaps in the numbering are intentional
-
-
-def test_boundary_result_validates():
-    BoundaryResult(kind="PDB", critical_value=1.0, unit="V/s",
-                   formula_id="Eq22")
-    with pytest.raises(DomainError):
-        BoundaryResult(kind="XXX", critical_value=1.0, unit="V/s",
-                       formula_id="Eq22")
-    with pytest.raises(DomainError):
-        BoundaryResult(kind="PDB", critical_value=1.0, unit="V/s",
-                       formula_id="Eq99")
 
 
 # ------------------------------------------------------------- pole locus

@@ -13,18 +13,22 @@ import pytest
 from cotstab import BuckParams, RampSpec, Scheme, build_model
 from cotstab.bifurcation import (
     exact_max_on_time,
+    family_point,
     pdb_boundary_approx,
     exact_min_ri,
     min_ramp_formula,
     min_sense_resistance,
     pdb_boundary_exact,
+    s_approx,
+    s_exact,
     snb_boundary_approx,
     snb_boundary_exact,
 )
 from cotstab.cli import main
+from cotstab.harmonic import h_plot, hb_snb_condition, l1_plot, l2_plot
 from cotstab.sampled import consistent_vc, poles
 
-from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T
+from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
 
 BASE = """\
 scheme = V_COTC
@@ -250,6 +254,122 @@ def test_hb_splot_truncation_columns(capsys, conf):
     assert abs(float(mid[3]) - exact) < abs(float(mid[1]) - exact)
 
 
+SPLOT_COLUMNS = ["duty", "pdb_exact_volts_per_second",
+                 "pdb_series_volts_per_second",
+                 "pdb_series_linear_volts_per_second"]
+
+
+def test_splot_fixed_period_rows_match_library(capsys, conf):
+    rc, out, _ = run_cli(capsys, ["splot", "--config", conf,
+                                  "--sweep", "D=0.3:1.1:5"])
+    assert rc == 0
+    meta, header, rows = parse_csv(out)
+    assert header == SPLOT_COLUMNS
+    assert meta["mode"] == "fixed_period"
+    assert len(rows) == 5
+    m = build_model(FAST, Scheme.V_COTC)
+    for row in rows[:-1]:
+        d = float(row[0]) * FAST_T
+        assert float(row[1]) == pytest.approx(
+            pdb_boundary_exact(m, FAST.vs, d, FAST_T), rel=1e-12)
+        assert float(row[2]) == pytest.approx(
+            pdb_boundary_approx(m, FAST.vs, d, FAST_T, "full"), rel=1e-12)
+        assert float(row[3]) == pytest.approx(
+            pdb_boundary_approx(m, FAST.vs, d, FAST_T, "linear"), rel=1e-12)
+    # duty 1.1 puts the on-time past the period: the point fails, the row stays
+    assert float(rows[-1][0]) == pytest.approx(1.1, rel=1e-12)
+    assert rows[-1][1:] == ["nan", "nan", "nan"]
+
+
+def test_splot_output_family_rows_match_library(capsys, conf):
+    rc, out, _ = run_cli(capsys, ["splot", "--config", conf, "--set", "vo=2.0",
+                                  "--sweep", "D=0.2:0.8:4"])
+    assert rc == 0
+    meta, header, rows = parse_csv(out)
+    assert header == SPLOT_COLUMNS
+    assert meta["mode"] == "family"
+    assert float(meta["vo_volts"]) == 2.0
+    m = build_model(FAST, Scheme.V_COTC)
+    for row in rows:
+        pp, T = family_point(FAST, FAST_D, 2.0, float(row[0]))
+        assert float(row[1]) == pytest.approx(
+            pdb_boundary_exact(m, pp.vs, FAST_D, T), rel=1e-12)
+        assert float(row[2]) == pytest.approx(
+            pdb_boundary_approx(m, pp.vs, FAST_D, T, "full"), rel=1e-12)
+        assert float(row[3]) == pytest.approx(
+            pdb_boundary_approx(m, pp.vs, FAST_D, T, "linear"), rel=1e-12)
+
+
+def test_pole_locus_rows_match_library(capsys, conf):
+    rc, out, _ = run_cli(capsys, ["pole-locus", "--config", conf,
+                                  "--sweep", "lambda=0:2:5"])
+    assert rc == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["lambda", "ramp_slope_exact_volts_per_second",
+                      "ramp_slope_series_volts_per_second"]
+    m, _, _, ss = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
+    assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for row in rows:
+        lam = float(row[0])
+        assert float(row[1]) == pytest.approx(s_exact(m, ss, lam), rel=1e-12)
+        if lam != 1.0:
+            assert float(row[2]) == pytest.approx(s_approx(m, ss, lam),
+                                                  rel=1e-12)
+    # the series form has a pole at lambda = 1; only that column fails there
+    assert rows[2][2] == "nan"
+
+
+FREQ_SWEEPS = [
+    ("hplot", "H", lambda w: h_plot(w, FAST, Scheme.V_COTC, FAST_D, 40),
+     lambda T: T * 9500.0 / FAST.vs),
+    ("l2", "L2", lambda w: l2_plot(w, FAST, Scheme.V_COTC, FAST_D, 40),
+     lambda T: 2.0 * T * 9500.0 / FAST.vs),
+    ("l1", "L1", lambda w: l1_plot(w, FAST, Scheme.V_COTC, 9500.0, FAST_D, 40),
+     lambda T: 2.0),
+]
+
+
+@pytest.mark.parametrize("command,prefix,series,boundary", FREQ_SWEEPS,
+                         ids=[c[0] for c in FREQ_SWEEPS])
+def test_frequency_sweep_rows_match_library(capsys, conf, command, prefix,
+                                            series, boundary):
+    rc, out, _ = run_cli(capsys, [command, "--config", conf, "--set", "ma=9500",
+                                  "--nh", "40", "--sweep", "fs=2e5:1e6:5"])
+    assert rc == 0
+    meta, header, rows = parse_csv(out)
+    assert header == ["fs_hertz", f"{prefix}_real", f"{prefix}_imag",
+                      "boundary"]
+    assert meta["nh"] == "40"
+    assert len(rows) == 5
+    for row in rows[:-1]:
+        fs = float(row[0])
+        want = series(2.0 * np.pi * fs)
+        assert float(row[1]) == pytest.approx(want.real, rel=1e-12)
+        assert float(row[2]) == pytest.approx(want.imag, rel=1e-12)
+        assert float(row[3]) == pytest.approx(boundary(1.0 / fs), rel=1e-12)
+    # 1 MHz leaves no off time after the 1.2 us on-time
+    assert rows[-1][1:] == ["nan", "nan", "nan"]
+
+
+def test_formula_table_json(capsys, conf_current):
+    rc, out, _ = run_cli(capsys, ["snb-boundary", "--config", conf_current,
+                                  "--nh", "50", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["metadata"]["kind"] == "SNB"
+    assert doc["metadata"]["nh"] == 50
+    assert [r["formula_id"] for r in doc["rows"]] == ["Eq53", "Eq17", "Eq54",
+                                                      "Eq56", "-"]
+    assert all(set(r) == {"formula_id", "route", "value", "unit"}
+               for r in doc["rows"])
+    m = build_model(CURRENT, Scheme.C_COTC)
+    rows = {r["formula_id"]: r for r in doc["rows"]}
+    assert rows["Eq53"]["value"] == pytest.approx(
+        snb_boundary_exact(m, CURRENT.vs, CUR_D, CUR_T), rel=1e-12)
+    assert rows["-"]["value"] == pytest.approx(
+        hb_snb_condition(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, 50), rel=1e-12)
+
+
 def test_json_round_trip(capsys, conf):
     rc, out, _ = run_cli(capsys, ["pdb-boundary", "--config", conf,
                                   "--format", "json"])
@@ -340,6 +460,25 @@ def test_nh_flag_rejects_non_positive_depth(capsys, conf, command, nh):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "onset"])
+@pytest.mark.parametrize("cycles", ["0", "-5"])
+def test_cycles_flag_rejects_non_positive_count(capsys, conf, command, cycles):
+    argv = [command, "--config", conf, "--cycles", cycles]
+    if command == "onset":
+        argv += ["--sweep", "ma=0:5000:2"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert "ConfigError" in err and cycles in err
+    assert out == ""
+
+
+def test_config_rejects_ma_range(capsys, conf):
+    rc, _, err = run_cli(capsys, ["poles", "--config", conf,
+                                  "--set", "ma_range=1:2:3"])
+    assert rc == 2
+    assert "unknown config key 'ma_range'" in err
+
+
 def test_config_rejects_period_and_duty_together(capsys, conf):
     rc, _, err = run_cli(capsys, ["poles", "--config", conf,
                                   "--set", "D=0.4"])
@@ -378,3 +517,35 @@ def test_argparse_surface():
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-command"])
     assert exc_info.value.code == 2
+
+
+OPTIONAL_FLAGS = {
+    "steady-state": set(),
+    "poles": {"--formula"},
+    "splot": {"--sweep"},
+    "pole-locus": {"--sweep"},
+    "pdb-boundary": {"--nh", "--formula"},
+    "snb-boundary": {"--nh", "--formula"},
+    "max-on-time": {"--sweep", "--formula"},
+    "min-ri": {"--formula"},
+    "hb-splot": {"--sweep", "--nh"},
+    "l1": {"--sweep", "--nh"},
+    "l2": {"--sweep", "--nh"},
+    "hplot": {"--sweep", "--nh"},
+    "simulate": {"--cycles"},
+    "onset": {"--sweep", "--cycles"},
+    "examples": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONAL_FLAGS))
+def test_subcommand_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    listed = {flag for flag in ("--config", "--set", "--out", "--format",
+                                "--sweep", "--nh", "--formula", "--cycles")
+              if f"{flag} " in out}
+    assert listed == {"--config", "--set", "--out", "--format"} | \
+        OPTIONAL_FLAGS[command]

@@ -243,6 +243,30 @@ def test_series_accept_the_zero_off_time_corner():
                                       np.int64(40)))
 
 
+@pytest.mark.parametrize("coeff", [square_wave_coeff, period2_coeff])
+@pytest.mark.parametrize("d, T", [(FAST_D, 0.0), (4e-6, FAST_T), (0.0, FAST_T),
+                                  (-1e-6, FAST_T), (FAST_D, math.nan),
+                                  (FAST_D, -FAST_T)])
+def test_fourier_coefficients_reject_bad_timing(coeff, d, T):
+    # before validation T = 0 divided by zero and d > T gave a finite number
+    for n in (0, 1, -3):
+        with pytest.raises(DomainError):
+            coeff(n, FAST.vs, d, T)
+
+
+@pytest.mark.parametrize("coeff", [square_wave_coeff, period2_coeff])
+def test_fourier_coefficients_take_any_harmonic_index(coeff):
+    for n in (0, 1, -1, 7, np.int64(-4)):
+        assert cmath.isfinite(coeff(n, FAST.vs, FAST_D, FAST_T))
+    assert cmath.isfinite(coeff(3, FAST.vs, FAST_T, FAST_T))
+
+
+@pytest.mark.parametrize("nh", [0, -4, 2.5])
+def test_convergence_points_reject_bad_depth(nh):
+    with pytest.raises(DomainError):
+        convergence_points(nh)
+
+
 @pytest.mark.parametrize("nterms", [0, -1, 2.5])
 def test_series_identities_reject_bad_term_count(nterms):
     with pytest.raises(DomainError):

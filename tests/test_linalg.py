@@ -7,7 +7,7 @@ import pytest
 
 from cotstab import (BracketError, DimensionError, DomainError,
                      SingularMatrixError, eigenvalues, expm, expm_integral,
-                     find_root, regularize_poles, solve_linear)
+                     find_root, solve_linear)
 
 RNG = np.random.default_rng(20260815)
 
@@ -154,14 +154,3 @@ def test_find_root_requires_bracket():
 def test_find_root_deterministic():
     f = lambda x: math.cos(x) - x
     assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)
-
-
-def test_regularize_poles_moves_only_zeros():
-    a = np.array([[0.0, 0.0], [3e4, -2e5]])
-    out = regularize_poles(a, delta=1e-3)
-    w = np.sort(eigenvalues(out).real)
-    assert w[1] == pytest.approx(-1e-3, rel=1e-6)
-    assert w[0] == pytest.approx(-2e5, rel=1e-9)
-    # a matrix with no zero eigenvalue is returned unchanged
-    b = np.array([[-1e5, 0.0], [0.0, -2e5]])
-    assert np.array_equal(regularize_poles(b), b)

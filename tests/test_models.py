@@ -93,11 +93,3 @@ def test_slope_normalizer_is_ripple_slope_scale():
     assert sf == pytest.approx(20000.0, rel=1e-12)
 
 
-def test_model_regularized_shifts_integrator():
-    m = build_model(CURRENT, Scheme.C_COTC)
-    reg = m.regularized(delta=1e-2)
-    eigs_before = np.linalg.eigvals(m.A1)
-    eigs_after = np.linalg.eigvals(reg.A1)
-    # the buck filter has no integrator pole, so nothing moves
-    assert np.allclose(np.sort(eigs_before.real), np.sort(eigs_after.real))
-    assert reg.scheme is m.scheme

@@ -30,18 +30,10 @@ from cotstab.errors import (
     MissedSwitchingError,
     UsageError,
 )
-from cotstab.sampled import consistent_vc, poles, steady_state_at
+from cotstab.sampled import consistent_steady_state, poles, steady_state_at
 from cotstab.simulate import OTHER, PERIOD1, PERIOD2, _CycleEngine
 
-from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T
-
-
-def _setup(p, scheme, d, T, ma):
-    m = build_model(p, scheme)
-    ramp = RampSpec(ma=ma, d=d)
-    vc = consistent_vc(m, ramp, T, p.vs)
-    u = np.array([p.vs, vc])
-    return m, ramp, u
+from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
 
 
 def _synthetic_trace(tns, saturated=None):
@@ -60,8 +52,7 @@ def test_step_cycle_holds_fixed_point():
         (FAST, Scheme.V_COTC, FAST_D, FAST_T, 2000.0),
         (CURRENT, Scheme.C_COTC, CUR_D, CUR_T, 0.0),
     ]:
-        m, ramp, u = _setup(p, scheme, d, T, ma)
-        ss = steady_state_at(m, d, T, u)
+        m, ramp, u, ss = operating(p, scheme, d, T, ma)
         st = step_cycle(m, ramp, ss.x0_0, u, T)
         assert not st.saturated
         assert st.Tn == pytest.approx(T, rel=1e-9)
@@ -74,7 +65,7 @@ def test_switching_residual_is_zero_along_trace():
     # every unsaturated cycle ends exactly where the feedback meets the
     # ramp, transient or not
     ma = 2000.0
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
+    m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
     x0 = nominal_probe_state(FAST, FAST_D / FAST_T, FAST_D)
     tr = simulate(m, ramp, x0, u, 400, FAST_T)
     res = np.abs(tr.y_switch - ma * tr.Tn)[~tr.saturated]
@@ -84,8 +75,7 @@ def test_switching_residual_is_zero_along_trace():
 
 def test_probe_converges_to_stable_cycle():
     ma = 2000.0
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
-    ss = steady_state_at(m, FAST_D, FAST_T, u)
+    m, ramp, u, ss = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
     x0 = nominal_probe_state(FAST, FAST_D / FAST_T, FAST_D)
     tr = simulate(m, ramp, x0, u, 400, FAST_T)
     scale = np.max(np.abs(ss.x0_0))
@@ -94,7 +84,7 @@ def test_probe_converges_to_stable_cycle():
 
 
 def test_simulate_is_deterministic():
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, 1500.0)
+    m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 1500.0)
     x0 = nominal_probe_state(FAST, FAST_D / FAST_T, FAST_D)
     a = simulate(m, ramp, x0, u, 120, FAST_T)
     b = simulate(m, ramp, x0, u, 120, FAST_T)
@@ -105,7 +95,7 @@ def test_simulate_is_deterministic():
 
 
 def test_simulate_input_validation():
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
+    m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
     with pytest.raises(DomainError):
         simulate(m, ramp, np.zeros(2), u, 0, FAST_T)
     with pytest.raises(DomainError):
@@ -161,8 +151,8 @@ def test_unstable_cycle_falls_to_saturated_subharmonic():
     # attractor alternates saturated minimum-length cycles with long
     # recovery cycles, so the classifier must refuse a periodic label
     ma = 600.0
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
-    x0 = steady_state_at(m, FAST_D, FAST_T, u).x0_0.copy()
+    m, ramp, u, ss = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, ma)
+    x0 = ss.x0_0.copy()
     x0[-1] *= 1.0 + 1e-5
     tr = simulate(m, ramp, x0, u, 1500, FAST_T)
     assert classify_orbit(tr, settle=800) == OTHER
@@ -202,7 +192,7 @@ def test_estimate_multiplier_matches_exact_poles():
          dict(ncycles=24, fit=12), 1e-6),
     ]
     for p, scheme, d, T, ma, kw, tol in cases:
-        m, ramp, u = _setup(p, scheme, d, T, ma)
+        m, ramp, u, _ = operating(p, scheme, d, T, ma)
         lam = poles(m, ramp, u, T)
         dom = lam[np.argmax(np.abs(lam))]
         est = estimate_multiplier(m, ramp, u, T, **kw)
@@ -212,7 +202,7 @@ def test_estimate_multiplier_matches_exact_poles():
 def test_multiplier_error_shrinks_linearly_with_kick():
     # the measurement error is dominated by the quadratic term of the
     # cycle map, so a 10x smaller kick must cut it by roughly 10x
-    m, ramp, u = _setup(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
+    m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
     lam = poles(m, ramp, u, FAST_T)
     exact = lam[np.argmax(np.abs(lam))]
     e_coarse = abs(estimate_multiplier(m, ramp, u, FAST_T, rel_eps=1e-5)
@@ -245,9 +235,8 @@ def test_ramp_family_reanchors_each_slope():
     assert T == FAST_T
     assert u[0] == FAST.vs
     # reference is re-placed so the orbit keeps the design period
-    assert u[1] == pytest.approx(consistent_vc(m, ramp, T, FAST.vs),
-                                 rel=1e-12)
-    ss = steady_state_at(m, FAST_D, FAST_T, u)
+    ss = consistent_steady_state(m, ramp, T, FAST.vs)
+    assert u[1] == pytest.approx(ss.u[1], rel=1e-12)
     assert x0[0] == pytest.approx(ss.x0_0[0], rel=1e-12)
     assert x0[1] == pytest.approx(ss.x0_0[1] * (1.0 + 1e-5), rel=1e-12)
 
