@@ -19,9 +19,9 @@ from .bifurcation import (FORMULA_IDS, closed_form_pole,
                           snb_boundary_approx, snb_boundary_exact, sweep)
 from .errors import (BracketError, ConfigError, CotstabError,
                      DegenerateSwitchingError, DimensionError, DomainError,
-                     FormulaDomainError, InfiniteLoopGainError,
-                     MissedSwitchingError, NumericError, PoleEvaluationError,
-                     SingularMatrixError, UsageError)
+                     InfiniteLoopGainError, MissedSwitchingError,
+                     NumericError, PoleEvaluationError, SingularMatrixError,
+                     UsageError)
 from .harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
                        hb_pdb_first_harmonic, hb_snb_condition, l1_plot,
                        l2_plot, loop_gain, loop_gain_pdb, period2_coeff,

@@ -156,7 +156,12 @@ def _scheme(cfg: dict, what: str) -> Scheme:
     return cfg["scheme"]
 
 
-def _timing(cfg: dict, what: str) -> tuple[float, float]:
+def _timing(cfg: dict, what: str, off_stage: bool = False) -> tuple[float, float]:
+    """On-time and period; ``off_stage`` also rejects d = T.
+
+    The boundary formulas stay defined at d = T (no off time), while a
+    periodic orbit, and so every operating-point command, needs d < T.
+    """
     _need(cfg, ("d",), what)
     d = cfg["d"]
     if "T" in cfg:
@@ -165,8 +170,9 @@ def _timing(cfg: dict, what: str) -> tuple[float, float]:
         T = d / cfg["D"]
     else:
         raise ConfigError(f"{what} needs one of T or D")
-    if not 0.0 < d <= T:
-        raise ConfigError(f"need 0 < d <= T, got d={d!r}, T={T!r}")
+    if not 0.0 < d <= T or (off_stage and d == T):
+        relation = "<" if off_stage else "<="
+        raise ConfigError(f"need 0 < d {relation} T, got d={d!r}, T={T!r}")
     return d, T
 
 
@@ -187,7 +193,7 @@ def _operating(cfg: dict, what: str) -> _Op:
     p = _params(cfg, what)
     scheme = _scheme(cfg, what)
     m = build_model(p, scheme)
-    d, T = _timing(cfg, what)
+    d, T = _timing(cfg, what, off_stage=True)
     ramp = RampSpec(ma=cfg.get("ma", 0.0), d=d)
     if "vc" in cfg:
         ss = steady_state_at(m, d, T, np.array([p.vs, cfg["vc"]]))
@@ -577,7 +583,7 @@ def _onset(args, cfg: dict) -> Table:
     cycles = _count(args, "cycles", cfg, "ncycles", 3000)
     settle = cfg.get("settle", 500)
     if key == "ma":
-        _, T = _timing(cfg, args.command)
+        _, T = _timing(cfg, args.command, off_stage=True)
         family = make_ramp_family(p, scheme, d, T)
         unit = "V/s"
     else:

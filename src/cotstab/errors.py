@@ -62,12 +62,6 @@ class PoleEvaluationError(CotstabError, ValueError):
     """Transfer function or resolvent evaluated exactly on a pole."""
 
 
-class FormulaDomainError(CotstabError, ValueError):
-    """A closed-form expression was evaluated at a point where it is
-    undefined (for example the duty-ratio approximation of the sampled map
-    has a pole at multiplier one)."""
-
-
 class InfiniteLoopGainError(CotstabError, ValueError):
     """Loop gain requested with zero ramp slope: the gain normalisation
     divides by the ramp amplitude."""

@@ -6,6 +6,9 @@ which side moved.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -486,6 +489,37 @@ def test_config_rejects_period_and_duty_together(capsys, conf):
     assert "T" in err and "D" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady-state"], ["poles"], ["pole-locus"], ["pdb-boundary"],
+    ["snb-boundary"], ["simulate"], ["onset", "--sweep", "ma=0:5000:2"],
+])
+def test_operating_point_commands_reject_zero_off_time(capsys, conf, argv):
+    # d = T leaves no off stage: no periodic orbit, so the config check
+    # refuses it before the library is reached
+    rc, out, err = run_cli(capsys, [argv[0], "--config", conf,
+                                    "--set", "d=3e-6", *argv[1:]])
+    assert rc == 2
+    assert "ConfigError: need 0 < d < T" in err
+    assert out == ""
+
+
+def test_boundary_commands_accept_zero_off_time(capsys, conf):
+    rc, out, _ = run_cli(capsys, ["splot", "--config", conf,
+                                  "--sweep", "D=0.5:1.0:2"])
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    m = build_model(FAST, Scheme.V_COTC)
+    assert float(rows[-1][0]) == 1.0
+    assert float(rows[-1][1]) == pytest.approx(
+        pdb_boundary_exact(m, FAST.vs, FAST_T, FAST_T), rel=1e-12)
+    rc, out, _ = run_cli(capsys, ["min-ri", "--config", conf, "--set", "d=3e-6",
+                                  "--set", "scheme=V_COTC_CURRENT_RAMP"])
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    assert float(by_formula(rows)["-"][2]) == pytest.approx(
+        exact_min_ri(FAST, FAST_T, FAST_T), rel=1e-12)
+
+
 def test_current_scheme_requires_sense_resistance(capsys, tmp_path):
     path = tmp_path / "nori.conf"
     path.write_text(BASE.replace("scheme = V_COTC", "scheme = C_COTC"))
@@ -508,6 +542,17 @@ def test_examples_regression_passes(capsys):
     assert meta["cases_total"] == meta["cases_passed"]
     status = header.index("status")
     assert rows and all(r[status] == "PASS" for r in rows)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only oracle
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, cotstab.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_argparse_surface():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cotstab import (BracketError, DimensionError, DomainError,
-                     SingularMatrixError, eigenvalues, expm, expm_integral,
-                     find_root, solve_linear)
+                     NumericError, SingularMatrixError, eigenvalues, expm,
+                     expm_integral, find_root, solve_linear)
 
 RNG = np.random.default_rng(20260815)
 
@@ -51,6 +51,41 @@ def test_expm_rejects_nonsquare_and_nonfinite():
         expm(np.ones((2, 3)), 1.0)
     with pytest.raises(DomainError):
         expm(np.eye(2), math.inf)
+
+
+def test_expm_stack_slices_equal_single_calls_bitwise():
+    # ||a*t|| from 1e-2 to 1e3: slices take every Pade degree and squaring
+    # counts 0 to 8, yet each equals its own one-matrix call bit for bit
+    def stable():
+        a = random_state_matrix(RNG, n=3)
+        return a - (np.max(np.linalg.eigvals(a).real) + 1e4) * np.eye(3)
+
+    a = stable()
+    ts = 10.0 ** np.linspace(-8.0, -3.0, 31)
+    by_time = expm(a, ts)
+    assert by_time.shape == (31, 3, 3)
+    for k, t in enumerate(ts):
+        assert np.array_equal(by_time[k], expm(a, t))
+    stack = np.stack([stable() * t for t in ts])
+    stacked = expm(stack)
+    for k in range(len(ts)):
+        assert np.array_equal(stacked[k], expm(stack[k]))
+    grid = expm(stack.reshape(31, 1, 3, 3), ts[:2])     # broadcast (31, 2)
+    assert grid.shape == (31, 2, 3, 3)
+    assert np.array_equal(grid[7, 1], expm(stack[7], ts[1]))
+
+
+def test_expm_integral_stack_equals_single_calls_bitwise():
+    a = np.stack([random_state_matrix(RNG) for _ in range(5)])
+    b = RNG.standard_normal((5, 2, 2)) * 1e6
+    ts = RNG.uniform(0.1e-6, 3e-6, 5)
+    got = expm_integral(a, b, ts)
+    assert got.shape == (5, 2, 2)
+    for k in range(5):
+        assert np.array_equal(got[k], expm_integral(a[k], b[k], ts[k]))
+    vec = expm_integral(a[0], b[0, :, 0], ts)
+    assert vec.shape == (5, 2)
+    assert np.array_equal(vec[3], expm_integral(a[0], b[0, :, 0], ts[3]))
 
 
 def test_expm_integral_matches_quadrature():
@@ -149,6 +184,28 @@ def test_find_root_endpoint_root():
 def test_find_root_requires_bracket():
     with pytest.raises(BracketError):
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_find_root_rejects_non_finite_residual():
+    # NaN inside the bracket used to end in a plausible wrong root, 0.79
+    def f(x):
+        return -1.0 if x < 0.3 else (1.0 if x > 0.79 else math.nan)
+
+    with pytest.raises(NumericError, match="not finite"):
+        find_root(f, 0.2, 0.8)
+    with pytest.raises(NumericError, match="not finite"):
+        find_root(lambda x: math.inf if x > 0.9 else -1.0, 0.0, 1.0)
+
+
+def test_find_root_raises_when_iterations_run_out():
+    # a sign step at 0 pins one end on each side, so the bracket can only
+    # shrink by halving: 200 halvings do not reach tol = 1e-300
+    def step(x):
+        return -1.0 if x < 0.0 else 1.0
+
+    with pytest.raises(NumericError, match="200 iterations"):
+        find_root(step, -1.0, 2.0, tol=1e-300)
+    assert abs(find_root(step, -1.0, 2.0)) <= 3e-12
 
 
 def test_find_root_deterministic():
