@@ -30,9 +30,9 @@ from .harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
 from .linalg import eigenvalues, expm, expm_integral, find_root, solve_linear
 from .models import (BuckParams, ConverterModel, RampSpec, Scheme, build_model,
                      slope_normalizer)
-from .sampled import (LinearizedMap, SteadyState, audio_susceptibility,
-                      consistent_steady_state, consistent_vc,
-                      control_to_output, linearize,
+from .sampled import (CycleOps, LinearizedMap, SteadyState,
+                      audio_susceptibility, consistent_steady_state,
+                      consistent_vc, control_to_output, linearize,
                       orbit_sample, period_residual, poles, solve_period,
                       steady_state_at)
 from .simulate import (CycleStep, Trace, classify_orbit, estimate_multiplier,

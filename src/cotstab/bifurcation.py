@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import (CotstabError, DomainError, PoleEvaluationError,
-                     UsageError)
+from .errors import (CotstabError, DomainError, NumericError,
+                     PoleEvaluationError, UsageError)
 from .linalg import eigenvalues, expm, find_root, solve_linear
 from .models import BuckParams, ConverterModel, Scheme, build_model
 from .sampled import SteadyState, linearize, steady_state_at
@@ -81,7 +81,7 @@ def s_exact(m: ConverterModel, ss: SteadyState, lam: float) -> float:
     lam = float(lam)
     if lam == 0.0:
         return 0.0
-    wr = expm(m.A1, ss.d) @ expm(m.A2, ss.T - ss.d)
+    wr = ss.ops.p1 @ ss.ops.p2
     eigs = eigenvalues(wr)
     if np.min(np.abs(eigs - lam)) <= 1e-9 * (1.0 + abs(lam)):
         raise PoleEvaluationError(
@@ -105,26 +105,44 @@ def s_approx(m: ConverterModel, ss: SteadyState, lam: float) -> float:
     return float(lam / (lam - 1.0) * (m.Cvec @ vec))
 
 
-def _buck_boundary_core(m: ConverterModel, d: float, T: float):
-    """Shared factor of the buck PDB/SNB boundaries: (W - V) B11 vs-free."""
-    w = expm(m.A1, T)
-    v = expm(m.A1, T - d)
-    return w, (w - v) @ m.B11
+def _boundary_core(m: ConverterModel, vs, d, T, what: str):
+    """Shared factor of the buck PDB/SNB boundaries at every (vs, d, T).
+
+    The arguments broadcast; returns them as arrays with ``W = exp(A1 T)``
+    and the vs-free drive ``(W - exp(A1 (T - d))) B11`` per point, from
+    one stacked exponential.
+    """
+    _require_buck(m, what)
+    vs, d, T = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                     for x in (vs, d, T)))
+    bad = ~((0.0 < d) & (d <= T))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"need 0 < d <= T, got d={float(d.flat[i])!r}, "
+                          f"T={float(T.flat[i])!r}")
+    w, v = expm(m.A1, np.stack((T, T - d)))
+    return vs, w, (w - v) @ m.B11
 
 
-def pdb_boundary_exact(m: ConverterModel, vs: float, d: float, T: float) -> float:
+def _feedback(m: ConverterModel, sol, vs):
+    """``Cvec @ sol * vs`` per point; a float for a single point."""
+    out = (m.Cvec @ sol[..., None])[..., 0] * vs
+    return float(out) if out.ndim == 0 else out
+
+
+def pdb_boundary_exact(m: ConverterModel, vs, d, T):
     """Critical ramp slope at the period-doubling boundary (exact).
 
     The converter is stable against period doubling when the applied ramp
     slope exceeds this value.  Requires T >= d; T = d is the degenerate
-    zero-off-time corner, still well defined algebraically.
+    zero-off-time corner, still well defined algebraically.  ``vs``, ``d``
+    and ``T`` may be arrays, which broadcast: the grid is evaluated with
+    stacked operators and each point equals its scalar call bit for bit.
     """
-    _require_buck(m, "the exact period-doubling boundary")
-    if not 0.0 < d <= T:
-        raise DomainError(f"need 0 < d <= T, got d={d!r}, T={T!r}")
-    w, drive = _buck_boundary_core(m, d, T)
+    vs, w, drive = _boundary_core(m, vs, d, T,
+                                  "the exact period-doubling boundary")
     sol = solve_linear(np.eye(m.n) - w @ w, drive)
-    return float(m.Cvec @ sol) * vs
+    return _feedback(m, sol, vs)
 
 
 def pdb_boundary_approx(m: ConverterModel, vs: float, d: float, T: float,
@@ -201,6 +219,26 @@ def family_point(p: BuckParams, d: float, vo: float, D: float) -> tuple[BuckPara
     return p.with_(vs=vo / D), d / D
 
 
+def _family_boundary(p: BuckParams, scheme: Scheme, d: float, vo: float):
+    """Exact PDB threshold along the fixed-output family, by duty.
+
+    A depends on neither the source nor the period, so one model serves
+    the whole family; the returned function takes a duty or an array of
+    duties (source vo / D and period d / D, as :func:`family_point`).
+    """
+    m = build_model(p, scheme)
+
+    def boundary(D):
+        D = np.asarray(D, dtype=float)
+        bad = ~((0.0 < D) & (D <= 1.0))
+        if bad.any():
+            raise DomainError(
+                f"duty must lie in (0, 1], got {float(D[bad].flat[0])!r}")
+        return pdb_boundary_exact(m, vo / D, d, d / D)
+
+    return boundary
+
+
 def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
                    vo: float, D_lo: float = 0.05, D_hi: float = 0.999,
                    grid: int = 400):
@@ -210,18 +248,15 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
     polishes the first sign change.  Returns None when the family never
     crosses the applied slope in the range.
     """
-    def residual(D):
-        pd, T = family_point(p, d, vo, D)
-        mdl = build_model(pd, scheme)
-        return pdb_boundary_exact(mdl, pd.vs, d, T) - ma
-
+    boundary = _family_boundary(p, scheme, d, vo)
     ds = np.linspace(D_lo, D_hi, int(grid))
-    vals = np.array([residual(x) for x in ds])
+    vals = boundary(ds) - ma
     for i in range(len(ds) - 1):
         if vals[i] == 0.0:
             return float(ds[i])
         if vals[i] * vals[i + 1] < 0.0:
-            return float(find_root(residual, ds[i], ds[i + 1]))
+            return float(find_root(lambda D: boundary(D) - ma,
+                                   ds[i], ds[i + 1]))
     return None
 
 
@@ -233,13 +268,9 @@ def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
     scan followed by golden-section refinement to 1e-6 relative in duty.
     Returns (duty at the maximum, threshold value).
     """
-    def value(D):
-        pd, T = family_point(p, d, vo, D)
-        mdl = build_model(pd, scheme)
-        return pdb_boundary_exact(mdl, pd.vs, d, T)
-
+    value = _family_boundary(p, scheme, d, vo)
     ds = np.linspace(D_lo, D_hi, int(grid))
-    vals = np.array([value(x) for x in ds])
+    vals = value(ds)
     k = int(np.argmax(vals))
     lo = ds[max(k - 1, 0)]
     hi = ds[min(k + 1, len(ds) - 1)]
@@ -330,12 +361,13 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     Sweeps the on-time at constant duty (period scales with it) and locates
     where the exact boundary equals the applied ramp slope.
     """
+    m = build_model(p, scheme)
+
     def residual(d):
-        mdl = build_model(p, scheme)
-        return pdb_boundary_exact(mdl, p.vs, d, d / D) - ma
+        return pdb_boundary_exact(m, p.vs, d, d / D) - ma
 
     ds = np.linspace(d_lo, d_hi, int(grid))
-    vals = [residual(x) for x in ds]
+    vals = residual(ds)
     for i in range(len(ds) - 1):
         if vals[i] * vals[i + 1] <= 0.0:
             return float(find_root(residual, ds[i], ds[i + 1]))
@@ -463,21 +495,20 @@ def ct_pole_formula(p: BuckParams, scheme: Scheme, d: float, T: float,
     return p.rho * (T - d) / (2.0 * p.L * p.C)
 
 
-def snb_boundary_exact(m: ConverterModel, vs: float, d: float, T: float) -> float:
+def snb_boundary_exact(m: ConverterModel, vs, d, T):
     """Critical ramp slope at the saddle-node boundary (exact).
 
     Equals the slope of the end-of-cycle feedback signal with respect to
     the period: at the boundary the feedback curve is tangent to the ramp,
     and the steady cycle appears or disappears.  The same value follows
-    from the eigenvalue condition at +1, which tests cross-check.
+    from the eigenvalue condition at +1, which tests cross-check.  Takes
+    arrays like :func:`pdb_boundary_exact`.
     """
-    _require_buck(m, "the exact saddle-node boundary")
-    if not 0.0 < d <= T:
-        raise DomainError(f"need 0 < d <= T, got d={d!r}, T={T!r}")
-    w, drive = _buck_boundary_core(m, d, T)
+    vs, w, drive = _boundary_core(m, vs, d, T,
+                                  "the exact saddle-node boundary")
     lhs = np.eye(m.n) - w
     sol = solve_linear(lhs, solve_linear(lhs, drive))
-    return float(m.Cvec @ sol) * vs
+    return _feedback(m, sol, vs)
 
 
 def snb_boundary_approx(m: ConverterModel, p: BuckParams, d: float, T: float,
@@ -513,18 +544,27 @@ def critical_ramp_eig(m: ConverterModel, d: float, T: float, u, target: float,
 
     Independent search route: sweeps the applied slope and tracks the
     relevant real eigenvalue of the full Jacobian, rather than evaluating
-    the boundary formulas.  Used to cross-validate them.
+    the boundary formulas.  Used to cross-validate them.  Where the tracked
+    pair is complex the residual continues with its real part, so a
+    bracket may reach into that region; a root found there places no real
+    eigenvalue and raises :class:`NumericError`.
     """
     ss = steady_state_at(m, d, T, u)
 
-    def residual(ma):
+    def residual(ma, complex_pair=True):
         eigs = eigenvalues(linearize(m, ss, ma).Phi)
         real = eigs[np.abs(eigs.imag) < 1e-8 * (1.0 + np.abs(eigs.real))].real
         if real.size == 0:
-            return math.nan
+            if not complex_pair:
+                return math.nan
+            real = eigs.real
         return float(real[np.argmin(np.abs(real - target))] - target)
 
-    return find_root(residual, ma_lo, ma_hi)
+    root = find_root(residual, ma_lo, ma_hi)
+    if math.isnan(residual(root, complex_pair=False)):
+        raise NumericError(f"no real eigenvalue at the root ma = {root!r}: "
+                           "the tracked pair is complex there")
+    return root
 
 
 def sweep(func, lo: float, hi: float, n: int):

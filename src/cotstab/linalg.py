@@ -284,26 +284,31 @@ def solve_linear(m, v):
     Raises :class:`SingularMatrixError` (with the condition estimate
     attached) rather than returning an inaccurate solution when the
     2-norm condition exceeds ``COND_LIMIT``.  Works for real or complex
-    ``m``/``v`` and for matrix right-hand sides.
+    ``m``/``v`` and for matrix right-hand sides.  ``m`` may be a stack
+    ``(..., n, n)``, with ``v`` a matching stack of vectors ``(..., n)`` or
+    matrices ``(..., n, k)``; any singular slice raises, and every slice
+    is solved exactly as it would be alone.
     """
     m = np.asarray(m)
     v = np.asarray(v)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"m must be square, got shape {m.shape}")
-    if v.shape[0] != m.shape[0]:
+    vector = v.ndim == m.ndim - 1
+    if not (vector or v.ndim == m.ndim) or v.shape[m.ndim - 2] != m.shape[-1]:
         raise DimensionError(
-            f"v must have {m.shape[0]} rows to match m, got shape {v.shape}")
+            f"v must have {m.shape[-1]} rows to match m, got shape {v.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(v.real))):
         raise DomainError("solve_linear arguments contain non-finite entries")
-    cond = np.linalg.cond(m)
+    cond = float(np.max(np.linalg.cond(m)))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond ~ {cond:.3e})",
-            condition=float(cond))
+            condition=cond)
     try:
-        return np.linalg.solve(m, v)
+        x = np.linalg.solve(m, v[..., None] if vector else v)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc), condition=float(cond)) from exc
+        raise SingularMatrixError(str(exc), condition=cond) from exc
+    return x[..., 0] if vector else x
 
 
 def find_root(f, lo, hi, tol=None):

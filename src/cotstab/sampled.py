@@ -12,8 +12,7 @@ No averaging is involved anywhere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .linalg import eigenvalues, expm, expm_integral, solve_linear
 from .models import ConverterModel, RampSpec
 
 __all__ = [
+    "CycleOps",
     "SteadyState",
     "LinearizedMap",
     "steady_state_at",
@@ -43,6 +43,37 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class CycleOps:
+    """Stage operators of one cycle (d, T) of a model.
+
+    ``p1 = exp(A1 d)`` and ``p2 = exp(A2 (T - d))`` carry the state across
+    the on and off stages, ``j1b1`` and ``j2b2`` are the driven integrals
+    ``int exp(A s) ds B`` over each.  One instance per (model, d, T)
+    serves the steady state, its linearization and the pole placement
+    function, which read it instead of recomputing the exponentials.
+    """
+
+    d: float
+    T: float
+    p1: np.ndarray
+    p2: np.ndarray
+    j1b1: np.ndarray
+    j2b2: np.ndarray
+
+
+def _cycle_ops(m: ConverterModel, d: float, T: float) -> CycleOps:
+    """Stage operators of the cycle (d, T): two stacked exponentials."""
+    if not 0.0 < d < T:
+        raise DomainError(f"need 0 < d < T, got d={d!r}, T={T!r}")
+    times = (d, T - d)
+    a = np.stack((m.A1, m.A2))
+    p1, p2 = expm(a, times)
+    j1b1, j2b2 = expm_integral(a, np.stack((m.B1, m.B2)), times)
+    return CycleOps(d=float(d), T=float(T), p1=p1, p2=p2, j1b1=j1b1,
+                    j2b2=j2b2)
+
+
+@dataclass(frozen=True)
 class SteadyState:
     """Periodic orbit of the cycle map, sampled at the stage boundaries.
 
@@ -50,7 +81,8 @@ class SteadyState:
     of the on stage, ``xdot0_minus`` the state velocity just before the
     cycle boundary (off-stage dynamics evaluated at the fixed point).
     ``y_end`` is the feedback signal at the cycle boundary; at a consistent
-    operating point it equals the ramp amplitude ``ma * T``.
+    operating point it equals the ramp amplitude ``ma * T``.  ``ops`` holds
+    the stage operators the orbit was solved with.
     """
 
     x0_0: np.ndarray
@@ -60,33 +92,17 @@ class SteadyState:
     d: float
     u: np.ndarray
     y_end: float
+    ops: CycleOps = field(repr=False)
 
     @property
     def D(self):
         return self.d / self.T
 
 
-def _stage_pieces(m: ConverterModel, d: float, T: float):
-    """Stage transition matrices and driven integrals for one cycle."""
-    p1 = expm(m.A1, d)
-    p2 = expm(m.A2, T - d)
-    j1b1 = expm_integral(m.A1, m.B1, d)
-    j2b2 = expm_integral(m.A2, m.B2, T - d)
-    return p1, p2, j1b1, j2b2
-
-
-def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
-    """Exact fixed point of the cycle map for a cycle (d, T).
-
-    Solves the two-point periodicity condition for the state at the cycle
-    start.  The on-time and the period are both prescribed here; whether
-    the pair is consistent with a given ramp is a separate question
-    (see :func:`solve_period` and :func:`consistent_vc`).
-    """
-    if not 0.0 < d < T:
-        raise DomainError(f"need 0 < d < T, got d={d!r}, T={T!r}")
+def _orbit(m: ConverterModel, ops: CycleOps, u) -> SteadyState:
+    """Fixed point of the cycle map built from ``ops``, at inputs ``u``."""
     u = np.asarray(u, dtype=float)
-    p1, p2, j1b1, j2b2 = _stage_pieces(m, d, T)
+    p1, p2, j1b1, j2b2 = ops.p1, ops.p2, ops.j1b1, ops.j2b2
     lhs = np.eye(m.n) - p2 @ p1
     rhs = p2 @ (j1b1 @ u) + j2b2 @ u
     try:
@@ -100,8 +116,30 @@ def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
     xd = p1 @ x0 + j1b1 @ u
     v = m.A2 @ x0 + m.B2 @ u
     y_end = float(m.Cvec @ x0 + m.Dvec @ u)
-    return SteadyState(x0_0=x0, x0_d=xd, xdot0_minus=v, T=float(T),
-                       d=float(d), u=u, y_end=y_end)
+    return SteadyState(x0_0=x0, x0_d=xd, xdot0_minus=v, T=ops.T, d=ops.d,
+                       u=u, y_end=y_end, ops=ops)
+
+
+def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
+    """Exact fixed point of the cycle map for a cycle (d, T).
+
+    Solves the two-point periodicity condition for the state at the cycle
+    start.  The on-time and the period are both prescribed here; whether
+    the pair is consistent with a given ramp is a separate question
+    (see :func:`solve_period` and :func:`consistent_vc`).
+    """
+    return _orbit(m, _cycle_ops(m, d, T), u)
+
+
+def _consistent_vc(m: ConverterModel, ops: CycleOps, ma: float,
+                   vs: float) -> float:
+    r0 = _orbit(m, ops, (vs, 0.0)).y_end - ma * ops.T
+    r1 = _orbit(m, ops, (vs, 1.0)).y_end - ma * ops.T
+    slope = r1 - r0
+    if abs(slope) < 1e-14 * (abs(r0) + abs(r1) + 1e-300):
+        raise DegenerateSwitchingError(
+            "switching residual does not depend on the control reference")
+    return -r0 / slope
 
 
 def consistent_vc(m: ConverterModel, ramp: RampSpec, T: float, vs: float) -> float:
@@ -109,15 +147,9 @@ def consistent_vc(m: ConverterModel, ramp: RampSpec, T: float, vs: float) -> flo
 
     At a consistent operating point the feedback signal meets the ramp at
     the cycle boundary.  The residual is affine in ``vc``, so two
-    evaluations pin it exactly.
+    evaluations pin it exactly; both use one set of stage operators.
     """
-    r0 = steady_state_at(m, ramp.d, T, (vs, 0.0)).y_end - ramp.ma * T
-    r1 = steady_state_at(m, ramp.d, T, (vs, 1.0)).y_end - ramp.ma * T
-    slope = r1 - r0
-    if abs(slope) < 1e-14 * (abs(r0) + abs(r1) + 1e-300):
-        raise DegenerateSwitchingError(
-            "switching residual does not depend on the control reference")
-    return -r0 / slope
+    return _consistent_vc(m, _cycle_ops(m, ramp.d, T), ramp.ma, vs)
 
 
 def consistent_steady_state(m: ConverterModel, ramp: RampSpec, T: float,
@@ -128,8 +160,9 @@ def consistent_steady_state(m: ConverterModel, ramp: RampSpec, T: float,
     (``ramp.d``, ``T``) closes on the ramp: ``y_end`` equals ``ramp.ma * T``
     and the reference is ``u[1]`` of the result.
     """
-    vc = consistent_vc(m, ramp, T, vs)
-    return steady_state_at(m, ramp.d, T, np.array([vs, vc]))
+    ops = _cycle_ops(m, ramp.d, T)
+    vc = _consistent_vc(m, ops, ramp.ma, vs)
+    return _orbit(m, ops, np.array([vs, vc]))
 
 
 def period_residual(m: ConverterModel, ramp: RampSpec, u, T: float) -> float:
@@ -228,7 +261,7 @@ def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
     Requires the crossing to be transversal: the feedback slope at the
     cycle boundary must differ from the ramp slope.
     """
-    p1, p2, j1b1, j2b2 = _stage_pieces(m, ss.d, ss.T)
+    p1, p2, j1b1, j2b2 = ss.ops.p1, ss.ops.p2, ss.ops.j1b1, ss.ops.j2b2
     v = ss.xdot0_minus
     cv = float(m.Cvec @ v)
     denom = cv - ma

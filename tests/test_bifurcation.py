@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cotstab import (FORMULA_IDS, BuckParams, DomainError,
+from cotstab import (FORMULA_IDS, BuckParams, DomainError, NumericError,
                      PoleEvaluationError, Scheme, UsageError, build_model,
                      closed_form_pole, critical_ramp_eig, ct_pole_formula,
                      equivalent_ct_pole, exact_max_on_time, exact_min_ri,
@@ -16,8 +16,8 @@ from cotstab import (FORMULA_IDS, BuckParams, DomainError,
                      range_max_pdb_ramp, s_approx, s_exact, slope_normalizer,
                      snb_boundary_approx, snb_boundary_exact, steady_state_at,
                      sweep)
-from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating, \
-    random_operating
+from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES, \
+    operating, random_buck, random_operating
 
 
 def fast_point(ma=0.0):
@@ -151,6 +151,32 @@ def test_critical_ramp_by_eigenvalue_search_matches():
     assert found == pytest.approx(943.41830781989847, rel=1e-6)
 
 
+def _complex_edge_point():
+    # current feedback whose -10% bracket end lies where the tracked pair
+    # is complex (about -48,570 to -47,180 V/s); the real crossing of -1
+    # sits at the boundary, -44,155.74 V/s
+    p = BuckParams(R=0.3427038077267426, L=5.540249766540117e-07,
+                   C=1.0574274336992887e-05, Rc=0.0014436902514121904,
+                   Ri=0.05004379944512204, vs=3.746727022492913)
+    d, T = 6.760323638607655e-07, 4.3240693303490514e-06
+    m, _, u, _ = operating(p, Scheme.C_COTC, d, T, 0.0)
+    return m, d, T, u, pdb_boundary_exact(m, p.vs, d, T)
+
+
+def test_critical_ramp_eig_brackets_may_reach_a_complex_pair():
+    m, d, T, u, pdb = _complex_edge_point()
+    found = critical_ramp_eig(m, d, T, u, -1.0, 1.1 * pdb, 0.995 * pdb)
+    assert found == pytest.approx(pdb, rel=1e-9)
+
+
+def test_critical_ramp_eig_rejects_a_root_inside_a_complex_pair():
+    # the pair's real part passes -1.5 while the pair is complex: no real
+    # eigenvalue sits at -1.5 there, so the search raises
+    m, d, T, u, _ = _complex_edge_point()
+    with pytest.raises(NumericError, match="complex"):
+        critical_ramp_eig(m, d, T, u, -1.5, -48571.3, -47644.0)
+
+
 def test_min_ramp_closed_forms():
     assert min_ramp_formula(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq32") == \
         pytest.approx(4197.4852071005889, rel=1e-12)
@@ -208,6 +234,49 @@ def test_range_max_pdb_ramp_reference():
                                      0.2, 1.0)
     assert val == pytest.approx(4216.9915586494681, abs=1e-4)
     assert d_star > 0.99  # worst case sits at the full-duty edge
+
+
+def test_stacked_boundaries_equal_scalar_calls_bitwise():
+    rng = np.random.default_rng(7301)
+    for scheme in SCHEMES:
+        p = random_buck(rng)
+        m = build_model(p, scheme)
+        T = 10.0 ** rng.uniform(-6.3, -5.3, 40)
+        d = rng.uniform(0.15, 0.85, 40) * T
+        d[-1] = T[-1]                     # the zero-off-time corner
+        vs = rng.uniform(3.0, 24.0, 40)
+        for fn in (pdb_boundary_exact, snb_boundary_exact):
+            grid = fn(m, vs, d, T)
+            assert grid.shape == (40,)
+            for k in range(40):
+                assert grid[k] == fn(m, float(vs[k]), float(d[k]),
+                                     float(T[k]))
+            ons = rng.uniform(0.05, 1.0, 7) * T[0]
+            by_on_time = fn(m, p.vs, ons, T[0])     # vs and T broadcast
+            for k in range(7):
+                assert by_on_time[k] == fn(m, p.vs, float(ons[k]), float(T[0]))
+
+
+def test_family_grid_uses_one_model_bitwise():
+    # A depends on neither source nor period: one model, evaluated over
+    # the duty grid at once, equals a model built per point
+    ds = np.linspace(0.2, 1.0, 60)
+    m = build_model(FAST, Scheme.V_COTC)
+    grid = pdb_boundary_exact(m, 2.0 / ds, FAST_D, FAST_D / ds)
+    for D, value in zip(ds, grid):
+        pd, T = family_point(FAST, FAST_D, 2.0, float(D))
+        assert value == pdb_boundary_exact(build_model(pd, Scheme.V_COTC),
+                                           pd.vs, FAST_D, T)
+
+
+def test_boundary_grids_reject_bad_points():
+    m = build_model(FAST, Scheme.V_COTC)
+    with pytest.raises(DomainError, match="d=4e-06"):
+        pdb_boundary_exact(m, FAST.vs, np.array([1e-6, 4e-6]), FAST_T)
+    with pytest.raises(DomainError, match="duty"):
+        pdb_onset_duty(FAST, Scheme.V_COTC, 0.0, FAST_D, 2.0, 0.0, 0.5)
+    with pytest.raises(DomainError, match="duty"):
+        range_max_pdb_ramp(FAST, Scheme.V_COTC, FAST_D, 2.0, 0.5, 1.2)
 
 
 def test_exact_max_on_time_is_a_boundary_crossing():

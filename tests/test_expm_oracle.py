@@ -55,19 +55,20 @@ def test_augmented_blocks_match_scipy():
     # the blocks expm_integral builds: buck (2 + 2) and the largest
     # supported model, eight states and two inputs (10 x 10)
     rng = np.random.default_rng(603)
-    m = build_model(random_buck(rng), Scheme.V_COTC)
-    for n, a0, b0 in [(2, m.A1, m.B1)] + [
-            (8, None, None)] * 40:
-        if a0 is None:
-            a0 = rng.standard_normal((n, n)) * 3e5
-            b0 = rng.standard_normal((n, 2)) * 1e6
+    cases = []
+    for _ in range(40):
+        m = build_model(random_buck(rng), Scheme.V_COTC)
+        cases.append((m.A1, m.B1))
+        cases.append((rng.standard_normal((8, 8)) * 3e5,
+                      rng.standard_normal((8, 2)) * 1e6))
+    for a, b in cases:
+        n = a.shape[0]
         t = float(10.0 ** rng.uniform(-7.0, -5.0))
         blk = np.zeros((n + 2, n + 2))
-        blk[:n, :n] = a0
-        blk[:n, n:] = b0
+        blk[:n, :n] = a
+        blk[:n, n:] = b
         assert rel(expm(blk, t), scipy_linalg.expm(blk * t)) <= RTOL
-        assert rel(expm_integral(a0, b0, t), block_integral(a0, b0, t)) <= RTOL
-        a0 = None
+        assert rel(expm_integral(a, b, t), block_integral(a, b, t)) <= RTOL
 
 
 def test_stiff_matrices_match_scipy():

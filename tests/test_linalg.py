@@ -152,6 +152,24 @@ def test_solve_linear_roundtrip():
         assert np.allclose(m @ x, v, rtol=1e-11, atol=1e-13)
 
 
+def test_solve_linear_stack_equals_single_solves_bitwise():
+    m = RNG.standard_normal((20, 3, 3)) + 4.0 * np.eye(3)
+    v = RNG.standard_normal((20, 3))
+    rhs = RNG.standard_normal((20, 3, 2))
+    xs, xm = solve_linear(m, v), solve_linear(m, rhs)
+    assert xs.shape == (20, 3) and xm.shape == (20, 3, 2)
+    for k in range(20):
+        assert np.array_equal(xs[k], solve_linear(m[k], v[k]))
+        assert np.array_equal(xm[k], solve_linear(m[k], rhs[k]))
+    m[7] = np.ones((3, 3))                # one singular slice fails the call
+    with pytest.raises(SingularMatrixError):
+        solve_linear(m, v)
+    with pytest.raises(DimensionError):
+        solve_linear(m, v[:, :2])
+    with pytest.raises(DimensionError):
+        solve_linear(m, v[0])
+
+
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrixError) as info:
         solve_linear(np.ones((2, 2)), np.ones(2))

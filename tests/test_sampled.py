@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cotstab import (DegenerateSwitchingError, DomainError, Scheme,
-                     audio_susceptibility, control_to_output, expm,
+from cotstab import (DegenerateSwitchingError, DomainError, RampSpec, Scheme,
+                     audio_susceptibility, consistent_steady_state,
+                     consistent_vc, control_to_output, expm,
                      expm_integral, linearize, orbit_sample, period_residual,
                      poles, solve_period, steady_state_at)
 from helpers import FAST, FAST_D, FAST_T, operating, random_operating
@@ -19,6 +20,34 @@ def test_orbit_is_a_fixed_point_of_the_cycle_map():
         scale = np.linalg.norm(ss.x0_0) + 1.0
         assert np.linalg.norm(xT - ss.x0_0) <= 1e-9 * scale
         assert np.allclose(xd, ss.x0_d, rtol=1e-9, atol=1e-12 * scale)
+
+
+def test_cycle_ops_hold_the_stage_operators_bitwise():
+    rng = np.random.default_rng(7104)
+    _, _, d, T, m, _, u, ss = random_operating(rng)
+    ops = steady_state_at(m, d, T, u).ops
+    assert (ops.d, ops.T) == (d, T)
+    assert np.array_equal(ops.p1, expm(m.A1, d))
+    assert np.array_equal(ops.p2, expm(m.A2, T - d))
+    assert np.array_equal(ops.j1b1, expm_integral(m.A1, m.B1, d))
+    assert np.array_equal(ops.j2b2, expm_integral(m.A2, m.B2, T - d))
+    for name in ("p1", "p2", "j1b1", "j2b2"):
+        assert np.array_equal(getattr(ss.ops, name), getattr(ops, name))
+
+
+def test_consistent_orbit_equals_the_separate_calls_bitwise():
+    # one CycleOps serves both consistency probes and the final orbit
+    rng = np.random.default_rng(7105)
+    p, _, d, T, m, ramp, _, ss = random_operating(rng, ma=1500.0)
+    vc = consistent_vc(m, ramp, T, p.vs)
+    again = steady_state_at(m, d, T, np.array([p.vs, vc]))
+    assert ss.u[1] == vc
+    assert np.array_equal(ss.x0_0, again.x0_0)
+    assert ss.y_end == again.y_end
+    lin = linearize(m, ss, ramp.ma)
+    w = ss.ops.p2 @ ss.ops.p1
+    assert np.array_equal(lin.W, w)
+    assert np.array_equal(lin.Wr, ss.ops.p1 @ ss.ops.p2)
 
 
 def test_velocity_is_off_stage_rate_at_cycle_start():
