@@ -64,13 +64,6 @@ def _check_formula(formula: str, allowed):
             + ", ".join(sorted(allowed)))
 
 
-def _require_buck(m: ConverterModel, what: str):
-    if not m.is_buck_structured:
-        raise UsageError(
-            f"{what} assumes the buck structure (shared state matrix, "
-            "source driving only the on stage)")
-
-
 def s_exact(m: ConverterModel, ss: SteadyState, lam: float) -> float:
     """Ramp slope that places a real cycle-map eigenvalue at ``lam``.
 
@@ -100,19 +93,18 @@ def s_approx(m: ConverterModel, ss: SteadyState, lam: float) -> float:
     if lam == 1.0:
         raise PoleEvaluationError(
             "the linearized pole locus is singular at lambda = 1")
-    a_mix = m.A1 * ss.d + m.A2 * (ss.T - ss.d)
+    a_mix = m.A * ss.d + m.A * (ss.T - ss.d)
     vec = ss.xdot0_minus + (a_mix @ ss.xdot0_minus) / (lam - 1.0)
     return float(lam / (lam - 1.0) * (m.Cvec @ vec))
 
 
-def _boundary_core(m: ConverterModel, vs, d, T, what: str):
+def _boundary_core(m: ConverterModel, vs, d, T):
     """Shared factor of the buck PDB/SNB boundaries at every (vs, d, T).
 
-    The arguments broadcast; returns them as arrays with ``W = exp(A1 T)``
-    and the vs-free drive ``(W - exp(A1 (T - d))) B11`` per point, from
+    The arguments broadcast; returns them as arrays with ``W = exp(A T)``
+    and the vs-free drive ``(W - exp(A (T - d))) B11`` per point, from
     one stacked exponential.
     """
-    _require_buck(m, what)
     vs, d, T = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                      for x in (vs, d, T)))
     bad = ~((0.0 < d) & (d <= T))
@@ -120,7 +112,10 @@ def _boundary_core(m: ConverterModel, vs, d, T, what: str):
         i = int(np.argmax(bad))
         raise DomainError(f"need 0 < d <= T, got d={float(d.flat[i])!r}, "
                           f"T={float(T.flat[i])!r}")
-    w, v = expm(m.A1, np.stack((T, T - d)))
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        raise DomainError(f"vs must be finite, got {float(vs[bad][0])!r}")
+    w, v = expm(m.A, np.stack((T, T - d)))
     return vs, w, (w - v) @ m.B11
 
 
@@ -139,8 +134,7 @@ def pdb_boundary_exact(m: ConverterModel, vs, d, T):
     and ``T`` may be arrays, which broadcast: the grid is evaluated with
     stacked operators and each point equals its scalar call bit for bit.
     """
-    vs, w, drive = _boundary_core(m, vs, d, T,
-                                  "the exact period-doubling boundary")
+    vs, w, drive = _boundary_core(m, vs, d, T)
     sol = solve_linear(np.eye(m.n) - w @ w, drive)
     return _feedback(m, sol, vs)
 
@@ -156,9 +150,9 @@ def pdb_boundary_approx(m: ConverterModel, vs: float, d: float, T: float,
     """
     D = d / T
     cb = float(m.Cvec @ m.B11)
-    cab = float(m.Cvec @ (m.A1 @ m.B11))
+    cab = float(m.Cvec @ (m.A @ m.B11))
     if order == "full":
-        caab = float(m.Cvec @ (m.A1 @ m.A1 @ m.B11))
+        caab = float(m.Cvec @ (m.A @ m.A @ m.B11))
         return (-0.5 * D * cb + 0.25 * D * D * cab * T
                 + (D - D ** 3) / 12.0 * caab * T * T) * vs
     if order == "linear":
@@ -325,7 +319,7 @@ def max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     if formula == "Eq27":
         mdl = build_model(p, scheme)
         cb = float(mdl.Cvec @ mdl.B11)
-        cab = float(mdl.Cvec @ (mdl.A1 @ mdl.B11))
+        cab = float(mdl.Cvec @ (mdl.A @ mdl.B11))
         if cab == 0.0:
             raise DomainError("feedback acceleration term is zero; no "
                               "finite on-time boundary")
@@ -437,11 +431,11 @@ def closed_form_pole(p: BuckParams, scheme: Scheme, d: float, T: float,
         ss = steady_state_at(mdl, d, T, (p.vs, 0.0))
         if formula == "Eq20":
             v = ss.xdot0_minus
-            a_mix = mdl.A1 * d + mdl.A2 * (T - d)
+            a_mix = mdl.A * d + mdl.A * (T - d)
             return 1.0 - float(mdl.Cvec @ (a_mix @ v)) / float(mdl.Cvec @ v)
         x0 = ss.x0_0
-        a1x = mdl.A1 @ x0
-        return 1.0 - float(mdl.Cvec @ (mdl.A1 @ a1x)) * T / float(mdl.Cvec @ a1x)
+        a1x = mdl.A @ x0
+        return 1.0 - float(mdl.Cvec @ (mdl.A @ a1x)) * T / float(mdl.Cvec @ a1x)
     if formula == "Eq40":
         if scheme is not Scheme.V_COTC:
             raise UsageError("formula Eq40 applies to V_COTC")
@@ -504,8 +498,7 @@ def snb_boundary_exact(m: ConverterModel, vs, d, T):
     from the eigenvalue condition at +1, which tests cross-check.  Takes
     arrays like :func:`pdb_boundary_exact`.
     """
-    vs, w, drive = _boundary_core(m, vs, d, T,
-                                  "the exact saddle-node boundary")
+    vs, w, drive = _boundary_core(m, vs, d, T)
     lhs = np.eye(m.n) - w
     sol = solve_linear(lhs, solve_linear(lhs, drive))
     return _feedback(m, sol, vs)
@@ -525,8 +518,8 @@ def snb_boundary_approx(m: ConverterModel, p: BuckParams, d: float, T: float,
     rho = p.rho
     if formula == "Eq54":
         cb = float(m.Cvec @ m.B11)
-        cab = float(m.Cvec @ (m.A1 @ m.B11))
-        caib = float(m.Cvec @ solve_linear(m.A1, m.B11))
+        cab = float(m.Cvec @ (m.A @ m.B11))
+        caib = float(m.Cvec @ solve_linear(m.A, m.B11))
         return (D / T * caib - 0.5 * D * D * cb
                 + (2.0 * D ** 3 - D) / 12.0 * cab * T) * vs
     if formula == "Eq55":

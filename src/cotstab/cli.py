@@ -93,9 +93,12 @@ def _convert(key: str, text: str):
             raise ConfigError(f"{key} must be positive, got {value}")
         return value
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def load_config(path: str | None, sets=()) -> dict:
@@ -148,7 +151,7 @@ def _params(cfg: dict, what: str) -> BuckParams:
     _need(cfg, ("R", "L", "C", "vs"), what)
     return BuckParams(R=cfg["R"], L=cfg["L"], C=cfg["C"],
                       Rc=cfg.get("Rc", 0.0), Ri=cfg.get("Ri", 0.0),
-                      vs=cfg["vs"], vc=cfg.get("vc", 0.0))
+                      vs=cfg["vs"])
 
 
 def _scheme(cfg: dict, what: str) -> Scheme:

@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel used by every analysis module.
 
 All converter work happens on tiny dense matrices (two states for the buck,
-at most eight for user-supplied models, ten for the augmented integral
-blocks), so the routines here use numpy alone and add the argument
-checking, error taxonomy and defaults the rest of the library relies on:
+four for the augmented integral blocks), so the routines here use numpy
+alone and add the argument checking, error taxonomy and defaults the rest
+of the library relies on:
 
 * ``expm`` - matrix exponential by scaling and squaring after Al-Mohy &
   Higham (2009, SIAM J. Matrix Anal. Appl. 31(3)): a Pade approximant of

@@ -3,10 +3,13 @@
 The plant is a synchronous buck converter in continuous conduction with
 state ``x = (iL, vC)'`` (inductor current, capacitor voltage) and inputs
 ``u = (vs, vc)'`` (source voltage, control reference).  Both switching
-stages share the same state matrix; the source only drives the on stage:
+stages share one state matrix ``A``; the source drives the on stage only:
 
-    ``A1 = A2 = rho * [[-Rc/L, -1/L], [1/C, -1/(R*C)]]``,   rho = R/(R+Rc)
-    ``B1  = [[1/L, 0], [0, 0]]``,   ``B2 = 0``
+    on stage:   ``xdot = A x + B u``
+    off stage:  ``xdot = A x``
+
+    ``A = rho * [[-Rc/L, -1/L], [1/C, -1/(R*C)]]``,   rho = R/(R+Rc)
+    ``B = [[1/L, 0], [0, 0]]``
 
 The control reference ``vc`` never enters the state equations; it acts only
 through the switching condition via the feedthrough row ``Dvec = [0, -1]``.
@@ -62,7 +65,8 @@ class BuckParams:
 
     ``Rc`` is the output capacitor ESR, ``Ri`` the current-sense gain in
     ohms (required by the current-feedback schemes), ``vs`` the source
-    voltage and ``vc`` the control reference fed to the modulator.
+    voltage.  The control reference is an input of the analyses, not a
+    parameter of the power stage.
     """
 
     R: float
@@ -71,14 +75,13 @@ class BuckParams:
     Rc: float = 0.0
     Ri: float = 0.0
     vs: float = 0.0
-    vc: float = 0.0
 
     def __post_init__(self):
         for name in ("R", "L", "C"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"BuckParams.{name} must be finite and > 0, got {v!r}")
-        for name in ("Rc", "Ri", "vs", "vc"):
+        for name in ("Rc", "Ri", "vs"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise DomainError(f"BuckParams.{name} must be finite, got {v!r}")
@@ -93,11 +96,6 @@ class BuckParams:
     def with_(self, **kw):
         """Copy with selected fields replaced (validation re-runs)."""
         return replace(self, **kw)
-
-    @property
-    def u(self):
-        """Input vector (vs, vc)'."""
-        return np.array([self.vs, self.vc])
 
 
 @dataclass(frozen=True)
@@ -130,67 +128,35 @@ def _check_matrix(name, m, shape):
 
 @dataclass(frozen=True)
 class ConverterModel:
-    """Two-stage switched linear model.
+    """Switched linear model of the buck stage under one scheme.
 
-    Stage 1 (on, duration ``d``): ``xdot = A1 x + B1 u``; stage 2 (off,
-    duration ``T - d``): ``xdot = A2 x + B2 u``.  The modulator compares
-    ``y = Cvec x + Dvec u`` against the ramp; ``E1``/``E2`` map the state to
-    the reported output voltage in each stage.  Generic dimensions are
-    supported (N states, 2 inputs); :func:`build_model` produces the N=2
-    buck realisation.
+    On stage (duration ``d``): ``xdot = A x + B u``; off stage (duration
+    ``T - d``): ``xdot = A x``.  The modulator compares
+    ``y = Cvec x + Dvec u`` against the ramp; ``E`` maps the state to the
+    output voltage.  :func:`build_model` builds it from the parameters.
     """
 
-    A1: np.ndarray
-    A2: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
     Cvec: np.ndarray
     Dvec: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
+    E: np.ndarray
     scheme: Scheme | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        a1 = np.asarray(self.A1, dtype=float)
-        if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
-            raise DimensionError(f"A1 must be square, got shape {a1.shape}")
-        n = a1.shape[0]
-        object.__setattr__(self, "A1", _check_matrix("A1", self.A1, (n, n)))
-        object.__setattr__(self, "A2", _check_matrix("A2", self.A2, (n, n)))
-        object.__setattr__(self, "B1", _check_matrix("B1", self.B1, (n, 2)))
-        object.__setattr__(self, "B2", _check_matrix("B2", self.B2, (n, 2)))
-        object.__setattr__(self, "Cvec", _check_matrix("Cvec", self.Cvec, (n,)))
-        object.__setattr__(self, "Dvec", _check_matrix("Dvec", self.Dvec, (2,)))
-        object.__setattr__(self, "E1", _check_matrix("E1", self.E1, (n,)))
-        object.__setattr__(self, "E2", _check_matrix("E2", self.E2, (n,)))
+        for name, shape in (("A", (2, 2)), ("B", (2, 2)), ("Cvec", (2,)),
+                            ("Dvec", (2,)), ("E", (2,))):
+            object.__setattr__(self, name,
+                               _check_matrix(name, getattr(self, name), shape))
 
     @property
     def n(self):
-        return self.A1.shape[0]
+        return self.A.shape[0]
 
     @property
     def B11(self):
         """Source column of the on-stage input matrix."""
-        return self.B1[:, 0]
-
-    @property
-    def E(self):
-        """Stage-averaged output row used by the transfer functions."""
-        return 0.5 * (self.E1 + self.E2)
-
-    @property
-    def is_buck_structured(self):
-        """True when both stages share the state matrix and only the on
-        stage sees the source (the structure the closed forms assume)."""
-        return (
-            np.array_equal(self.A1, self.A2)
-            and not np.any(self.B2)
-            and not np.any(self.B1[:, 1])
-        )
-
-    def y(self, x, u):
-        """Modulator feedback signal ``Cvec x + Dvec u``."""
-        return float(self.Cvec @ np.asarray(x, dtype=float) + self.Dvec @ u)
+        return self.B[:, 0]
 
 
 def _needs_ri(scheme):
@@ -207,9 +173,8 @@ def build_model(p: BuckParams, scheme: Scheme) -> ConverterModel:
     rho = p.rho
     a = rho * np.array([[-p.Rc / p.L, -1.0 / p.L],
                         [1.0 / p.C, -1.0 / (p.R * p.C)]])
-    b1 = np.array([[1.0 / p.L, 0.0],
-                   [0.0, 0.0]])
-    b2 = np.zeros((2, 2))
+    b = np.array([[1.0 / p.L, 0.0],
+                  [0.0, 0.0]])
     e = rho * np.array([p.Rc, 1.0])
     current = np.array([p.Ri, 0.0])
     if scheme is Scheme.V_COTC:
@@ -219,8 +184,7 @@ def build_model(p: BuckParams, scheme: Scheme) -> ConverterModel:
     else:
         c = e + current
     dvec = np.array([0.0, -1.0])
-    return ConverterModel(A1=a, A2=a.copy(), B1=b1, B2=b2, Cvec=c,
-                          Dvec=dvec, E1=e, E2=e.copy(), scheme=scheme)
+    return ConverterModel(A=a, B=b, Cvec=c, Dvec=dvec, E=e, scheme=scheme)
 
 
 def slope_normalizer(p: BuckParams, D, scheme: Scheme) -> float:

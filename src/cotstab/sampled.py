@@ -46,11 +46,12 @@ __all__ = [
 class CycleOps:
     """Stage operators of one cycle (d, T) of a model.
 
-    ``p1 = exp(A1 d)`` and ``p2 = exp(A2 (T - d))`` carry the state across
-    the on and off stages, ``j1b1`` and ``j2b2`` are the driven integrals
-    ``int exp(A s) ds B`` over each.  One instance per (model, d, T)
-    serves the steady state, its linearization and the pole placement
-    function, which read it instead of recomputing the exponentials.
+    ``p1 = exp(A d)`` and ``p2 = exp(A (T - d))`` carry the state across
+    the on and off stages, and ``j1b1`` is the driven integral
+    ``int exp(A s) ds B`` over the on stage (the off stage is undriven).
+    One instance per (model, d, T) serves the steady state, its
+    linearization and the pole placement function, which read it instead
+    of recomputing the exponentials.
     """
 
     d: float
@@ -58,19 +59,15 @@ class CycleOps:
     p1: np.ndarray
     p2: np.ndarray
     j1b1: np.ndarray
-    j2b2: np.ndarray
 
 
 def _cycle_ops(m: ConverterModel, d: float, T: float) -> CycleOps:
     """Stage operators of the cycle (d, T): two stacked exponentials."""
     if not 0.0 < d < T:
         raise DomainError(f"need 0 < d < T, got d={d!r}, T={T!r}")
-    times = (d, T - d)
-    a = np.stack((m.A1, m.A2))
-    p1, p2 = expm(a, times)
-    j1b1, j2b2 = expm_integral(a, np.stack((m.B1, m.B2)), times)
-    return CycleOps(d=float(d), T=float(T), p1=p1, p2=p2, j1b1=j1b1,
-                    j2b2=j2b2)
+    p1, p2 = expm(m.A, (d, T - d))
+    return CycleOps(d=float(d), T=float(T), p1=p1, p2=p2,
+                    j1b1=expm_integral(m.A, m.B, d))
 
 
 @dataclass(frozen=True)
@@ -102,19 +99,19 @@ class SteadyState:
 def _orbit(m: ConverterModel, ops: CycleOps, u) -> SteadyState:
     """Fixed point of the cycle map built from ``ops``, at inputs ``u``."""
     u = np.asarray(u, dtype=float)
-    p1, p2, j1b1, j2b2 = ops.p1, ops.p2, ops.j1b1, ops.j2b2
+    p1, p2, j1b1 = ops.p1, ops.p2, ops.j1b1
     lhs = np.eye(m.n) - p2 @ p1
-    rhs = p2 @ (j1b1 @ u) + j2b2 @ u
+    rhs = p2 @ (j1b1 @ u)
     try:
         x0 = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            "periodicity matrix I - exp(A2 (T-d)) exp(A1 d) is singular. "
+            "periodicity matrix I - exp(A (T-d)) exp(A d) is singular. "
             + str(exc),
             condition=exc.condition,
         ) from exc
     xd = p1 @ x0 + j1b1 @ u
-    v = m.A2 @ x0 + m.B2 @ u
+    v = m.A @ x0
     y_end = float(m.Cvec @ x0 + m.Dvec @ u)
     return SteadyState(x0_0=x0, x0_d=xd, xdot0_minus=v, T=ops.T, d=ops.d,
                        u=u, y_end=y_end, ops=ops)
@@ -261,7 +258,7 @@ def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
     Requires the crossing to be transversal: the feedback slope at the
     cycle boundary must differ from the ramp slope.
     """
-    p1, p2, j1b1, j2b2 = ss.ops.p1, ss.ops.p2, ss.ops.j1b1, ss.ops.j2b2
+    p1, p2, j1b1 = ss.ops.p1, ss.ops.p2, ss.ops.j1b1
     v = ss.xdot0_minus
     cv = float(m.Cvec @ v)
     denom = cv - ma
@@ -272,8 +269,7 @@ def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
     w = p2 @ p1
     proj = np.eye(m.n) - np.outer(v, m.Cvec) / denom
     phi = proj @ w
-    gamma_u = p2 @ j1b1 + j2b2
-    gamma = proj @ gamma_u - np.outer(v, m.Dvec) / denom
+    gamma = proj @ (p2 @ j1b1) - np.outer(v, m.Dvec) / denom
     return LinearizedMap(Phi=phi, Gamma=gamma, Evec=m.E, T=ss.T,
                          W=w, Wr=p1 @ p2, denom=denom)
 
@@ -319,9 +315,8 @@ def orbit_sample(m: ConverterModel, ss: SteadyState, t: float):
     if not 0.0 <= t <= ss.T:
         raise DomainError(f"t must lie in [0, T], got {t!r}")
     if t <= ss.d:
-        x = expm(m.A1, t) @ ss.x0_0 + expm_integral(m.A1, m.B1 @ ss.u, t)
+        x = expm(m.A, t) @ ss.x0_0 + expm_integral(m.A, m.B @ ss.u, t)
     else:
-        tau = t - ss.d
-        x = expm(m.A2, tau) @ ss.x0_d + expm_integral(m.A2, m.B2 @ ss.u, tau)
+        x = expm(m.A, t - ss.d) @ ss.x0_d
     y = float(m.Cvec @ x + m.Dvec @ ss.u)
     return x, y

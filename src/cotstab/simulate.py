@@ -83,7 +83,7 @@ class _CycleEngine:
     """Per-run precomputation for the stage maps and the crossing scan.
 
     Work that does not depend on the state is done once per engine: the
-    on-stage map, the off-stage eigenstructure (or its stepping matrices on
+    on-stage map, the off-stage eigenstructure (or its stepping matrix on
     the fallback path) and the crossing-scan table.  The table holds
     ``exp(lam * tau_k)`` and the ramp term ``ma * (d + tau_k)`` on the scan
     grid; it is built lazily, one chunk of ``2 * SCAN_DIVISIONS`` grid
@@ -105,9 +105,8 @@ class _CycleEngine:
         self.u = np.asarray(u, dtype=float)
         self.T_guess = float(T_guess)
         d = ramp.d
-        self.p1 = expm(m.A1, d)
-        self.j1u = expm_integral(m.A1, m.B1, d) @ self.u
-        self.b2u = m.B2 @ self.u
+        self.p1 = expm(m.A, d)
+        self.j1u = expm_integral(m.A, m.B, d) @ self.u
         self.du = float(m.Dvec @ self.u)
         self.step = self.T_guess / SCAN_DIVISIONS
         self.tau_max = HORIZON_PERIODS * self.T_guess
@@ -116,38 +115,24 @@ class _CycleEngine:
 
     def _setup_stage2(self):
         """Diagonalize the off-stage if possible; else fall back to stepping."""
-        a2 = self.m.A2
-        lam, vecs = np.linalg.eig(a2)
+        a = self.m.A
+        lam, vecs = np.linalg.eig(a)
         self.fast = False
         try:
             vinv = np.linalg.inv(vecs)
         except np.linalg.LinAlgError:
             vinv = None
         if vinv is not None:
-            err = np.linalg.norm(vecs @ np.diag(lam) @ vinv - a2)
-            scale = max(np.linalg.norm(a2), 1.0)
-            if err <= 1e-9 * scale:
-                drive = np.linalg.norm(self.b2u)
-                if drive == 0.0:
-                    w = np.zeros(self.m.n)
-                    ok = True
-                elif np.min(np.abs(lam)) > 1e-12 * np.max(np.abs(lam)):
-                    w = np.linalg.solve(a2, self.b2u)
-                    ok = True
-                else:
-                    ok = False
-                if ok:
-                    self.fast = True
-                    self.lam = lam
-                    self.vecs = vecs
-                    self.vinv = vinv
-                    self.w = w
-                    self.cv = self.m.Cvec @ vecs
-                    self.const = self.du - float(self.m.Cvec @ w)
-                    self._table = []    # scan chunks, filled on demand
+            err = np.linalg.norm(vecs @ np.diag(lam) @ vinv - a)
+            if err <= 1e-9 * max(np.linalg.norm(a), 1.0):
+                self.fast = True
+                self.lam = lam
+                self.vecs = vecs
+                self.vinv = vinv
+                self.cv = self.m.Cvec @ vecs
+                self._table = []    # scan chunks, filled on demand
         if not self.fast:
-            self.phi_step = expm(self.m.A2, self.step)
-            self.j_step = expm_integral(self.m.A2, self.m.B2, self.step) @ self.u
+            self.phi_step = expm(a, self.step)
 
     # stage 1: exact on-time propagation
     def on_stage(self, x: np.ndarray) -> np.ndarray:
@@ -163,26 +148,23 @@ class _CycleEngine:
         ma = self.ramp.ma
         if z is None:
             def phi(tau):
-                xt = expm(self.m.A2, tau) @ x_d + expm_integral(
-                    self.m.A2, self.m.B2, tau) @ self.u
+                xt = expm(self.m.A, tau) @ x_d
                 return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
             return phi
         terms = [(self.cv[i] * z[i], self.lam[i]) for i in range(len(self.lam))]
-        const = self.const
+        du = self.du
 
         def phi(tau):
             acc = 0.0
             for cz, lam in terms:
                 acc += (cz * cmath.exp(lam * tau)).real
-            return acc + const - ma * (d + tau)
+            return acc + du - ma * (d + tau)
         return phi
 
     def state_at(self, x_d: np.ndarray, z, tau: float) -> np.ndarray:
         if z is not None:
-            out = self.vecs @ (np.exp(self.lam * tau) * z)
-            return out.real - self.w
-        return expm(self.m.A2, tau) @ x_d + expm_integral(
-            self.m.A2, self.m.B2, tau) @ self.u
+            return (self.vecs @ (np.exp(self.lam * tau) * z)).real
+        return expm(self.m.A, tau) @ x_d
 
     def _scan_fast(self, z: np.ndarray):
         """Vectorized crossing scan; returns bracketing interval or None."""
@@ -194,7 +176,7 @@ class _CycleEngine:
                 self._table.append((np.exp(np.outer(taus, self.lam)),
                                     self.ramp.ma * (self.ramp.d + taus)))
             table, ramp_term = self._table[i]
-            phis = (table @ az).real + self.const - ramp_term
+            phis = (table @ az).real + self.du - ramp_term
             hits = np.nonzero(phis <= 0.0)[0]
             if hits.size:
                 k = k0 + int(hits[0])
@@ -204,10 +186,9 @@ class _CycleEngine:
     def _scan_steps(self, x_d: np.ndarray):
         """Matrix-stepping crossing scan for the fallback path."""
         d = self.ramp.d
-        kmax = int(np.ceil(self.tau_max / self.step))
         x = x_d
-        for k in range(1, kmax + 1):
-            x = self.phi_step @ x + self.j_step
+        for k in range(1, self.kmax + 1):
+            x = self.phi_step @ x
             phi = float(self.m.Cvec @ x) + self.du - self.ramp.ma * (d + k * self.step)
             if phi <= 0.0:
                 return (k - 1) * self.step, k * self.step, phi
@@ -217,7 +198,7 @@ class _CycleEngine:
         """Magnitude of the terms whose cancellation forms phi."""
         mag = abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + tau_hi)
         if z is not None:
-            mag += float(np.sum(np.abs(self.cv * z))) + abs(self.const)
+            mag += float(np.sum(np.abs(self.cv * z))) + abs(self.du)
         else:
             mag += float(np.abs(self.m.Cvec) @ np.abs(x_d))
         return max(mag, 1e-300)
@@ -230,7 +211,7 @@ class _CycleEngine:
             # ramp already at or above the feedback when the on-time ends
             return CycleStep(x_d, d, float(self.m.Cvec @ x_d) + self.du, True)
         if self.fast:
-            z = self.vinv @ (x_d + self.w)
+            z = self.vinv @ x_d
             found = self._scan_fast(z)
         else:
             z = None
@@ -261,6 +242,16 @@ class _CycleEngine:
                          float(self.m.Cvec @ x_next) + self.du, False)
 
 
+def _integer(name: str, value, least: int) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
 def step_cycle(m: ConverterModel, ramp: RampSpec, x, u,
                T_guess: float) -> CycleStep:
     """Advance the converter by one switching cycle.
@@ -282,13 +273,7 @@ def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
     Raises MissedSwitchingError, tagged with the cycle index, if the
     feedback never returns to the ramp within the scan horizon.
     """
-    try:
-        ncycles = operator.index(ncycles)
-    except TypeError:
-        raise DomainError(
-            f"ncycles must be an integer, got {ncycles!r}") from None
-    if ncycles < 1:
-        raise DomainError(f"ncycles must be >= 1, got {ncycles!r}")
+    ncycles = _integer("ncycles", ncycles, 1)
     if T_guess is None:
         T_guess = 2.0 * ramp.d
     x0 = np.asarray(x0, dtype=float)
@@ -320,6 +305,7 @@ def classify_orbit(trace: Trace, settle: int = 500) -> str:
     means the lengths have collapsed to one value, PERIOD2 to a clean
     two-cycle alternation.  Saturated cycles in the tail disqualify both.
     """
+    settle = _integer("settle", settle, 0)
     if trace.ncycles <= settle + 32:
         raise UsageError(
             f"need more than {settle + 32} cycles to classify with "

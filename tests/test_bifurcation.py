@@ -1,6 +1,5 @@
 """Boundary formulas: exact routes, series forms, duality, catalog guards."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +112,15 @@ def test_pdb_routes_agree_on_random_draws():
         assert direct == pytest.approx(placed, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("boundary", [pdb_boundary_exact, snb_boundary_exact])
+@pytest.mark.parametrize("vs", [math.nan, math.inf, -math.inf,
+                                [5.0, math.nan, 5.0]])
+def test_exact_boundaries_reject_non_finite_source(boundary, vs):
+    m = build_model(FAST, Scheme.V_COTC)
+    with pytest.raises(DomainError, match="vs must be finite"):
+        boundary(m, vs, FAST_D, FAST_T)
+
+
 def test_pdb_reference_values():
     m = build_model(FAST, Scheme.V_COTC)
     assert pdb_boundary_exact(m, FAST.vs, FAST_D, FAST_T) == pytest.approx(
@@ -123,14 +131,6 @@ def test_pdb_reference_values():
         pytest.approx(4197.4852071005889, rel=1e-12)
     with pytest.raises(UsageError):
         pdb_boundary_approx(m, FAST.vs, FAST_D, FAST_T, "cubic")
-
-
-def test_pdb_requires_buck_structure():
-    m, _, _, _ = fast_point()
-    bad = dataclasses.replace(m, B2=np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert not bad.is_buck_structured
-    with pytest.raises(UsageError):
-        pdb_boundary_exact(bad, FAST.vs, FAST_D, FAST_T)
 
 
 def test_margin_above_boundary_stabilizes():

@@ -454,6 +454,19 @@ def test_config_rejects_bad_number(capsys, tmp_path):
     assert "half" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["poles", "--set", "vc=nan"], ["splot", "--set", "vc=inf"],
+    ["steady-state", "--set", "vs=-inf"], ["simulate", "--set", "iL0=nan"],
+    ["pdb-boundary", "--set", "ma=inf"], ["splot", "--set", "vo=nan"],
+])
+def test_config_rejects_non_finite_numbers(capsys, conf, argv):
+    key, _, value = argv[2].partition("=")
+    rc, out, err = run_cli(capsys, [argv[0], "--config", conf, *argv[1:]])
+    assert rc == 2
+    assert f"ConfigError: {key} must be finite, got '{value}'" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["pdb-boundary", "hb-splot"])
 @pytest.mark.parametrize("nh", ["0", "-5"])
 def test_nh_flag_rejects_non_positive_depth(capsys, conf, command, nh):

@@ -39,9 +39,9 @@ def test_buck_draws_match_scipy():
         m = build_model(p, SCHEMES[rng.integers(len(SCHEMES))])
         T = float(10.0 ** rng.uniform(-6.3, -5.3))
         for t in (float(rng.uniform(0.15, 0.85)) * T, T):
-            assert rel(expm(m.A1, t), scipy_linalg.expm(m.A1 * t)) <= RTOL
-            assert rel(expm_integral(m.A1, m.B1, t),
-                       block_integral(m.A1, m.B1, t)) <= RTOL
+            assert rel(expm(m.A, t), scipy_linalg.expm(m.A * t)) <= RTOL
+            assert rel(expm_integral(m.A, m.B, t),
+                       block_integral(m.A, m.B, t)) <= RTOL
 
 
 def test_random_8x8_matrices_match_scipy():
@@ -52,13 +52,13 @@ def test_random_8x8_matrices_match_scipy():
 
 
 def test_augmented_blocks_match_scipy():
-    # the blocks expm_integral builds: buck (2 + 2) and the largest
-    # supported model, eight states and two inputs (10 x 10)
+    # the blocks expm_integral builds for the buck (2 + 2), and larger
+    # ones of eight states and two inputs (10 x 10)
     rng = np.random.default_rng(603)
     cases = []
     for _ in range(40):
         m = build_model(random_buck(rng), Scheme.V_COTC)
-        cases.append((m.A1, m.B1))
+        cases.append((m.A, m.B))
         cases.append((rng.standard_normal((8, 8)) * 3e5,
                       rng.standard_normal((8, 2)) * 1e6))
     for a, b in cases:

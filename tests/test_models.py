@@ -53,12 +53,9 @@ def test_buck_state_matrices():
         [-p.Rc / p.L, -1.0 / p.L],
         [1.0 / p.C, -1.0 / (p.R * p.C)],
     ])
-    assert np.allclose(m.A1, a_expected, rtol=1e-14)
-    assert np.array_equal(m.A1, m.A2)
-    assert np.allclose(m.B1[:, 0], [1.0 / p.L, 0.0], rtol=1e-14)
-    assert np.array_equal(m.B2, np.zeros((2, 2)))
-    assert np.array_equal(m.B1[:, 1], np.zeros(2))
-    assert m.is_buck_structured
+    assert np.allclose(m.A, a_expected, rtol=1e-14)
+    assert np.allclose(m.B[:, 0], [1.0 / p.L, 0.0], rtol=1e-14)
+    assert np.array_equal(m.B[:, 1], np.zeros(2))
 
 
 def test_feedback_rows_by_scheme():
@@ -72,8 +69,7 @@ def test_feedback_rows_by_scheme():
     assert np.allclose(mr.Cvec, [rho * p.Rc + p.Ri, rho], rtol=1e-14)
     for m in (mv, mc, mr):
         assert np.array_equal(m.Dvec, [0.0, -1.0])
-        assert np.allclose(m.E1, [rho * p.Rc, rho], rtol=1e-14)
-        assert np.array_equal(m.E1, m.E2)
+        assert np.allclose(m.E, [rho * p.Rc, rho], rtol=1e-14)
 
 
 def test_current_schemes_require_ri():

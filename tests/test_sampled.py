@@ -15,8 +15,8 @@ def test_orbit_is_a_fixed_point_of_the_cycle_map():
     # push the start state through both stages by hand: it must come back
     for _ in range(10):
         _, _, d, T, m, _, u, ss = random_operating(rng)
-        xd = expm(m.A1, d) @ ss.x0_0 + expm_integral(m.A1, m.B1 @ u, d)
-        xT = expm(m.A2, T - d) @ xd + expm_integral(m.A2, m.B2 @ u, T - d)
+        xd = expm(m.A, d) @ ss.x0_0 + expm_integral(m.A, m.B @ u, d)
+        xT = expm(m.A, T - d) @ xd
         scale = np.linalg.norm(ss.x0_0) + 1.0
         assert np.linalg.norm(xT - ss.x0_0) <= 1e-9 * scale
         assert np.allclose(xd, ss.x0_d, rtol=1e-9, atol=1e-12 * scale)
@@ -27,11 +27,10 @@ def test_cycle_ops_hold_the_stage_operators_bitwise():
     _, _, d, T, m, _, u, ss = random_operating(rng)
     ops = steady_state_at(m, d, T, u).ops
     assert (ops.d, ops.T) == (d, T)
-    assert np.array_equal(ops.p1, expm(m.A1, d))
-    assert np.array_equal(ops.p2, expm(m.A2, T - d))
-    assert np.array_equal(ops.j1b1, expm_integral(m.A1, m.B1, d))
-    assert np.array_equal(ops.j2b2, expm_integral(m.A2, m.B2, T - d))
-    for name in ("p1", "p2", "j1b1", "j2b2"):
+    assert np.array_equal(ops.p1, expm(m.A, d))
+    assert np.array_equal(ops.p2, expm(m.A, T - d))
+    assert np.array_equal(ops.j1b1, expm_integral(m.A, m.B, d))
+    for name in ("p1", "p2", "j1b1"):
         assert np.array_equal(getattr(ss.ops, name), getattr(ops, name))
 
 
@@ -53,7 +52,7 @@ def test_consistent_orbit_equals_the_separate_calls_bitwise():
 def test_velocity_is_off_stage_rate_at_cycle_start():
     rng = np.random.default_rng(7102)
     _, _, _, _, m, _, u, ss = random_operating(rng)
-    assert np.allclose(ss.xdot0_minus, m.A2 @ ss.x0_0 + m.B2 @ u, rtol=1e-12)
+    assert np.allclose(ss.xdot0_minus, m.A @ ss.x0_0, rtol=1e-12)
 
 
 def test_steady_state_rejects_bad_on_time():

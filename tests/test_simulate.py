@@ -146,6 +146,13 @@ def test_classifier_contracts_on_synthetic_traces():
         classify_orbit(_synthetic_trace(np.full(132, base)), settle=100)
 
 
+@pytest.mark.parametrize("settle", [-40, -1, 40.0, "40"])
+def test_classifier_rejects_negative_or_fractional_settle(settle):
+    # a negative settle would judge the last |settle| cycles instead
+    with pytest.raises(DomainError, match="settle"):
+        classify_orbit(_synthetic_trace(np.full(100, 3e-6)), settle=settle)
+
+
 def test_unstable_cycle_falls_to_saturated_subharmonic():
     # well below the critical slope the period-1 orbit is unstable; the
     # attractor alternates saturated minimum-length cycles with long

@@ -6,15 +6,17 @@ no arithmetic, so the reference below keeps the original per-cycle
 formulas (every exponential and every modal coefficient evaluated afresh
 at each use) and the traces must match bit for bit, including at a
 near-boundary point where any last-digit change would be amplified into a
-visibly different orbit.
+visibly different orbit.  A second reference does the same for the
+matrix-stepping fallback path.
 """
 
 import cmath
 
 import numpy as np
 
-from cotstab import Scheme, make_duty_family, make_ramp_family, simulate
-from cotstab.linalg import find_root
+from cotstab import (BuckParams, Scheme, make_duty_family, make_ramp_family,
+                     simulate)
+from cotstab.linalg import expm, expm_integral, find_root
 from cotstab.simulate import (OTHER, PERIOD1, REFINE_REL_TOL, SCAN_DIVISIONS,
                               CycleStep, _CycleEngine, classify_orbit)
 
@@ -27,14 +29,14 @@ class _LoopEngine(_CycleEngine):
     """Fast-path cycle with the original loop-form scan and refiner."""
 
     def _modal(self, x_d):
-        return self.vinv @ (x_d + self.w)
+        return self.vinv @ x_d
 
     def phi_at(self, x_d, tau):
         z = self._modal(x_d)
         acc = 0.0
         for i in range(len(self.lam)):
             acc += (self.cv[i] * z[i] * cmath.exp(self.lam[i] * tau)).real
-        return acc + self.const - self.ramp.ma * (self.ramp.d + tau)
+        return acc + self.du - self.ramp.ma * (self.ramp.d + tau)
 
     def scan(self, x_d):
         d = self.ramp.d
@@ -46,13 +48,23 @@ class _LoopEngine(_CycleEngine):
             ks = np.arange(k0, min(k0 + chunk, kmax + 1))
             taus = ks * self.step
             vals = (np.exp(np.outer(taus, self.lam)) @ az).real
-            phis = vals + self.const - self.ramp.ma * (d + taus)
+            phis = vals + self.du - self.ramp.ma * (d + taus)
             hits = np.nonzero(phis <= 0.0)[0]
             if hits.size:
                 k = ks[hits[0]]
                 return (k - 1) * self.step, k * self.step
             k0 = ks[-1] + 1
         raise AssertionError("reference scan found no crossing")
+
+    def state(self, x_d, tau):
+        z = self._modal(x_d)
+        return (self.vecs @ (np.exp(self.lam * tau) * z)).real
+
+    def noise_scale(self, x_d, hi):
+        """Magnitude of the terms whose cancellation forms phi."""
+        z = self._modal(x_d)
+        return (abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + hi)
+                + float(np.sum(np.abs(self.cv * z))) + abs(self.du))
 
     def run_cycle(self, x):
         d = self.ramp.d
@@ -70,22 +82,55 @@ class _LoopEngine(_CycleEngine):
             tau = find_root(lambda t: self.phi_at(x_d, t), lo, hi,
                             tol=REFINE_REL_TOL * self.T_guess)
         else:
-            z = self._modal(x_d)
-            mag = (abs(self.du) + abs(self.ramp.ma) * (d + hi)
-                   + float(np.sum(np.abs(self.cv * z))) + abs(self.const))
-            noise = 64.0 * np.finfo(float).eps * max(mag, 1e-300)
+            noise = (64.0 * np.finfo(float).eps
+                     * max(self.noise_scale(x_d, hi), 1e-300))
             assert min(abs(flo), abs(fhi)) <= noise
             tau = lo if abs(flo) < abs(fhi) else hi
-        z = self._modal(x_d)
-        x_next = (self.vecs @ (np.exp(self.lam * tau) * z)).real - self.w
+        x_next = self.state(x_d, tau)
         return CycleStep(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, False)
 
 
-def _assert_matches_loop_form(setup, ncycles):
+class _SteppingEngine(_LoopEngine):
+    """Fallback-path cycle in loop form, off-stage drive integral included.
+
+    The off stage is undriven, so the ``expm_integral`` term the engine
+    once added at every step is an exact zero; keeping it here shows that
+    leaving it out moved no bit.
+    """
+
+    def drive(self, tau):
+        zero = np.zeros_like(self.m.B)
+        return expm_integral(self.m.A, zero, tau) @ self.u
+
+    def state(self, x_d, tau):
+        return expm(self.m.A, tau) @ x_d + self.drive(tau)
+
+    def phi_at(self, x_d, tau):
+        return (float(self.m.Cvec @ self.state(x_d, tau)) + self.du
+                - self.ramp.ma * (self.ramp.d + tau))
+
+    def scan(self, x_d):
+        phi_step = expm(self.m.A, self.step)
+        j_step = self.drive(self.step)
+        x = x_d
+        for k in range(1, int(np.ceil(self.tau_max / self.step)) + 1):
+            x = phi_step @ x + j_step
+            phi = (float(self.m.Cvec @ x) + self.du
+                   - self.ramp.ma * (self.ramp.d + k * self.step))
+            if phi <= 0.0:
+                return (k - 1) * self.step, k * self.step
+        raise AssertionError("reference scan found no crossing")
+
+    def noise_scale(self, x_d, hi):
+        return (abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + hi)
+                + float(np.abs(self.m.Cvec) @ np.abs(x_d)))
+
+
+def _assert_matches_loop_form(setup, ncycles, engine=_LoopEngine):
     m, ramp, u, T, x0 = setup
-    eng = _LoopEngine(m, ramp, u, T)
-    assert eng.fast
+    eng = engine(m, ramp, u, T)
+    assert eng.fast is (engine is _LoopEngine)
     steps = []
     x = x0
     for _ in range(ncycles):
@@ -118,3 +163,13 @@ def test_near_boundary_orbit_matches_loop_form():
 def test_duty_family_orbit_matches_loop_form():
     fam = make_duty_family(FAST, Scheme.V_COTC, FAST_D, VO, 0.0)
     _assert_matches_loop_form(fam(0.37), 1500)
+
+
+def test_critical_damping_matches_stepping_loop_form():
+    # R = sqrt(L/C)/2 with no ESR: a double off-stage eigenvalue, so the
+    # engine scans by matrix stepping and refines with exact exponentials
+    L, C = 2e-6, 2e-5
+    p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
+    fam = make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
+    tr = _assert_matches_loop_form(fam(5000.0), 400, _SteppingEngine)
+    assert classify_orbit(tr, settle=300) == PERIOD1
