@@ -71,6 +71,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{what} must look like lo:hi:n, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{what} bounds must be finite, got {text!r}")
     if n < 2:
         raise ConfigError(f"{what} needs at least 2 points, got {n}")
     return lo, hi, n

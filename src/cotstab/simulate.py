@@ -10,10 +10,16 @@ defective or awkward cases.
 
 On the fast path the scan's exponential table depends only on the model,
 the ramp and the guess period, so each run builds it once and every cycle
-reduces to a mat-vec against it.  The modal coordinates of the state after
-the on-time are formed once per cycle and shared by the scan, the root
-refiner and the state update.  Caching changes no arithmetic: a trace is
-bit-identical to evaluating every term afresh in every cycle.
+reduces to a mat-vec against it, over the rows up to the previous cycle's
+crossing plus a margin and over the rest only when those miss.  The modal
+coordinates of the state after the on-time are formed once per cycle and
+shared by the scan, a safeguarded Newton refiner (the modal expansion
+gives the slope of the switching residual for free) and the state update.
+The matrix-stepping fallback refines with ``find_root``.  Caching changes
+no arithmetic: a trace is bit-identical to a loop form that scans whole
+table chunks and evaluates every term afresh in every cycle, with the same
+Newton refiner.  Each cycle depends only on its start state, so a run
+continued from its last state is bit-identical to one longer run.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BracketError, DomainError, MissedSwitchingError,
-                     UsageError)
+                     NumericError, UsageError)
 from .linalg import expm, expm_integral, find_root
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
 from .sampled import SteadyState, consistent_steady_state
@@ -47,6 +53,10 @@ __all__ = [
 SCAN_DIVISIONS = 1000       # crossing scan resolution per guess period
 HORIZON_PERIODS = 10        # give up after this many guess periods
 REFINE_REL_TOL = 1e-12      # switching instant tolerance, relative to guess
+SCAN_MARGIN = 32            # rows scanned past the last cycle's crossing first
+NEWTON_STEPS = 8            # Newton steps before the refiner only bisects
+
+_EPS = float(np.finfo(float).eps)
 
 PERIOD1 = "PERIOD1"
 PERIOD2 = "PERIOD2"
@@ -91,7 +101,8 @@ class _CycleEngine:
     never builds the rest.  Work that depends on the state is done once per
     cycle: the modal coordinates ``z`` of the post-on-time state and the
     refiner's coefficients ``cv[i] * z[i]``.  A fast-path cycle then costs
-    one table mat-vec per scanned chunk plus a few scalar evaluations.
+    one table mat-vec over the rows up to the previous crossing plus
+    ``SCAN_MARGIN`` (the rest only on a miss) and a few scalar evaluations.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -111,6 +122,7 @@ class _CycleEngine:
         self.step = self.T_guess / SCAN_DIVISIONS
         self.tau_max = HORIZON_PERIODS * self.T_guess
         self.kmax = int(np.ceil(self.tau_max / self.step))
+        self.hint = SCAN_DIVISIONS      # crossing row of the last cycle
         self._setup_stage2()
 
     def _setup_stage2(self):
@@ -138,27 +150,41 @@ class _CycleEngine:
     def on_stage(self, x: np.ndarray) -> np.ndarray:
         return self.p1 @ x + self.j1u
 
-    def _refiner(self, x_d: np.ndarray, z):
-        """This cycle's phi(tau), the feedback minus the ramp at d + tau.
+    def _modal_phi(self, z: np.ndarray):
+        """This cycle's phi(tau) and phi'(tau) from the modal coordinates.
 
-        Exact scalar evaluation.  ``z`` holds the modal coordinates on the
-        fast path and is None on the fallback path.
+        phi is the feedback minus the ramp at d + tau:
+        ``phi = sum Re(cv_i z_i exp(lam_i tau)) + du - ma (d + tau)`` and
+        ``phi' = sum Re(cv_i z_i lam_i exp(lam_i tau)) - ma``, both exact
+        scalar evaluations.
         """
         d = self.ramp.d
         ma = self.ramp.ma
-        if z is None:
-            def phi(tau):
-                xt = expm(self.m.A, tau) @ x_d
-                return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
-            return phi
-        terms = [(self.cv[i] * z[i], self.lam[i]) for i in range(len(self.lam))]
         du = self.du
+        terms = []
+        for i in range(len(self.lam)):
+            cz = complex(self.cv[i] * z[i])
+            lam = complex(self.lam[i])
+            terms.append((cz, cz * lam, lam))
 
         def phi(tau):
             acc = 0.0
-            for cz, lam in terms:
-                acc += (cz * cmath.exp(lam * tau)).real
-            return acc + du - ma * (d + tau)
+            dacc = 0.0
+            for cz, czl, lam in terms:
+                e = cmath.exp(lam * tau)
+                acc += (cz * e).real
+                dacc += (czl * e).real
+            return acc + du - ma * (d + tau), dacc - ma
+        return phi
+
+    def _stepping_phi(self, x_d: np.ndarray):
+        """phi(tau) on the fallback path, by one exponential per evaluation."""
+        d = self.ramp.d
+        ma = self.ramp.ma
+
+        def phi(tau):
+            xt = expm(self.m.A, tau) @ x_d
+            return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
         return phi
 
     def state_at(self, x_d: np.ndarray, z, tau: float) -> np.ndarray:
@@ -167,20 +193,32 @@ class _CycleEngine:
         return expm(self.m.A, tau) @ x_d
 
     def _scan_fast(self, z: np.ndarray):
-        """Vectorized crossing scan; returns bracketing interval or None."""
+        """Vectorized crossing scan; returns the bracketing interval or None.
+
+        The first chunk is scanned in two blocks: rows up to the last
+        cycle's crossing row plus ``SCAN_MARGIN``, then, on a miss only,
+        the rest.  A block is a row slice of the same table, evaluated with
+        the same operations, so the first crossing row is the one a scan
+        of the whole chunk finds.
+        """
         az = self.cv * z
         chunk = 2 * SCAN_DIVISIONS
+        split = self.hint + SCAN_MARGIN
         for i, k0 in enumerate(range(1, self.kmax + 1, chunk)):
             if i == len(self._table):
                 taus = np.arange(k0, min(k0 + chunk, self.kmax + 1)) * self.step
                 self._table.append((np.exp(np.outer(taus, self.lam)),
                                     self.ramp.ma * (self.ramp.d + taus)))
             table, ramp_term = self._table[i]
-            phis = (table @ az).real + self.du - ramp_term
-            hits = np.nonzero(phis <= 0.0)[0]
-            if hits.size:
-                k = k0 + int(hits[0])
-                return (k - 1) * self.step, k * self.step, phis[hits[0]]
+            blocks = (slice(None),)
+            if i == 0 and split < len(table):
+                blocks = (slice(0, split), slice(split, None))
+            for rows in blocks:
+                phis = (table[rows] @ az).real + self.du - ramp_term[rows]
+                hits = np.nonzero(phis <= 0.0)[0]
+                if hits.size:
+                    self.hint = k0 + (rows.start or 0) + int(hits[0])
+                    return (self.hint - 1) * self.step, self.hint * self.step
         return None
 
     def _scan_steps(self, x_d: np.ndarray):
@@ -191,7 +229,7 @@ class _CycleEngine:
             x = self.phi_step @ x
             phi = float(self.m.Cvec @ x) + self.du - self.ramp.ma * (d + k * self.step)
             if phi <= 0.0:
-                return (k - 1) * self.step, k * self.step, phi
+                return (k - 1) * self.step, k * self.step
         return None
 
     def _phi_scale(self, x_d: np.ndarray, z, tau_hi: float) -> float:
@@ -213,24 +251,32 @@ class _CycleEngine:
         if self.fast:
             z = self.vinv @ x_d
             found = self._scan_fast(z)
+            modal = self._modal_phi(z)
+
+            def phi(tau):
+                return modal(tau)[0]
         else:
             z = None
             found = self._scan_steps(x_d)
+            phi = self._stepping_phi(x_d)
         if found is None:
             raise MissedSwitchingError(
                 f"no ramp crossing within {HORIZON_PERIODS} guess periods")
-        lo, hi, _ = found
+        lo, hi = found
         # judge the bracket with the refiner's own evaluator: the scan and
         # the scalar path may disagree by a few ulp around an exact zero
-        phi = self._refiner(x_d, z)
         flo = phi(lo) if lo > 0.0 else phi0
         fhi = phi(hi)
+        tol = REFINE_REL_TOL * self.T_guess
         if fhi == 0.0:
             tau = hi
         elif flo > 0.0 > fhi:
-            tau = find_root(phi, lo, hi, tol=REFINE_REL_TOL * self.T_guess)
+            if z is None:
+                tau = find_root(phi, lo, hi, tol=tol)
+            else:
+                tau = _newton(modal, lo, hi, flo, fhi, tol)
         else:
-            noise = 64.0 * np.finfo(float).eps * self._phi_scale(x_d, z, hi)
+            noise = 64.0 * _EPS * self._phi_scale(x_d, z, hi)
             if min(abs(flo), abs(fhi)) <= noise:
                 tau = lo if abs(flo) < abs(fhi) else hi
             else:
@@ -240,6 +286,46 @@ class _CycleEngine:
         x_next = self.state_at(x_d, z, tau)
         return CycleStep(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, False)
+
+
+def _newton(f, lo: float, hi: float, flo: float, fhi: float,
+            tol: float) -> float:
+    """Root of ``f`` in ``[lo, hi]``, given ``f(lo) > 0 > f(hi)``.
+
+    ``f`` returns the residual and its derivative.  Safeguarded Newton: it
+    starts at the secant point of the bracket, shrinks the bracket on the
+    sign of every residual, and bisects whenever a step would leave it.
+    After ``NEWTON_STEPS`` Newton steps it only bisects, so it always
+    converges.  It stops once a step is no longer than ``tol`` or the
+    bracket reaches floating-point resolution.  The result depends only on
+    the arguments.
+    """
+    a, b = lo, hi
+    x = (a * fhi - b * flo) / (fhi - flo)
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    steps = 0
+    for _ in range(NEWTON_STEPS + 200):
+        fx, dfx = f(x)
+        if not math.isfinite(fx):
+            raise NumericError(f"residual is not finite at {x!r}: {fx!r}")
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            a = x
+        else:
+            b = x
+        nxt = 0.5 * (a + b)
+        if steps < NEWTON_STEPS and dfx != 0.0:
+            newton = x - fx / dfx
+            if a < newton < b:
+                nxt = newton
+                steps += 1
+        if abs(nxt - x) <= tol or b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
+            return nxt
+        x = nxt
+    raise NumericError(
+        f"no convergence: bracket [{a!r}, {b!r}] is wider than tol = {tol!r}")
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -455,14 +541,22 @@ def _trend_side(trace: Trace, settle: int) -> str:
 
 
 def _probe_side(setup, ladder, settle: int) -> str:
-    last = None
-    last_settle = settle
-    m, ramp, u, T, x0 = setup
+    """Classify one probe, lengthening its run rung by rung if undecided.
+
+    Each rung continues the previous run from its last state instead of
+    starting over; a cycle depends only on its start state, so the result
+    is the run a fresh simulation of the rung's length would give.
+    """
+    m, ramp, u, T, x = setup
+    tr = None
     for nc in ladder:
+        done = 0 if tr is None else tr.ncycles
         try:
-            tr = simulate(m, ramp, x0, u, nc, T)
+            more = simulate(m, ramp, x, u, nc - done, T)
         except MissedSwitchingError:
             return "unstable"
+        tr = more if tr is None else _joined(tr, more)
+        x = tr.x_end[-1]
         # judge longer runs on their later halves; near-boundary
         # transients outlive any fixed settling allowance
         eff = max(settle, nc // 2)
@@ -473,8 +567,16 @@ def _probe_side(setup, ladder, settle: int) -> str:
             return "stable"
         if cls == PERIOD2:
             return "unstable"
-        last, last_settle = tr, eff
-    return _trend_side(last, last_settle)
+    return _trend_side(tr, eff)
+
+
+def _joined(head: Trace, tail: Trace) -> Trace:
+    """One trace of ``head`` followed by ``tail``, its continuation."""
+    return Trace(np.concatenate([head.Tn, tail.Tn]),
+                 np.concatenate([head.x_end, tail.x_end]),
+                 np.concatenate([head.y_switch, tail.y_switch]),
+                 np.concatenate([head.saturated, tail.saturated]),
+                 head.x0, head.u)
 
 
 def onset_search(family, lo: float, hi: float, cycles: int = 3000,
@@ -485,10 +587,16 @@ def onset_search(family, lo: float, hi: float, cycles: int = 3000,
     ``family`` maps the parameter to a simulation setup (model, ramp,
     inputs, guess period, probe state).  Each probe simulates, classifies,
     and when the orbit has not settled, escalates to longer runs and
-    finally to an envelope trend test.  The endpoints must classify to
-    opposite sides.
+    finally to an envelope trend test.  The ladder is ``cycles`` followed
+    by every ``escalation`` rung longer than the run before it; each rung
+    continues the previous one.  The endpoints must classify to opposite
+    sides.
     """
-    ladder = (cycles, *escalation)
+    ladder = [_integer("cycles", cycles, 1)]
+    for rung in escalation:
+        rung = _integer("escalation rung", rung, 1)
+        if rung > ladder[-1]:
+            ladder.append(rung)
     side_lo = _probe_side(family(lo), ladder, settle)
     side_hi = _probe_side(family(hi), ladder, settle)
     if side_lo == side_hi:

@@ -467,6 +467,22 @@ def test_config_rejects_non_finite_numbers(capsys, conf, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["splot", "--set", "D_range=nan:0.9:3"], "D_range"),
+    (["splot", "--sweep", "D=0.1:inf:3"], "--sweep range"),
+    (["pole-locus", "--set", "lambda_range=-1:-inf:3"], "lambda_range"),
+    (["pole-locus", "--sweep", "lambda=inf:1:3"], "--sweep range"),
+    (["l1", "--set", "ma=9500", "--set", "fs_range=nan:1e6:3"], "fs_range"),
+    (["onset", "--sweep", "ma=nan:1500:3"], "--sweep range"),
+])
+def test_ranges_reject_non_finite_bounds(capsys, conf, argv, what):
+    # a non-finite bound once gave rows of NaN, or failed deep in a solve
+    rc, out, err = run_cli(capsys, [argv[0], "--config", conf, *argv[1:]])
+    assert rc == 2
+    assert f"ConfigError: {what} bounds must be finite" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["pdb-boundary", "hb-splot"])
 @pytest.mark.parametrize("nh", ["0", "-5"])
 def test_nh_flag_rejects_non_positive_depth(capsys, conf, command, nh):

@@ -6,6 +6,9 @@ deliberately cross-checked (fixed-point consistency, multiplier
 estimates against exact cycle-map eigenvalues).
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,8 @@ from cotstab.errors import (
     UsageError,
 )
 from cotstab.sampled import consistent_steady_state, poles, steady_state_at
-from cotstab.simulate import OTHER, PERIOD1, PERIOD2, _CycleEngine
+from cotstab.simulate import (OTHER, PERIOD1, PERIOD2, _CycleEngine,
+                              _newton)
 
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
 
@@ -125,6 +129,54 @@ def test_critical_damping_uses_stepping_fallback():
     ref = simulate(m_split, ramp, x0, u, 400, T)
     assert np.max(np.abs(tr.Tn / ref.Tn - 1.0)) <= 5e-5
     assert tr.Tn[-1] == pytest.approx(ref.Tn[-1], rel=1e-8)
+
+
+def _critical_family():
+    # R = sqrt(L/C)/2 with no ESR: a double off-stage eigenvalue
+    L, C = 2e-6, 2e-5
+    p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
+    return make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
+
+
+@pytest.mark.parametrize("family, ma, fast", [
+    (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 1000.0,
+     True),
+    (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 600.0,
+     True),
+    (_critical_family, 5000.0, False),
+])
+def test_continued_run_matches_one_long_run(family, ma, fast):
+    # a cycle depends only on its start state, so a run continued from
+    # its last state is the longer run, bit for bit; at ma = 600 the
+    # crossing rows jump between saturated and long cycles, so the scan's
+    # window from the last cycle misses
+    m, ramp, u, T, x0 = family()(ma)
+    assert _CycleEngine(m, ramp, u, T).fast is fast
+    n1, n2 = 250, 150
+    head = simulate(m, ramp, x0, u, n1, T)
+    tail = simulate(m, ramp, head.x_end[-1], u, n2, T)
+    whole = simulate(m, ramp, x0, u, n1 + n2, T)
+    for field in ("Tn", "x_end", "y_switch", "saturated"):
+        joined = np.concatenate([getattr(head, field), getattr(tail, field)])
+        assert np.array_equal(getattr(whole, field), joined), field
+    assert np.array_equal(whole.x0, head.x0)
+    assert np.array_equal(whole.u, tail.u)
+
+
+def test_newton_refiner_bisects_when_a_step_leaves_the_bracket():
+    # Newton on atan from far out overshoots the whole bracket; the
+    # safeguard must bisect and still converge to the root
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return -math.atan(x - 0.3), -1.0 / (1.0 + (x - 0.3) ** 2)
+
+    lo, hi = -50.0, 10.0
+    root = _newton(f, lo, hi, f(lo)[0], f(hi)[0], 1e-13)
+    assert root == pytest.approx(0.3, abs=1e-13)
+    assert all(lo < x < hi for x in evals[2:])
+    assert len(evals) < 40
 
 
 def test_classifier_contracts_on_synthetic_traces():
@@ -275,3 +327,41 @@ def test_onset_search_locates_subharmonic_boundary():
     ma_star = onset_search(fam, 600.0, 1500.0, cycles=600, settle=150,
                            escalation=(2400,))
     assert 900.0 < ma_star < 1000.0
+
+
+def test_onset_ladder_only_lengthens_runs(monkeypatch):
+    # rungs not longer than the run before them are skipped, and each
+    # kept rung continues the run instead of starting it over
+    runs = []
+    module = sys.modules["cotstab.simulate"]
+    original = module.simulate
+
+    def recorded(m, ramp, x0, u, ncycles, T_guess=None):
+        tr = original(m, ramp, x0, u, ncycles, T_guess)
+        runs.append((ramp.ma, ncycles, x0, tr.x_end[-1]))
+        return tr
+
+    monkeypatch.setattr(module, "simulate", recorded)
+    fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    onset_search(fam, 900.0, 1000.0, cycles=200, settle=50,
+                 escalation=(100, 400, 300, 600), iters=1)
+    assert {n for _, n, _, _ in runs} == {200}
+    per_probe = {}
+    for (ma, _, x0, _), prev in zip(runs, [None, *runs]):
+        per_probe[ma] = per_probe.get(ma, 0) + 1
+        if per_probe[ma] > 1:
+            assert prev[0] == ma and np.array_equal(x0, prev[3])
+    assert max(per_probe.values()) == 3
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(cycles=150.0), "cycles"),
+    (dict(cycles=0), "cycles"),
+    (dict(escalation=(400, 2.5e3)), "escalation"),
+    (dict(escalation=(-1,)), "escalation"),
+])
+def test_onset_search_validates_cycles_and_rungs(kwargs, name):
+    fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    args = dict(cycles=120, settle=30, escalation=())
+    with pytest.raises(DomainError, match=name):
+        onset_search(fam, 2000.0, 2500.0, **{**args, **kwargs})

@@ -1,13 +1,17 @@
 """The cached cycle engine against the loop form it replaced.
 
-``_CycleEngine`` builds the crossing-scan exponential table once per run
-and the refiner's modal coefficients once per cycle.  Caching must change
-no arithmetic, so the reference below keeps the original per-cycle
-formulas (every exponential and every modal coefficient evaluated afresh
-at each use) and the traces must match bit for bit, including at a
+``_CycleEngine`` builds the crossing-scan exponential table once per run,
+the refiner's modal coefficients once per cycle, and scans only the table
+rows up to the last cycle's crossing unless that misses.  None of this may
+change arithmetic, so the reference below keeps the original per-cycle
+formulas (a whole-chunk scan, every exponential and every modal
+coefficient evaluated afresh at each use, the same safeguarded Newton
+refiner) and the traces must match bit for bit, including at a
 near-boundary point where any last-digit change would be amplified into a
 visibly different orbit.  A second reference does the same for the
-matrix-stepping fallback path.
+matrix-stepping fallback path, which refines with ``find_root``.  A third
+keeps ``find_root`` on the fast path, and the Newton instants must lie
+within the refiner tolerance of its roots.
 """
 
 import cmath
@@ -18,7 +22,8 @@ from cotstab import (BuckParams, Scheme, make_duty_family, make_ramp_family,
                      simulate)
 from cotstab.linalg import expm, expm_integral, find_root
 from cotstab.simulate import (OTHER, PERIOD1, REFINE_REL_TOL, SCAN_DIVISIONS,
-                              CycleStep, _CycleEngine, classify_orbit)
+                              SCAN_MARGIN, CycleStep, _CycleEngine, _newton,
+                              classify_orbit)
 
 from helpers import FAST, FAST_D, FAST_T
 
@@ -31,12 +36,23 @@ class _LoopEngine(_CycleEngine):
     def _modal(self, x_d):
         return self.vinv @ x_d
 
-    def phi_at(self, x_d, tau):
+    def phi_and_slope(self, x_d, tau):
         z = self._modal(x_d)
         acc = 0.0
+        dacc = 0.0
         for i in range(len(self.lam)):
-            acc += (self.cv[i] * z[i] * cmath.exp(self.lam[i] * tau)).real
-        return acc + self.du - self.ramp.ma * (self.ramp.d + tau)
+            e = cmath.exp(self.lam[i] * tau)
+            acc += (self.cv[i] * z[i] * e).real
+            dacc += (self.cv[i] * z[i] * self.lam[i] * e).real
+        return (acc + self.du - self.ramp.ma * (self.ramp.d + tau),
+                dacc - self.ramp.ma)
+
+    def phi_at(self, x_d, tau):
+        return self.phi_and_slope(x_d, tau)[0]
+
+    def refine(self, x_d, lo, hi, flo, fhi):
+        return _newton(lambda t: self.phi_and_slope(x_d, t), lo, hi, flo, fhi,
+                       REFINE_REL_TOL * self.T_guess)
 
     def scan(self, x_d):
         d = self.ramp.d
@@ -79,8 +95,7 @@ class _LoopEngine(_CycleEngine):
         if fhi == 0.0:
             tau = hi
         elif flo > 0.0 > fhi:
-            tau = find_root(lambda t: self.phi_at(x_d, t), lo, hi,
-                            tol=REFINE_REL_TOL * self.T_guess)
+            tau = self.refine(x_d, lo, hi, flo, fhi)
         else:
             noise = (64.0 * np.finfo(float).eps
                      * max(self.noise_scale(x_d, hi), 1e-300))
@@ -91,7 +106,15 @@ class _LoopEngine(_CycleEngine):
                          float(self.m.Cvec @ x_next) + self.du, False)
 
 
-class _SteppingEngine(_LoopEngine):
+class _FindRootEngine(_LoopEngine):
+    """Loop-form fast-path cycle refined by ``find_root``, as it once was."""
+
+    def refine(self, x_d, lo, hi, flo, fhi):
+        return find_root(lambda t: self.phi_at(x_d, t), lo, hi,
+                         tol=REFINE_REL_TOL * self.T_guess)
+
+
+class _SteppingEngine(_FindRootEngine):
     """Fallback-path cycle in loop form, off-stage drive integral included.
 
     The off stage is undriven, so the ``expm_integral`` term the engine
@@ -130,7 +153,7 @@ class _SteppingEngine(_LoopEngine):
 def _assert_matches_loop_form(setup, ncycles, engine=_LoopEngine):
     m, ramp, u, T, x0 = setup
     eng = engine(m, ramp, u, T)
-    assert eng.fast is (engine is _LoopEngine)
+    assert eng.fast is (engine is not _SteppingEngine)
     steps = []
     x = x0
     for _ in range(ncycles):
@@ -173,3 +196,61 @@ def test_critical_damping_matches_stepping_loop_form():
     fam = make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
     tr = _assert_matches_loop_form(fam(5000.0), 400, _SteppingEngine)
     assert classify_orbit(tr, settle=300) == PERIOD1
+
+
+def _assert_refiner_matches_find_root(setup, ncycles):
+    """Per cycle: the windowed scan's cell and the Newton instant.
+
+    Every cycle of the engine's own trace is restarted from its start
+    state.  The windowed scan, with the hint the run carried and again
+    with a hint that forces a miss, must find the cell of the whole-chunk
+    loop-form scan; the Newton instant must lie within the refiner
+    tolerance of the root ``find_root`` finds in that cell.
+    """
+    m, ramp, u, T, x0 = setup
+    tr = simulate(m, ramp, x0, u, ncycles, T)
+    eng = _CycleEngine(m, ramp, u, T)
+    ref = _FindRootEngine(m, ramp, u, T)
+    tol = REFINE_REL_TOL * T
+    starts = np.vstack([x0, tr.x_end[:-1]])
+    refined = misses = 0
+    for k, x in enumerate(starts):
+        x_d = eng.on_stage(x)
+        if tr.saturated[k]:
+            continue
+        z = eng.vinv @ x_d
+        cell = ref.scan(x_d)
+        window = eng.hint + SCAN_MARGIN
+        assert eng._scan_fast(z) == cell, k
+        misses += cell[1] > window * eng.step
+        eng.hint = 0
+        assert eng._scan_fast(z) == cell, k
+        lo, hi = cell
+        phi0 = float(m.Cvec @ x_d) + eng.du - ramp.ma * ramp.d
+        flo = ref.phi_at(x_d, lo) if lo > 0.0 else phi0
+        fhi = ref.phi_at(x_d, hi)
+        if not flo > 0.0 > fhi:
+            continue
+        tau = _newton(eng._modal_phi(z), lo, hi, flo, fhi, tol)
+        assert tr.Tn[k] == ramp.d + tau
+        assert abs(tau - ref.refine(x_d, lo, hi, flo, fhi)) <= tol, k
+        refined += 1
+    assert refined >= ncycles // 2
+    return misses
+
+
+def test_refiner_matches_find_root_near_boundary():
+    fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    _assert_refiner_matches_find_root(fam(1000.0), 3000)
+
+
+def test_refiner_matches_find_root_on_duty_family():
+    fam = make_duty_family(FAST, Scheme.V_COTC, FAST_D, VO, 0.0)
+    _assert_refiner_matches_find_root(fam(0.37), 1500)
+
+
+def test_windowed_scan_misses_on_a_saturating_orbit():
+    # well below the onset the orbit alternates saturated cycles with long
+    # recovery cycles, whose crossings fall beyond the last cycle's window
+    fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    assert _assert_refiner_matches_find_root(fam(600.0), 1500) > 0

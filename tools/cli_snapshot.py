@@ -19,9 +19,11 @@ The list covers every subcommand on the three schemes, at a given period
 and at a given duty, with no ramp, a stabilising ramp and a steep negative
 one; CSV and JSON output, ``--formula``, ``--sweep`` and ``--nh``; the
 fixed-period and fixed-output duty sweeps; both onset families at reduced
-cycle counts; a critically damped simulation (the matrix-stepping path of
-the simulator); the built-in worked cases; and the error cases of
-``tests/test_cli.py``.  It runs in well under a minute.
+cycle counts, and the ramp family at a first rung longer than the default
+escalation rung; a critically damped simulation (the matrix-stepping path
+of the simulator) and one on the fixed-output duty family; the built-in
+worked cases; and the error cases of ``tests/test_cli.py``.  It runs in
+about a minute.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ def _configs() -> dict:
     out["fast"] = {"scheme": "V_COTC", **PLANT, "T": "3e-6", "ma": "0.0"}
     del out["fast"]["Ri"]
     out["current"] = CURRENT
+    # the fixed-output family (vo = 2) at duty 0.37: vs = vo / D
+    out["duty"] = {**out["fast"], "D": "0.37", "vs": repr(2.0 / 0.37)}
+    del out["duty"]["T"]
     out["unknown-key"] = {**out["fast"], "bogus": "1"}
     out["bad-number"] = {**out["fast"], "R": "half"}
     out["no-ri"] = {**out["fast"], "scheme": "C_COTC"}
@@ -137,6 +142,10 @@ def invocations(conf: dict) -> list[list[str]]:
         ["simulate", "--config", fast, *CRITICAL, "--cycles", "400"],
         ["simulate", "--config", fast, "--set", "ma=2000", "--cycles", "600",
          "--set", "settle=300"],
+        ["simulate", "--config", conf["duty"], "--cycles", "1500",
+         "--set", "settle=300"],
+        ["onset", "--config", fast, "--sweep", "ma=900:1000:2",
+         "--cycles", "13000", "--set", "settle=300"],
         ["onset", "--config", fast, "--sweep", "ma=0:5000:2",
          "--cycles", "400", "--set", "settle=150"],
         ["onset", "--config", fast, "--set", "vo=2.0", "--set", "ma=1500",
