@@ -8,8 +8,8 @@ the closed-form design rules that approximate them, and cross-checks the
 routes against each other.
 """
 
-from .bifurcation import (FORMULA_IDS, closed_form_pole,
-                          critical_ramp_eig, ct_pole_formula,
+from .bifurcation import (CATALOG, FORMULA_IDS, applicable_formulas,
+                          closed_form_pole, critical_ramp_eig, ct_pole_formula,
                           equivalent_ct_pole, exact_max_on_time,
                           exact_min_ri, family_point, max_on_time,
                           min_ramp_formula, min_ramp_normalized,

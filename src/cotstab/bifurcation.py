@@ -23,7 +23,9 @@ from .models import BuckParams, ConverterModel, Scheme, build_model
 from .sampled import SteadyState, linearize, steady_state_at
 
 __all__ = [
+    "CATALOG",
     "FORMULA_IDS",
+    "applicable_formulas",
     "s_exact",
     "s_approx",
     "pdb_boundary_exact",
@@ -46,22 +48,61 @@ __all__ = [
     "sweep",
 ]
 
-# catalog of formula identifiers attached to emitted results
-FORMULA_IDS = frozenset({
-    "Eq15", "Eq17", "Eq18", "Eq19", "Eq20", "Eq21", "Eq22", "Eq24", "Eq26",
-    "Eq27", "Eq32", "Eq33", "Eq34", "Eq35", "Eq36", "Eq37", "Eq38", "Eq39",
-    "Eq40", "Eq41", "Eq42", "Eq43", "Eq44", "Eq45", "Eq46", "Eq47", "Eq49",
-    "Eq50", "Eq51", "Eq53", "Eq54", "Eq55", "Eq56",
-})
+_ALL = frozenset(Scheme)
+_V = frozenset({Scheme.V_COTC})
+_C = frozenset({Scheme.C_COTC})
+_VR = frozenset({Scheme.V_COTC_CURRENT_RAMP})
+
+# closed-form kind -> catalog id -> the schemes the form applies to.  Eq44
+# and Eq45 are both on-time and sense-resistance limits.
+CATALOG = {
+    "pole": {"Eq20": _ALL, "Eq21": _ALL, "Eq40": _V, "Eq42": _V,
+             "Eq46": _VR, "Eq50": _C},
+    "ct_pole": {"Eq43": _V, "Eq51": _C},
+    "min_ramp": {"Eq32": _V, "Eq34": _V, "Eq49": _C},
+    "min_ramp_normalized": {"Eq36": _V, "Eq37": _V},
+    "on_time": {"Eq27": _ALL, "Eq33": _V, "Eq35": _V, "Eq38": _V, "Eq39": _V,
+                "Eq41": _V, "Eq44": _VR, "Eq45": _VR},
+    "min_ri": {"Eq44": _VR, "Eq45": _VR, "Eq47": _VR},
+    "snb": {"Eq54": _ALL, "Eq55": _V, "Eq56": _C},
+}
+
+# every identifier attached to emitted results: the closed forms plus the
+# exact and series routes
+FORMULA_IDS = frozenset().union(
+    *CATALOG.values(),
+    {"Eq15", "Eq17", "Eq18", "Eq19", "Eq22", "Eq24", "Eq26", "Eq53"})
 
 
-def _check_formula(formula: str, allowed):
-    if formula not in FORMULA_IDS:
-        raise UsageError(f"unknown formula id {formula!r}")
-    if formula not in allowed:
-        raise UsageError(
-            f"formula {formula} does not apply here; expected one of "
-            + ", ".join(sorted(allowed)))
+def applicable_formulas(kind: str, scheme: Scheme) -> tuple[str, ...]:
+    """Catalog ids of one closed-form kind that apply to ``scheme``."""
+    scheme = Scheme.parse(scheme)
+    return tuple(f for f, schemes in CATALOG[kind].items() if scheme in schemes)
+
+
+def _check_formula(kind: str, formula: str, scheme=None):
+    """Raise UsageError unless ``formula`` is a ``kind`` form for ``scheme``.
+
+    Without a scheme only the kind is checked: the function evaluating the
+    form then serves a single scheme by construction.
+    """
+    forms = CATALOG[kind]
+    if formula not in forms:
+        if formula not in FORMULA_IDS:
+            raise UsageError(f"unknown formula id {formula!r}")
+        raise UsageError(f"formula {formula} does not apply here; expected "
+                         "one of " + ", ".join(forms))
+    if scheme is not None:
+        scheme = Scheme.parse(scheme)
+        if scheme not in forms[formula]:
+            names = ", ".join(s.name for s in Scheme if s in forms[formula])
+            raise UsageError(f"formula {formula} applies to {names}, "
+                             f"not {scheme.name}")
+
+
+def _check_duty(D):
+    if not 0.0 < D <= 1.0:
+        raise DomainError(f"duty must lie in (0, 1], got {D!r}")
 
 
 def s_exact(m: ConverterModel, ss: SteadyState, lam: float) -> float:
@@ -169,21 +210,15 @@ def min_ramp_formula(p: BuckParams, scheme: Scheme, d: float, T: float,
     the filter).  Eq49 is the current-feedback counterpart; it is negative
     for every duty ratio, so any non-negative ramp suffices there.
     """
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
-    _check_formula(formula, {"Eq32", "Eq34", "Eq49"})
+    _check_formula("min_ramp", formula, scheme)
     D = d / T
     rho = p.rho
-    if formula in ("Eq32", "Eq34"):
-        if scheme is not Scheme.V_COTC:
-            raise UsageError(f"formula {formula} applies to V_COTC")
-        if formula == "Eq32":
-            return (D * p.vs * rho * rho / (2.0 * p.L * p.C)
-                    * (0.5 * d * (1.0 - p.Rc ** 2 * p.C / p.L)
-                       - p.Rc * p.C / rho))
+    if formula == "Eq32":
+        return (D * p.vs * rho * rho / (2.0 * p.L * p.C)
+                * (0.5 * d * (1.0 - p.Rc ** 2 * p.C / p.L)
+                   - p.Rc * p.C / rho))
+    if formula == "Eq34":
         return D * p.vs / (2.0 * p.L * p.C) * (0.5 * d - p.Rc * p.C)
-    if scheme is not Scheme.C_COTC:
-        raise UsageError("formula Eq49 applies to C_COTC")
     return (-D * p.vs * p.Ri / (2.0 * p.L)
             * (d * rho * p.Rc / (2.0 * p.L) + 1.0))
 
@@ -191,7 +226,7 @@ def min_ramp_formula(p: BuckParams, scheme: Scheme, d: float, T: float,
 def min_ramp_normalized(p: BuckParams, d: float, T: float,
                         formula: str) -> float:
     """Minimum ramp slope over the ripple-slope scale, closed forms."""
-    _check_formula(formula, {"Eq36", "Eq37"})
+    _check_formula("min_ramp_normalized", formula)
     D = d / T
     rho = p.rho
     if formula == "Eq36":
@@ -208,8 +243,7 @@ def family_point(p: BuckParams, d: float, vo: float, D: float) -> tuple[BuckPara
     ratio fixes the period (d / D) and the source (vo / D).  Returns the
     parameter set with the implied source voltage, and the period.
     """
-    if not 0.0 < D <= 1.0:
-        raise DomainError(f"duty must lie in (0, 1], got {D!r}")
+    _check_duty(D)
     return p.with_(vs=vo / D), d / D
 
 
@@ -286,18 +320,6 @@ def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
     return float(dstar), float(value(dstar))
 
 
-_MAX_ON_TIME_SCHEMES = {
-    "Eq27": None,  # any scheme; uses the model rows directly
-    "Eq33": Scheme.V_COTC,
-    "Eq35": Scheme.V_COTC,
-    "Eq38": Scheme.V_COTC,
-    "Eq39": Scheme.V_COTC,
-    "Eq41": Scheme.V_COTC,
-    "Eq44": Scheme.V_COTC_CURRENT_RAMP,
-    "Eq45": Scheme.V_COTC_CURRENT_RAMP,
-}
-
-
 def max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
                 formula: str, T: float | None = None) -> float:
     """Critical on-time from one of the closed-form subharmonic limits.
@@ -308,13 +330,8 @@ def max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     is negative the boundary direction reverses (no upper limit), and the
     returned critical value may be negative or unphysical, by design.
     """
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
-    _check_formula(formula, set(_MAX_ON_TIME_SCHEMES))
-    want = _MAX_ON_TIME_SCHEMES[formula]
-    if want is not None and scheme is not want:
-        raise UsageError(f"formula {formula} applies to {want.name}, "
-                         f"not {scheme.name}")
+    _check_formula("on_time", formula, scheme)
+    _check_duty(D)
     rho = p.rho
     if formula == "Eq27":
         mdl = build_model(p, scheme)
@@ -355,6 +372,7 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     Sweeps the on-time at constant duty (period scales with it) and locates
     where the exact boundary equals the applied ramp slope.
     """
+    _check_duty(D)
     m = build_model(p, scheme)
 
     def residual(d):
@@ -377,7 +395,7 @@ def min_sense_resistance(p: BuckParams, d: float, T: float,
     as its compensating ramp.  Three published forms with different levels
     of approximation; the exact search is :func:`exact_min_ri`.
     """
-    _check_formula(formula, {"Eq44", "Eq45", "Eq47"})
+    _check_formula("min_ri", formula)
     rho = p.rho
     if formula == "Eq47":
         num = 2.0 * d - 4.0 * p.Rc * p.C - rho * T * (T - d) / (p.R * p.C)
@@ -411,9 +429,6 @@ def exact_min_ri(p: BuckParams, d: float, T: float) -> float:
     return float(1e-12 - s0 / slope)
 
 
-_POLE_FORMULAS = {"Eq20", "Eq21", "Eq40", "Eq42", "Eq46", "Eq50"}
-
-
 def closed_form_pole(p: BuckParams, scheme: Scheme, d: float, T: float,
                      formula: str) -> float:
     """Nonzero cycle-map pole without a ramp, by closed form.
@@ -422,9 +437,7 @@ def closed_form_pole(p: BuckParams, scheme: Scheme, d: float, T: float,
     general first-order expression at the exact orbit; the remaining ids
     are the fully reduced per-scheme expressions.
     """
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
-    _check_formula(formula, _POLE_FORMULAS)
+    _check_formula("pole", formula, scheme)
     rho = p.rho
     if formula in ("Eq20", "Eq21"):
         mdl = build_model(p, scheme)
@@ -437,23 +450,15 @@ def closed_form_pole(p: BuckParams, scheme: Scheme, d: float, T: float,
         a1x = mdl.A @ x0
         return 1.0 - float(mdl.Cvec @ (mdl.A @ a1x)) * T / float(mdl.Cvec @ a1x)
     if formula == "Eq40":
-        if scheme is not Scheme.V_COTC:
-            raise UsageError("formula Eq40 applies to V_COTC")
         gain = 2.0 * rho * T / (2.0 * p.Rc * p.C + T - d)
         return 1.0 + gain * ((T - d) / (2.0 * p.R * p.C) - 1.0)
     if formula == "Eq42":
-        if scheme is not Scheme.V_COTC:
-            raise UsageError("formula Eq42 applies to V_COTC")
         return 1.0 - 2.0 * T / (2.0 * p.Rc * p.C + T - d)
     if formula == "Eq46":
-        if scheme is not Scheme.V_COTC_CURRENT_RAMP:
-            raise UsageError("formula Eq46 applies to V_COTC_CURRENT_RAMP")
         gain = 2.0 * rho * T / (2.0 * (p.Rc + p.Ri) * p.C + T - d)
         return 1.0 + gain * ((T - d) / (2.0 * p.R * p.C) - 1.0
                              + p.Ri * (T - d) / (2.0 * p.L))
     # Eq50
-    if scheme is not Scheme.C_COTC:
-        raise UsageError("formula Eq50 applies to C_COTC")
     return 1.0 - rho * T * (T - d) / (2.0 * p.L * p.C)
 
 
@@ -477,15 +482,9 @@ def equivalent_ct_pole(lam: float, T: float, method: str = "linear") -> float:
 def ct_pole_formula(p: BuckParams, scheme: Scheme, d: float, T: float,
                     formula: str) -> float:
     """Closed-form continuous-time pole estimates (catalog Eq43, Eq51)."""
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
-    _check_formula(formula, {"Eq43", "Eq51"})
+    _check_formula("ct_pole", formula, scheme)
     if formula == "Eq43":
-        if scheme is not Scheme.V_COTC:
-            raise UsageError("formula Eq43 applies to V_COTC")
         return 2.0 / (2.0 * p.Rc * p.C + T - d)
-    if scheme is not Scheme.C_COTC:
-        raise UsageError("formula Eq51 applies to C_COTC")
     return p.rho * (T - d) / (2.0 * p.L * p.C)
 
 
@@ -512,7 +511,7 @@ def snb_boundary_approx(m: ConverterModel, p: BuckParams, d: float, T: float,
     per-scheme scalar reductions.  All are negative for the usual parameter
     ranges, so a non-negative ramp slope rules the bifurcation out.
     """
-    _check_formula(formula, {"Eq54", "Eq55", "Eq56"})
+    _check_formula("snb", formula, m.scheme)
     D = d / T
     vs = p.vs
     rho = p.rho

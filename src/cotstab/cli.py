@@ -20,13 +20,13 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .bifurcation import (FORMULA_IDS, closed_form_pole, ct_pole_formula,
-                          equivalent_ct_pole, exact_max_on_time, exact_min_ri,
-                          family_point, max_on_time, min_ramp_formula,
-                          min_ramp_normalized, min_sense_resistance,
-                          pdb_boundary_approx, pdb_boundary_exact, s_approx,
-                          s_exact, snb_boundary_approx, snb_boundary_exact,
-                          sweep)
+from .bifurcation import (FORMULA_IDS, applicable_formulas, closed_form_pole,
+                          ct_pole_formula, equivalent_ct_pole,
+                          exact_max_on_time, exact_min_ri, family_point,
+                          max_on_time, min_ramp_formula, min_ramp_normalized,
+                          min_sense_resistance, pdb_boundary_approx,
+                          pdb_boundary_exact, s_approx, s_exact,
+                          snb_boundary_approx, snb_boundary_exact, sweep)
 from .cases import run_cases
 from .errors import (ConfigError, CotstabError, DimensionError, DomainError,
                      InfiniteLoopGainError, UsageError)
@@ -100,6 +100,8 @@ def _convert(key: str, text: str):
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
+    if key == "D" and not 0.0 < value <= 1.0:
+        raise ConfigError(f"D must lie in (0, 1], got {text!r}")
     return value
 
 
@@ -290,14 +292,6 @@ def _steady_state(args, cfg: dict) -> Table:
     return table
 
 
-_POLE_FORMS = {
-    Scheme.V_COTC: ("Eq40", "Eq42"),
-    Scheme.V_COTC_CURRENT_RAMP: ("Eq46",),
-    Scheme.C_COTC: ("Eq50",),
-}
-_CT_FORMS = {Scheme.V_COTC: "Eq43", Scheme.C_COTC: "Eq51"}
-
-
 def _poles(args, cfg: dict) -> Table:
     op = _operating(cfg, args.command)
     d, T = op.ss.d, op.ss.T
@@ -313,14 +307,13 @@ def _poles(args, cfg: dict) -> Table:
     # Closed forms model the no-ramp pole; with a ramp they describe a
     # different operating point, so they are only reported when ma = 0.
     if op.ramp.ma == 0.0:
-        for formula in ("Eq20", "Eq21") + _POLE_FORMS[op.scheme]:
+        for formula in applicable_formulas("pole", op.scheme):
             value = closed_form_pole(op.p, op.scheme, d, T, formula)
             table.add(formula, "closed_form", value, 0.0, abs(value),
                       equivalent_ct_pole(value, T))
-        ct_id = _CT_FORMS.get(op.scheme)
-        if ct_id is not None:
-            value = ct_pole_formula(op.p, op.scheme, d, T, ct_id)
-            table.add(ct_id, "closed_form_ct", math.nan, math.nan, math.nan,
+        for formula in applicable_formulas("ct_pole", op.scheme):
+            value = ct_pole_formula(op.p, op.scheme, d, T, formula)
+            table.add(formula, "closed_form_ct", math.nan, math.nan, math.nan,
                       value)
     return table
 
@@ -395,24 +388,16 @@ def _pdb_boundary(args, cfg: dict) -> Table:
         ("Eq26", "series_linear", pdb_boundary_approx(
             m, p.vs, d, T, "linear"), "V/s"),
     ]
-    if scheme is Scheme.V_COTC:
-        for formula in ("Eq32", "Eq34"):
-            rows.append((formula, "closed_form", min_ramp_formula(
-                p, scheme, d, T, formula), "V/s"))
-        for formula in ("Eq36", "Eq37"):
-            rows.append((formula, "closed_form_normalized", min_ramp_normalized(
-                p, d, T, formula), "ratio_to_ripple_slope"))
-    elif scheme is Scheme.C_COTC:
-        rows.append(("Eq49", "closed_form", min_ramp_formula(
-            p, scheme, d, T, "Eq49"), "V/s"))
+    for formula in applicable_formulas("min_ramp", scheme):
+        rows.append((formula, "closed_form", min_ramp_formula(
+            p, scheme, d, T, formula), "V/s"))
+    for formula in applicable_formulas("min_ramp_normalized", scheme):
+        rows.append((formula, "closed_form_normalized", min_ramp_normalized(
+            p, d, T, formula), "ratio_to_ripple_slope"))
     rows.append(("-", "harmonic_balance", hb_pdb_splot(p, scheme, d, T, nh),
                  "V/s"))
     return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "PDB",
                                           "nh": nh})
-
-
-_SNB_FORMS = {Scheme.V_COTC: ("Eq54", "Eq55"), Scheme.C_COTC: ("Eq54", "Eq56"),
-              Scheme.V_COTC_CURRENT_RAMP: ("Eq54",)}
 
 
 def _snb_boundary(args, cfg: dict) -> Table:
@@ -424,17 +409,13 @@ def _snb_boundary(args, cfg: dict) -> Table:
             m, p.vs, ss.d, ss.T), "V/s"),
         ("Eq17", "pole_placement", s_exact(m, ss, 1.0), "V/s"),
     ]
-    for formula in _SNB_FORMS[op.scheme]:
+    for formula in applicable_formulas("snb", op.scheme):
         rows.append((formula, "series", snb_boundary_approx(
             m, p, ss.d, ss.T, formula), "V/s"))
     rows.append(("-", "harmonic_balance", hb_snb_condition(
         p, op.scheme, ss.d, ss.T, nh), "V/s"))
     return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "SNB",
                                           "nh": nh})
-
-
-_ON_TIME_FORMS = ("Eq27", "Eq33", "Eq35", "Eq38", "Eq39", "Eq41",
-                  "Eq44", "Eq45")
 
 
 def _max_on_time(args, cfg: dict) -> Table:
@@ -462,7 +443,9 @@ def _max_on_time(args, cfg: dict) -> Table:
         exact, T41 = math.nan, None
         meta["search_note"] = str(exc)
     rows = [("-", "search", exact, "s")]
-    for formula in _ON_TIME_FORMS:
+    # an applicable form may still fail here: Eq41 without a period, Eq27
+    # without feedback acceleration; its row is then left out
+    for formula in applicable_formulas("on_time", scheme):
         try:
             value = max_on_time(p, scheme, ma, D, formula,
                                 T=T41 if formula == "Eq41" else None)
@@ -480,7 +463,7 @@ def _min_ri(args, cfg: dict) -> Table:
                           f"V_COTC_CURRENT_RAMP, config says {cfg['scheme'].name}")
     d, T = _timing(cfg, args.command)
     rows = [("-", "search", exact_min_ri(p, d, T), "ohm")]
-    for formula in ("Eq44", "Eq45", "Eq47"):
+    for formula in applicable_formulas("min_ri", Scheme.V_COTC_CURRENT_RAMP):
         rows.append((formula, "closed_form",
                      min_sense_resistance(p, d, T, formula), "ohm"))
     meta = {"scheme": Scheme.V_COTC_CURRENT_RAMP.name, "d_seconds": d,

@@ -52,6 +52,9 @@ class Scheme(enum.Enum):
 
     @classmethod
     def parse(cls, text):
+        """The scheme named by ``text``; a member is returned unchanged."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls[str(text).strip()]
         except KeyError:
@@ -133,7 +136,8 @@ class ConverterModel:
     On stage (duration ``d``): ``xdot = A x + B u``; off stage (duration
     ``T - d``): ``xdot = A x``.  The modulator compares
     ``y = Cvec x + Dvec u`` against the ramp; ``E`` maps the state to the
-    output voltage.  :func:`build_model` builds it from the parameters.
+    output voltage; ``scheme`` is the feedback arrangement ``Cvec`` realises.
+    :func:`build_model` builds it from the parameters.
     """
 
     A: np.ndarray
@@ -141,7 +145,7 @@ class ConverterModel:
     Cvec: np.ndarray
     Dvec: np.ndarray
     E: np.ndarray
-    scheme: Scheme | None = field(default=None, compare=False)
+    scheme: Scheme = field(compare=False)
 
     def __post_init__(self):
         for name, shape in (("A", (2, 2)), ("B", (2, 2)), ("Cvec", (2,)),
@@ -165,8 +169,7 @@ def _needs_ri(scheme):
 
 def build_model(p: BuckParams, scheme: Scheme) -> ConverterModel:
     """State-space realisation of the buck stage under the given scheme."""
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
+    scheme = Scheme.parse(scheme)
     if _needs_ri(scheme) and p.Ri <= 0.0:
         raise UsageError(
             f"scheme {scheme.name} senses the inductor current: Ri must be > 0")
@@ -194,8 +197,7 @@ def slope_normalizer(p: BuckParams, D, scheme: Scheme) -> float:
     feedback at the sensed inductor slope ``Ri*vs*D/L``.  Returns 0 when the
     relevant resistance is 0 (callers must not divide by it blindly).
     """
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme.parse(scheme)
+    scheme = Scheme.parse(scheme)
     D = float(D)
     if not 0.0 < D < 1.0:
         raise DomainError(f"duty ratio must lie in (0, 1), got {D!r}")

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cotstab import (FORMULA_IDS, BuckParams, DomainError, NumericError,
-                     PoleEvaluationError, Scheme, UsageError, build_model,
-                     closed_form_pole, critical_ramp_eig, ct_pole_formula,
-                     equivalent_ct_pole, exact_max_on_time, exact_min_ri,
-                     family_point, linearize, max_on_time, min_ramp_formula,
-                     min_ramp_normalized, min_sense_resistance,
-                     pdb_boundary_approx, pdb_boundary_exact, pdb_onset_duty,
-                     range_max_pdb_ramp, s_approx, s_exact, slope_normalizer,
-                     snb_boundary_approx, snb_boundary_exact, steady_state_at,
-                     sweep)
+from cotstab import (CATALOG, FORMULA_IDS, BuckParams, DomainError,
+                     NumericError, PoleEvaluationError, Scheme, UsageError,
+                     applicable_formulas, build_model, closed_form_pole,
+                     critical_ramp_eig, ct_pole_formula, equivalent_ct_pole,
+                     exact_max_on_time, exact_min_ri, family_point, linearize,
+                     max_on_time, min_ramp_formula, min_ramp_normalized,
+                     min_sense_resistance, pdb_boundary_approx,
+                     pdb_boundary_exact, pdb_onset_duty, range_max_pdb_ramp,
+                     s_approx, s_exact, slope_normalizer, snb_boundary_approx,
+                     snb_boundary_exact, steady_state_at, sweep)
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES, \
     operating, random_buck, random_operating
 
@@ -30,6 +30,55 @@ def test_formula_catalog_is_frozen():
     assert len(FORMULA_IDS) == 33
     assert {"Eq22", "Eq24", "Eq53", "Eq47", "Eq37"} <= FORMULA_IDS
     assert "Eq23" not in FORMULA_IDS  # gaps in the numbering are intentional
+
+
+def test_formula_ids_are_the_catalog_and_the_exact_routes():
+    exact_and_series = {"Eq15", "Eq17", "Eq18", "Eq19", "Eq22", "Eq24",
+                        "Eq26", "Eq53"}
+    assert FORMULA_IDS == set().union(*CATALOG.values()) | exact_and_series
+
+
+# the reference converter with a sense resistor, so every scheme builds
+REF = FAST.with_(Ri=0.05)
+
+# closed-form kind -> its evaluation at one id and scheme on REF
+EVALUATE = {
+    "pole": lambda f, s: closed_form_pole(REF, s, FAST_D, FAST_T, f),
+    "ct_pole": lambda f, s: ct_pole_formula(REF, s, FAST_D, FAST_T, f),
+    "min_ramp": lambda f, s: min_ramp_formula(REF, s, FAST_D, FAST_T, f),
+    "min_ramp_normalized":
+        lambda f, s: min_ramp_normalized(REF, FAST_D, FAST_T, f),
+    "on_time": lambda f, s: max_on_time(REF, s, 0.0, 0.4, f, T=FAST_T),
+    "min_ri": lambda f, s: min_sense_resistance(REF, FAST_D, FAST_T, f),
+    "snb": lambda f, s: snb_boundary_approx(build_model(REF, s), REF, FAST_D,
+                                            FAST_T, f),
+}
+# kinds whose function serves one scheme by construction and takes none
+SCHEME_FREE = {"min_ramp_normalized", "min_ri"}
+
+
+@pytest.mark.parametrize("kind, formula, scheme", [
+    (kind, formula, scheme) for kind, forms in CATALOG.items()
+    for formula in forms for scheme in SCHEMES])
+def test_catalog_declares_where_each_form_applies(kind, formula, scheme):
+    applies = scheme in CATALOG[kind][formula]
+    assert (formula in applicable_formulas(kind, scheme)) == applies
+    if applies:
+        value = EVALUATE[kind](formula, scheme)
+        assert isinstance(value, float) and math.isfinite(value)
+    elif kind not in SCHEME_FREE:
+        with pytest.raises(UsageError, match=f"{formula} applies to"):
+            EVALUATE[kind](formula, scheme)
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_catalog_rejects_ids_of_other_kinds(kind):
+    # the id is checked before the scheme, so any scheme will do
+    other = min(FORMULA_IDS - set(CATALOG[kind]))
+    with pytest.raises(UsageError, match="does not apply here"):
+        EVALUATE[kind](other, Scheme.V_COTC)
+    with pytest.raises(UsageError, match="unknown formula id"):
+        EVALUATE[kind]("Eq23", Scheme.V_COTC)
 
 
 # ------------------------------------------------------------- pole locus
@@ -286,6 +335,14 @@ def test_exact_max_on_time_is_a_boundary_crossing():
     assert residual == pytest.approx(0.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("D", [0.0, -0.4, 1.5, math.nan])
+def test_on_time_routes_reject_impossible_duty(D):
+    with pytest.raises(DomainError, match="duty"):
+        max_on_time(FAST, Scheme.V_COTC, 0.0, D, "Eq39")
+    with pytest.raises(DomainError, match="duty"):
+        exact_max_on_time(FAST, Scheme.V_COTC, 0.0, D, 0.4e-6, 2.8e-6)
+
+
 def test_max_on_time_scheme_guards():
     with pytest.raises(UsageError):
         max_on_time(FAST, Scheme.V_COTC, 0.0, 0.4, "Eq44")
@@ -382,6 +439,17 @@ def test_snb_reference_values():
     assert eq54 == pytest.approx(eq56, rel=1e-10)
     with pytest.raises(UsageError):
         snb_boundary_approx(m, CURRENT, CUR_D, CUR_T, "Eq22")
+
+
+def test_snb_scalar_forms_check_the_model_scheme():
+    # Eq56 on a voltage-feedback model once read -0.0, and Eq55 on a
+    # current-feedback model 47 times the exact threshold
+    with pytest.raises(UsageError, match="Eq56 applies to C_COTC"):
+        snb_boundary_approx(build_model(FAST, Scheme.V_COTC), FAST, FAST_D,
+                            FAST_T, "Eq56")
+    with pytest.raises(UsageError, match="Eq55 applies to V_COTC"):
+        snb_boundary_approx(build_model(CURRENT, Scheme.C_COTC), CURRENT,
+                            CUR_D, CUR_T, "Eq55")
 
 
 def test_snb_negative_ramp_places_pole_at_plus_one():

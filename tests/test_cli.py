@@ -518,6 +518,20 @@ def test_config_rejects_period_and_duty_together(capsys, conf):
     assert "T" in err and "D" in err
 
 
+@pytest.mark.parametrize("command", ["steady-state", "pdb-boundary", "min-ri",
+                                     "hplot", "max-on-time"])
+@pytest.mark.parametrize("duty", ["0", "1.5"])
+def test_config_rejects_duty_outside_unit_interval(capsys, tmp_path, command,
+                                                   duty):
+    # D = 0 once divided by zero, and max-on-time gave rows for D = 1.5
+    path = tmp_path / "duty.conf"
+    path.write_text(BASE.replace("T = 3e-6", f"D = {duty}"))
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    assert f"ConfigError: D must lie in (0, 1], got '{duty}'" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["steady-state"], ["poles"], ["pole-locus"], ["pdb-boundary"],
     ["snb-boundary"], ["simulate"], ["onset", "--sweep", "ma=0:5000:2"],

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from cotstab import (BuckParams, DomainError, RampSpec, Scheme, UsageError,
-                     build_model, slope_normalizer)
+from cotstab import (BuckParams, ConverterModel, DomainError, RampSpec,
+                     Scheme, UsageError, build_model, slope_normalizer)
 from helpers import CURRENT, FAST
 
 
 def test_scheme_parse_roundtrip():
     for scheme in Scheme:
         assert Scheme.parse(scheme.name) is scheme
+        assert Scheme.parse(scheme) is scheme
     assert Scheme.parse("  V_COTC ") is Scheme.V_COTC
     with pytest.raises(UsageError):
         Scheme.parse("PWM")
@@ -78,6 +79,14 @@ def test_current_schemes_require_ri():
         with pytest.raises(UsageError, match="Ri"):
             build_model(p, scheme)
     build_model(p, Scheme.V_COTC)  # no sense resistor needed
+
+
+def test_model_records_its_scheme():
+    for scheme in Scheme:
+        assert build_model(CURRENT, scheme.name).scheme is scheme
+    m = build_model(FAST, Scheme.V_COTC)
+    with pytest.raises(TypeError, match="scheme"):
+        ConverterModel(A=m.A, B=m.B, Cvec=m.Cvec, Dvec=m.Dvec, E=m.E)
 
 
 def test_slope_normalizer_is_ripple_slope_scale():

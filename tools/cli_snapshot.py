@@ -22,8 +22,10 @@ fixed-period and fixed-output duty sweeps; both onset families at reduced
 cycle counts, and the ramp family at a first rung longer than the default
 escalation rung; a critically damped simulation (the matrix-stepping path
 of the simulator) and one on the fixed-output duty family; the built-in
-worked cases; and the error cases of ``tests/test_cli.py``.  It runs in
-about a minute.
+worked cases; the error cases of ``tests/test_cli.py``; and, for each
+command that keeps formula rows, ``--formula`` with every catalog id on
+every scheme, so each row filter and each "does not apply" error is
+covered.  It runs in about two minutes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import os
 import sys
 
 from cotstab import cli
+from cotstab.bifurcation import FORMULA_IDS
 
 PLANT = {"vs": "5.0", "R": "0.5", "L": "2e-6", "C": "2e-5", "Rc": "0.02",
          "Ri": "0.05", "d": "1.2e-6"}
@@ -62,6 +65,15 @@ PER_POINT = {
     "l2": ["--nh", "40", "--sweep", "fs=2e5:1e6:5"],
     "hplot": ["--nh", "40", "--sweep", "fs=2e5:1e6:5"],
     "simulate": ["--cycles", "60"],
+}
+
+# command with formula rows -> (timing of its config, extra arguments)
+FORMULA_COMMANDS = {
+    "poles": ("T", []),
+    "pdb-boundary": ("T", ["--nh", "40"]),
+    "snb-boundary": ("T", ["--nh", "40"]),
+    "max-on-time": ("D", []),
+    "min-ri": ("T", []),
 }
 
 
@@ -191,6 +203,12 @@ def invocations(conf: dict) -> list[list[str]]:
                              ("pdb-boundary", "ma=inf"),
                              ("splot", "vo=nan")):
         runs.append([command, "--config", fast, "--set", setting])
+    for command, (tag, extra) in FORMULA_COMMANDS.items():
+        for scheme in SCHEMES:
+            path = conf[f"{scheme}-{tag}-ma0"]
+            for formula in sorted(FORMULA_IDS):
+                runs.append([command, "--config", path, *extra,
+                             "--formula", formula])
     return runs
 
 
