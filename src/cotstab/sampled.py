@@ -96,20 +96,29 @@ class SteadyState:
         return self.d / self.T
 
 
-def _orbit(m: ConverterModel, ops: CycleOps, u) -> SteadyState:
-    """Fixed point of the cycle map built from ``ops``, at inputs ``u``."""
-    u = np.asarray(u, dtype=float)
-    p1, p2, j1b1 = ops.p1, ops.p2, ops.j1b1
-    lhs = np.eye(m.n) - p2 @ p1
+def _cycle_start(p1, p2, j1b1, u):
+    """Start state of the periodic orbit: ``(I - p2 p1) x0 = p2 j1b1 u``.
+
+    ``p2`` may be a stack of off-stage operators, one orbit per slice;
+    each slice is solved exactly as it would be alone.
+    """
+    lhs = np.eye(p1.shape[-1]) - p2 @ p1
     rhs = p2 @ (j1b1 @ u)
     try:
-        x0 = solve_linear(lhs, rhs)
+        return solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             "periodicity matrix I - exp(A (T-d)) exp(A d) is singular. "
             + str(exc),
             condition=exc.condition,
         ) from exc
+
+
+def _orbit(m: ConverterModel, ops: CycleOps, u) -> SteadyState:
+    """Fixed point of the cycle map built from ``ops``, at inputs ``u``."""
+    u = np.asarray(u, dtype=float)
+    p1, p2, j1b1 = ops.p1, ops.p2, ops.j1b1
+    x0 = _cycle_start(p1, p2, j1b1, u)
     xd = p1 @ x0 + j1b1 @ u
     v = m.A @ x0
     y_end = float(m.Cvec @ x0 + m.Dvec @ u)
@@ -168,16 +177,31 @@ def period_residual(m: ConverterModel, ramp: RampSpec, u, T: float) -> float:
     return ss.y_end - ramp.ma * T
 
 
+def _period_residuals(m: ConverterModel, ramp: RampSpec, u, ts) -> np.ndarray:
+    """:func:`period_residual` at every period of ``ts``, bit for bit.
+
+    Only the period varies along ``ts``, so the on-stage operators are
+    formed once, and the off-stage exponentials and the periodicity solves
+    are one stacked call each.
+    """
+    u = np.asarray(u, dtype=float)
+    x0 = _cycle_start(expm(m.A, ramp.d), expm(m.A, ts - ramp.d),
+                      expm_integral(m.A, m.B, ramp.d), u)
+    # a stacked product, so that each point is its own Cvec @ x0
+    y_end = (m.Cvec @ x0[..., None])[..., 0] + m.Dvec @ u
+    return y_end - ramp.ma * ts
+
+
 def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
                  T_hi: float, grid: int = 2000):
     """All periods in [T_lo, T_hi] whose steady cycle meets the ramp.
 
-    Scans the boundary residual on a uniform grid and polishes each sign
-    change with the bracketing root finder.  Near-tangent double roots are
-    also reported when the residual dips to zero without changing sign.
-    Multiple roots indicate proximity to a saddle-node point.  Returns a
-    list of (T, SteadyState) pairs in ascending T; empty when no cycle
-    closes in the bracket.
+    Scans the boundary residual on a uniform grid, in one stacked
+    evaluation, and polishes each sign change with the bracketing root
+    finder.  Near-tangent double roots are also reported when the residual
+    dips to zero without changing sign.  Multiple roots indicate proximity
+    to a saddle-node point.  Returns a list of (T, SteadyState) pairs in
+    ascending T; empty when no cycle closes in the bracket.
     """
     from .linalg import find_root
 
@@ -186,7 +210,7 @@ def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
             f"bracket must satisfy d < T_lo < T_hi, got d={ramp.d!r}, "
             f"T_lo={T_lo!r}, T_hi={T_hi!r}")
     ts = np.linspace(T_lo, T_hi, int(grid))
-    res = np.array([period_residual(m, ramp, u, t) for t in ts])
+    res = _period_residuals(m, ramp, u, ts)
     scale = float(np.max(np.abs(res))) or 1.0
     roots = []
     for i in range(len(ts) - 1):

@@ -8,18 +8,22 @@ the off-stage matrix when it is clean, which makes the crossing scan a
 vectorized exponential evaluation; a plain matrix-stepping fallback covers
 defective or awkward cases.
 
-On the fast path the scan's exponential table depends only on the model,
-the ramp and the guess period, so each run builds it once and every cycle
-reduces to a mat-vec against it, over the rows up to the previous cycle's
-crossing plus a margin and over the rest only when those miss.  The modal
-coordinates of the state after the on-time are formed once per cycle and
-shared by the scan, a safeguarded Newton refiner (the modal expansion
-gives the slope of the switching residual for free) and the state update.
-The matrix-stepping fallback refines with ``find_root``.  Caching changes
-no arithmetic: a trace is bit-identical to a loop form that scans whole
-table chunks and evaluates every term afresh in every cycle, with the same
-Newton refiner.  Each cycle depends only on its start state, so a run
-continued from its last state is bit-identical to one longer run.
+On the fast path a cycle runs in the modal coordinates of the off stage.
+Everything that does not depend on the state is formed once per engine:
+the on-stage map in modal form and, one chunk at a time, a real scan table
+whose rows turn the modal coefficients into the switching residual on the
+scan grid.  A cycle maps its physical start state to the modal
+coordinates after the on-time in Python complex scalars, finds the
+crossing cell with one table mat-vec over the rows up to the previous
+cycle's crossing plus a margin (the rest only when those miss), refines
+the instant with a safeguarded Newton on the exact modal residual (the
+expansion gives its slope for free) and maps the modes back to the
+physical state.  The matrix-stepping fallback refines with ``find_root``.
+A trace is bit-identical to a loop form of the same formulas that scans
+whole table chunks and evaluates every term afresh in every cycle; against
+a loop form in physical coordinates it agrees to rounding, which a
+diverging orbit amplifies.  Each cycle depends only on its start state, so
+a run continued from its last state is bit-identical to one longer run.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ SCAN_MARGIN = 32            # rows scanned past the last cycle's crossing first
 NEWTON_STEPS = 8            # Newton steps before the refiner only bisects
 
 _EPS = float(np.finfo(float).eps)
+_NO_CROSSING = f"no ramp crossing within {HORIZON_PERIODS} guess periods"
 
 PERIOD1 = "PERIOD1"
 PERIOD2 = "PERIOD2"
@@ -94,15 +99,20 @@ class _CycleEngine:
 
     Work that does not depend on the state is done once per engine: the
     on-stage map, the off-stage eigenstructure (or its stepping matrix on
-    the fallback path) and the crossing-scan table.  The table holds
-    ``exp(lam * tau_k)`` and the ramp term ``ma * (d + tau_k)`` on the scan
-    grid; it is built lazily, one chunk of ``2 * SCAN_DIVISIONS`` grid
-    points at a time, so a run whose crossings all fall in the first chunk
-    never builds the rest.  Work that depends on the state is done once per
-    cycle: the modal coordinates ``z`` of the post-on-time state and the
-    refiner's coefficients ``cv[i] * z[i]``.  A fast-path cycle then costs
-    one table mat-vec over the rows up to the previous crossing plus
-    ``SCAN_MARGIN`` (the rest only on a miss) and a few scalar evaluations.
+    the fallback path) and the crossing-scan table.  On the fast path the
+    on-stage map is held in modal form, ``z_d = Pm x + jm`` with
+    ``Pm = vinv @ p1`` and ``jm = vinv @ j1u``, as Python complex scalars.
+    The table is real: a row ``[Re E, -Im E, 1, -ma (d + tau_k)]`` with
+    ``E = exp(lam * tau_k)`` on the scan grid, so its product with the
+    weights ``[Re az, Im az, du, 1]`` (``az = cv * z_d``) is the switching
+    residual at ``tau_k``.  It is built lazily, one chunk of
+    ``2 * SCAN_DIVISIONS`` grid points at a time, so a run whose crossings
+    all fall in the first chunk never builds the rest.  A fast-path cycle
+    then costs scalar arithmetic on the ``n`` modes, one table mat-vec over
+    the rows up to the previous crossing plus ``SCAN_MARGIN`` (the rest
+    only on a miss) and a few scalar residual evaluations.  One engine
+    serves any number of runs; the crossing row it carries between cycles
+    only sets where the scan looks first, never what it finds.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -142,40 +152,166 @@ class _CycleEngine:
                 self.vecs = vecs
                 self.vinv = vinv
                 self.cv = self.m.Cvec @ vecs
+                # the per-cycle arithmetic runs on Python scalars
+                self._pm = _complex_rows(vinv @ self.p1)
+                self._jm = _complex_rows(vinv @ self.j1u)
+                self._cv = _complex_rows(self.cv)
+                self._lam = _complex_rows(lam)
+                self._vecs = _complex_rows(vecs)
                 self._table = []    # scan chunks, filled on demand
         if not self.fast:
             self.phi_step = expm(a, self.step)
 
-    # stage 1: exact on-time propagation
-    def on_stage(self, x: np.ndarray) -> np.ndarray:
-        return self.p1 @ x + self.j1u
+    def run(self, x0: np.ndarray, ncycles: int):
+        """``Tn``, ``x_end`` and ``saturated`` of ``ncycles`` cycles.
 
-    def _modal_phi(self, z: np.ndarray):
-        """This cycle's phi(tau) and phi'(tau) from the modal coordinates.
+        Raises MissedSwitchingError tagged with the index of the cycle,
+        counted from ``x0``, whose feedback never returned to the ramp.
+        """
+        tns = np.empty(ncycles)
+        x_end = np.empty((ncycles, self.m.n))
+        sat = np.empty(ncycles, dtype=bool)
+        cycles = (self._modal_cycles if self.fast
+                  else self._stepping_cycles)(x0)
+        try:
+            for k in range(ncycles):
+                tns[k], x_end[k], sat[k] = next(cycles)
+        except MissedSwitchingError as exc:
+            raise MissedSwitchingError(str(exc), cycle=k) from None
+        return tns, x_end, sat
+
+    def _modal_cycles(self, x0):
+        """Fast-path cycles from ``x0``; yields Tn, x_end, saturated."""
+        d = self.ramp.d
+        ma = self.ramp.ma
+        du = self.du
+        pm, jm, cv, lam, vecs = (self._pm, self._jm, self._cv, self._lam,
+                                 self._vecs)
+        tol = REFINE_REL_TOL * self.T_guess
+        mul = operator.mul
+        x = [float(v) for v in x0]
+        while True:
+            zd = [sum(map(mul, row, x)) + j for row, j in zip(pm, jm)]
+            az = [c * z for c, z in zip(cv, zd)]
+            acc = 0.0
+            for a in az:
+                acc += a.real
+            phi0 = acc + du - ma * d
+            saturated = phi0 <= 0.0
+            if saturated:
+                # ramp already at or above the feedback when the on-time ends
+                tau = 0.0
+            else:
+                lo, hi = self._scan_fast(az)
+                # judge the bracket with the refiner's own evaluator: the
+                # scan and the scalar path may disagree by a few ulp
+                # around an exact zero
+                f = self._modal_phi(az)
+                flo = f(lo)[0] if lo > 0.0 else phi0
+                fhi = f(hi)[0]
+                if fhi == 0.0:
+                    tau = hi
+                elif flo > 0.0 > fhi:
+                    tau = _newton(f, lo, hi, flo, fhi, tol)
+                else:
+                    scale = (2.0 * abs(du) + abs(ma) * (d + hi)
+                             + sum(map(abs, az)))
+                    tau = _end_within_noise(lo, hi, flo, fhi, scale)
+            ez = [cmath.exp(lm * tau) * z for lm, z in zip(lam, zd)]
+            x = [sum(map(mul, row, ez)).real for row in vecs]
+            yield d + tau, x, saturated
+
+    def _modal_phi(self, az):
+        """This cycle's phi(tau) and phi'(tau) from the modal coefficients.
 
         phi is the feedback minus the ramp at d + tau:
-        ``phi = sum Re(cv_i z_i exp(lam_i tau)) + du - ma (d + tau)`` and
-        ``phi' = sum Re(cv_i z_i lam_i exp(lam_i tau)) - ma``, both exact
+        ``phi = sum Re(az_i exp(lam_i tau)) + du - ma (d + tau)`` and
+        ``phi' = sum Re(az_i lam_i exp(lam_i tau)) - ma``, both exact
         scalar evaluations.
         """
         d = self.ramp.d
         ma = self.ramp.ma
         du = self.du
-        terms = []
-        for i in range(len(self.lam)):
-            cz = complex(self.cv[i] * z[i])
-            lam = complex(self.lam[i])
-            terms.append((cz, cz * lam, lam))
+        terms = [(a, a * lm, lm) for a, lm in zip(az, self._lam)]
 
         def phi(tau):
             acc = 0.0
             dacc = 0.0
-            for cz, czl, lam in terms:
-                e = cmath.exp(lam * tau)
-                acc += (cz * e).real
-                dacc += (czl * e).real
+            for a, al, lm in terms:
+                e = cmath.exp(lm * tau)
+                acc += (a * e).real
+                dacc += (al * e).real
             return acc + du - ma * (d + tau), dacc - ma
         return phi
+
+    def _scan_table(self, k0: int) -> np.ndarray:
+        """The scan table's ``2 * SCAN_DIVISIONS`` rows from row ``k0``."""
+        chunk = 2 * SCAN_DIVISIONS
+        taus = np.arange(k0, min(k0 + chunk, self.kmax + 1)) * self.step
+        e = np.exp(np.outer(taus, self.lam))
+        return np.column_stack([e.real, -e.imag, np.ones_like(taus),
+                                -self.ramp.ma * (self.ramp.d + taus)])
+
+    def _scan_fast(self, az):
+        """Vectorized crossing scan; returns the bracketing interval.
+
+        ``az`` holds the modal coefficients ``cv * z_d``.  The first chunk
+        is scanned in two blocks: rows up to the last cycle's crossing row
+        plus ``SCAN_MARGIN``, then, on a miss only, the rest.  A block is a
+        row slice of the same table, evaluated with the same operations, so
+        the first crossing row is the one a scan of the whole chunk finds.
+        """
+        w = np.array([a.real for a in az] + [a.imag for a in az]
+                     + [self.du, 1.0])
+        split = self.hint + SCAN_MARGIN
+        for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
+            if i == len(self._table):
+                self._table.append(self._scan_table(k0))
+            table = self._table[i]
+            # numpy forms a one-row product by another kernel, which may
+            # round differently, so the second block keeps two rows or more
+            starts = (0, split) if i == 0 and split < len(table) - 1 else (0,)
+            for start, stop in zip(starts, starts[1:] + (len(table),)):
+                below = table[start:stop].dot(w) <= 0.0
+                row = int(below.argmax())
+                if below[row]:
+                    self.hint = k0 + start + row
+                    return (self.hint - 1) * self.step, self.hint * self.step
+        raise MissedSwitchingError(_NO_CROSSING)
+
+    # the matrix-stepping fallback, for an off stage that does not
+    # diagonalize cleanly
+    def on_stage(self, x: np.ndarray) -> np.ndarray:
+        return self.p1 @ x + self.j1u
+
+    def _stepping_cycles(self, x0):
+        """Fallback-path cycles from ``x0``; yields Tn, x_end, saturated."""
+        d = self.ramp.d
+        ma = self.ramp.ma
+        x = x0
+        while True:
+            x_d = self.on_stage(x)
+            phi0 = float(self.m.Cvec @ x_d) + self.du - ma * d
+            saturated = phi0 <= 0.0
+            if saturated:
+                x = x_d
+                tau = 0.0
+            else:
+                lo, hi = self._scan_steps(x_d)
+                phi = self._stepping_phi(x_d)
+                flo = phi(lo) if lo > 0.0 else phi0
+                fhi = phi(hi)
+                if fhi == 0.0:
+                    tau = hi
+                elif flo > 0.0 > fhi:
+                    tau = find_root(phi, lo, hi,
+                                    tol=REFINE_REL_TOL * self.T_guess)
+                else:
+                    scale = (abs(self.du) + abs(ma) * (d + hi)
+                             + float(np.abs(self.m.Cvec) @ np.abs(x_d)))
+                    tau = _end_within_noise(lo, hi, flo, fhi, scale)
+                x = expm(self.m.A, tau) @ x_d
+            yield d + tau, x, saturated
 
     def _stepping_phi(self, x_d: np.ndarray):
         """phi(tau) on the fallback path, by one exponential per evaluation."""
@@ -187,40 +323,6 @@ class _CycleEngine:
             return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
         return phi
 
-    def state_at(self, x_d: np.ndarray, z, tau: float) -> np.ndarray:
-        if z is not None:
-            return (self.vecs @ (np.exp(self.lam * tau) * z)).real
-        return expm(self.m.A, tau) @ x_d
-
-    def _scan_fast(self, z: np.ndarray):
-        """Vectorized crossing scan; returns the bracketing interval or None.
-
-        The first chunk is scanned in two blocks: rows up to the last
-        cycle's crossing row plus ``SCAN_MARGIN``, then, on a miss only,
-        the rest.  A block is a row slice of the same table, evaluated with
-        the same operations, so the first crossing row is the one a scan
-        of the whole chunk finds.
-        """
-        az = self.cv * z
-        chunk = 2 * SCAN_DIVISIONS
-        split = self.hint + SCAN_MARGIN
-        for i, k0 in enumerate(range(1, self.kmax + 1, chunk)):
-            if i == len(self._table):
-                taus = np.arange(k0, min(k0 + chunk, self.kmax + 1)) * self.step
-                self._table.append((np.exp(np.outer(taus, self.lam)),
-                                    self.ramp.ma * (self.ramp.d + taus)))
-            table, ramp_term = self._table[i]
-            blocks = (slice(None),)
-            if i == 0 and split < len(table):
-                blocks = (slice(0, split), slice(split, None))
-            for rows in blocks:
-                phis = (table[rows] @ az).real + self.du - ramp_term[rows]
-                hits = np.nonzero(phis <= 0.0)[0]
-                if hits.size:
-                    self.hint = k0 + (rows.start or 0) + int(hits[0])
-                    return (self.hint - 1) * self.step, self.hint * self.step
-        return None
-
     def _scan_steps(self, x_d: np.ndarray):
         """Matrix-stepping crossing scan for the fallback path."""
         d = self.ramp.d
@@ -230,62 +332,28 @@ class _CycleEngine:
             phi = float(self.m.Cvec @ x) + self.du - self.ramp.ma * (d + k * self.step)
             if phi <= 0.0:
                 return (k - 1) * self.step, k * self.step
-        return None
+        raise MissedSwitchingError(_NO_CROSSING)
 
-    def _phi_scale(self, x_d: np.ndarray, z, tau_hi: float) -> float:
-        """Magnitude of the terms whose cancellation forms phi."""
-        mag = abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + tau_hi)
-        if z is not None:
-            mag += float(np.sum(np.abs(self.cv * z))) + abs(self.du)
-        else:
-            mag += float(np.abs(self.m.Cvec) @ np.abs(x_d))
-        return max(mag, 1e-300)
 
-    def run_cycle(self, x: np.ndarray) -> CycleStep:
-        d = self.ramp.d
-        x_d = self.on_stage(x)
-        phi0 = float(self.m.Cvec @ x_d) + self.du - self.ramp.ma * d
-        if phi0 <= 0.0:
-            # ramp already at or above the feedback when the on-time ends
-            return CycleStep(x_d, d, float(self.m.Cvec @ x_d) + self.du, True)
-        if self.fast:
-            z = self.vinv @ x_d
-            found = self._scan_fast(z)
-            modal = self._modal_phi(z)
+def _complex_rows(a: np.ndarray) -> list:
+    """``a`` (a vector or a matrix) as nested lists of Python complex."""
+    if a.ndim == 1:
+        return [complex(v) for v in a]
+    return [_complex_rows(row) for row in a]
 
-            def phi(tau):
-                return modal(tau)[0]
-        else:
-            z = None
-            found = self._scan_steps(x_d)
-            phi = self._stepping_phi(x_d)
-        if found is None:
-            raise MissedSwitchingError(
-                f"no ramp crossing within {HORIZON_PERIODS} guess periods")
-        lo, hi = found
-        # judge the bracket with the refiner's own evaluator: the scan and
-        # the scalar path may disagree by a few ulp around an exact zero
-        flo = phi(lo) if lo > 0.0 else phi0
-        fhi = phi(hi)
-        tol = REFINE_REL_TOL * self.T_guess
-        if fhi == 0.0:
-            tau = hi
-        elif flo > 0.0 > fhi:
-            if z is None:
-                tau = find_root(phi, lo, hi, tol=tol)
-            else:
-                tau = _newton(modal, lo, hi, flo, fhi, tol)
-        else:
-            noise = 64.0 * _EPS * self._phi_scale(x_d, z, hi)
-            if min(abs(flo), abs(fhi)) <= noise:
-                tau = lo if abs(flo) < abs(fhi) else hi
-            else:
-                raise MissedSwitchingError(
-                    "crossing scan and refiner disagree beyond roundoff; "
-                    f"phi({lo:.3e}) = {flo:.3e}, phi({hi:.3e}) = {fhi:.3e}")
-        x_next = self.state_at(x_d, z, tau)
-        return CycleStep(x_next, d + tau,
-                         float(self.m.Cvec @ x_next) + self.du, False)
+
+def _end_within_noise(lo: float, hi: float, flo: float, fhi: float,
+                      scale: float) -> float:
+    """The bracket end whose residual is roundoff of terms of size ``scale``.
+
+    Used when the scan's cell does not bracket a sign change under the
+    refiner's evaluator; anything larger than roundoff is a real miss.
+    """
+    if min(abs(flo), abs(fhi)) <= 64.0 * _EPS * max(scale, 1e-300):
+        return lo if abs(flo) < abs(fhi) else hi
+    raise MissedSwitchingError(
+        "crossing scan and refiner disagree beyond roundoff; "
+        f"phi({lo:.3e}) = {flo:.3e}, phi({hi:.3e}) = {fhi:.3e}")
 
 
 def _newton(f, lo: float, hi: float, flo: float, fhi: float,
@@ -338,6 +406,26 @@ def _integer(name: str, value, least: int) -> int:
     return value
 
 
+def _start_state(m: ConverterModel, x0) -> np.ndarray:
+    """``x0`` as a state vector of ``m``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (m.n,):
+        raise DomainError(f"x0 must have shape ({m.n},), got {x0.shape}")
+    return x0
+
+
+def _run(eng: _CycleEngine, x0: np.ndarray, ncycles: int) -> Trace:
+    """The trace of ``ncycles`` cycles of ``eng`` from ``x0``.
+
+    The feedback at each switching instant is formed once per run, as one
+    stacked product: each row is ``Cvec @ x + du`` of that row alone (a
+    plain matrix-vector product would round differently).
+    """
+    tns, x_end, sat = eng.run(x0, ncycles)
+    y_switch = (eng.m.Cvec @ x_end[..., None])[..., 0] + eng.du
+    return Trace(tns, x_end, y_switch, sat, x0, eng.u)
+
+
 def step_cycle(m: ConverterModel, ramp: RampSpec, x, u,
                T_guess: float) -> CycleStep:
     """Advance the converter by one switching cycle.
@@ -345,10 +433,13 @@ def step_cycle(m: ConverterModel, ramp: RampSpec, x, u,
     Applies the on-stage for the fixed on-time, then switches at the first
     instant the feedback signal falls to the ramp.  A cycle whose feedback
     is already at or below the ramp when the on-time ends is flagged
-    saturated and switches immediately.
+    saturated and switches immediately.  The result is the first cycle of
+    :func:`simulate` from the same state, bit for bit.
     """
-    eng = _CycleEngine(m, ramp, u, T_guess)
-    return eng.run_cycle(np.asarray(x, dtype=float))
+    x = _start_state(m, x)
+    tr = _run(_CycleEngine(m, ramp, u, T_guess), x, 1)
+    return CycleStep(tr.x_end[0], float(tr.Tn[0]), float(tr.y_switch[0]),
+                     bool(tr.saturated[0]))
 
 
 def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
@@ -362,26 +453,8 @@ def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
     ncycles = _integer("ncycles", ncycles, 1)
     if T_guess is None:
         T_guess = 2.0 * ramp.d
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (m.n,):
-        raise DomainError(f"x0 must have shape ({m.n},), got {x0.shape}")
-    eng = _CycleEngine(m, ramp, u, T_guess)
-    tns = np.empty(ncycles)
-    xe = np.empty((ncycles, m.n))
-    ys = np.empty(ncycles)
-    sat = np.zeros(ncycles, dtype=bool)
-    x = x0
-    for k in range(ncycles):
-        try:
-            st = eng.run_cycle(x)
-        except MissedSwitchingError as exc:
-            raise MissedSwitchingError(str(exc), cycle=k) from None
-        tns[k] = st.Tn
-        xe[k] = st.x_next
-        ys[k] = st.y_switch
-        sat[k] = st.saturated
-        x = st.x_next
-    return Trace(tns, xe, ys, sat, x0, np.asarray(u, dtype=float))
+    x0 = _start_state(m, x0)
+    return _run(_CycleEngine(m, ramp, u, T_guess), x0, ncycles)
 
 
 def classify_orbit(trace: Trace, settle: int = 500) -> str:
@@ -421,22 +494,24 @@ def estimate_multiplier(m: ConverterModel, ramp: RampSpec, u, T: float,
 
     Kicks the fixed point along each state axis, simulates a handful of
     cycles, and reads the multiplier off the ratio of successive state
-    deviations projected on the final deviation direction.  Purely a
-    simulation measurement; no Jacobian is formed.
+    deviations projected on the final deviation direction.  All kicked
+    runs share one engine.  Purely a simulation measurement; no Jacobian
+    is formed.
     """
     if x_star is None:
         from .sampled import steady_state_at
         x_star = steady_state_at(m, ramp.d, T, u).x0_0
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _start_state(m, x_star)
+    ncycles = _integer("ncycles", ncycles, 1)
     scale = max(float(np.max(np.abs(x_star))), 1e-30)
     eps = rel_eps * scale
+    eng = _CycleEngine(m, ramp, u, T)
     best = None
     best_growth = -1.0
     for axis in range(m.n):
         x0 = x_star.copy()
         x0[axis] += eps
-        tr = simulate(m, ramp, x0, u, ncycles, T)
-        dev = tr.x_end - x_star
+        dev = eng.run(x0, ncycles)[1] - x_star
         norms = np.linalg.norm(dev, axis=1)
         if norms[-1] <= 0.0:
             continue
@@ -543,16 +618,19 @@ def _trend_side(trace: Trace, settle: int) -> str:
 def _probe_side(setup, ladder, settle: int) -> str:
     """Classify one probe, lengthening its run rung by rung if undecided.
 
-    Each rung continues the previous run from its last state instead of
-    starting over; a cycle depends only on its start state, so the result
-    is the run a fresh simulation of the rung's length would give.
+    Each rung continues the previous run from its last state, on the same
+    engine, instead of starting over; a cycle depends only on its start
+    state, so the result is the run a fresh simulation of the rung's
+    length would give.
     """
     m, ramp, u, T, x = setup
+    eng = _CycleEngine(m, ramp, u, T)
+    x = _start_state(m, x)
     tr = None
     for nc in ladder:
         done = 0 if tr is None else tr.ncycles
         try:
-            more = simulate(m, ramp, x, u, nc - done, T)
+            more = _run(eng, x, nc - done)
         except MissedSwitchingError:
             return "unstable"
         tr = more if tr is None else _joined(tr, more)

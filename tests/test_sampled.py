@@ -8,7 +8,9 @@ from cotstab import (DegenerateSwitchingError, DomainError, RampSpec, Scheme,
                      consistent_vc, control_to_output, expm,
                      expm_integral, linearize, orbit_sample, period_residual,
                      poles, solve_period, steady_state_at)
-from helpers import FAST, FAST_D, FAST_T, operating, random_operating
+from cotstab.sampled import _period_residuals
+from helpers import (FAST, FAST_D, FAST_T, SCHEMES, operating,
+                     random_operating)
 
 def test_orbit_is_a_fixed_point_of_the_cycle_map():
     rng = np.random.default_rng(7101)
@@ -83,6 +85,18 @@ def test_solve_period_recovers_the_design_period():
     t_root, ss_root = found[0]
     assert t_root == pytest.approx(T, rel=1e-9)
     assert ss_root.y_end == pytest.approx(ramp.ma * t_root, rel=1e-9)
+
+
+def test_stacked_period_residuals_match_the_pointwise_residual():
+    # solve_period scans its grid in one stacked evaluation; every point
+    # must be the scalar residual, bit for bit
+    rng = np.random.default_rng(7106)
+    for scheme, ma in zip(SCHEMES, (0.0, 2e4, -3e4)):
+        _, _, _, T, m, ramp, u, _ = random_operating(rng, scheme, ma)
+        ts = np.linspace(1.05 * ramp.d, 1.9 * T, 301)
+        stacked = _period_residuals(m, ramp, u, ts)
+        pointwise = [period_residual(m, ramp, u, t) for t in ts]
+        assert np.array_equal(stacked, pointwise)
 
 
 def test_orbit_sample_continuity_and_endpoints():

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotstab import (
     BuckParams,
@@ -33,11 +35,14 @@ from cotstab.errors import (
     MissedSwitchingError,
     UsageError,
 )
+from cotstab.bifurcation import pdb_boundary_exact
+from cotstab.linalg import expm
 from cotstab.sampled import consistent_steady_state, poles, steady_state_at
 from cotstab.simulate import (OTHER, PERIOD1, PERIOD2, _CycleEngine,
                               _newton)
 
-from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
+from helpers import (CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES,
+                     operating)
 
 
 def _synthetic_trace(tns, saturated=None):
@@ -161,6 +166,60 @@ def test_continued_run_matches_one_long_run(family, ma, fast):
         assert np.array_equal(getattr(whole, field), joined), field
     assert np.array_equal(whole.x0, head.x0)
     assert np.array_equal(whole.u, tail.u)
+
+
+@pytest.mark.parametrize("family, ma, ncycles, fast", [
+    (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 1000.0,
+     40, True),
+    (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 600.0,
+     440, True),
+    (_critical_family, 5000.0, 40, False),
+])
+def test_step_cycle_is_the_first_cycle_of_simulate(family, ma, ncycles,
+                                                   fast):
+    # from each of the last 40 start states of a run, one step is that
+    # cycle of the run, bit for bit; at ma = 600 they include saturated
+    # cycles, which begin after about 400
+    m, ramp, u, T, x0 = family()(ma)
+    assert _CycleEngine(m, ramp, u, T).fast is fast
+    tr = simulate(m, ramp, x0, u, ncycles, T)
+    starts = np.vstack([x0, tr.x_end[:-1]])
+    for k in range(ncycles - 40, ncycles):
+        one = step_cycle(m, ramp, starts[k], u, T)
+        assert np.array_equal(one.x_next, tr.x_end[k]), k
+        assert one.Tn == tr.Tn[k], k
+        assert one.y_switch == tr.y_switch[k], k
+        assert one.saturated == tr.saturated[k], k
+    assert bool(tr.saturated[-40:].any()) is (ma == 600.0)
+
+
+def test_estimate_multiplier_runs_every_axis_on_one_engine(monkeypatch):
+    # one engine serves every kicked run; the scan row it carries from one
+    # run to the next moves no bit against a fresh engine per axis
+    module = sys.modules["cotstab.simulate"]
+    built = []
+
+    class Counted(_CycleEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class Fresh(_CycleEngine):
+        def run(self, x0, ncycles):
+            eng = _CycleEngine(self.m, self.ramp, self.u, self.T_guess)
+            return eng.run(x0, ncycles)
+
+    for m, ramp, u, T in [
+        (*operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)[:3], FAST_T),
+        (*operating(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, 0.0)[:3], CUR_T),
+        _critical_family()(5000.0)[:4],
+    ]:
+        monkeypatch.setattr(module, "_CycleEngine", Counted)
+        shared = estimate_multiplier(m, ramp, u, T)
+        assert len(built) == 1
+        built.clear()
+        monkeypatch.setattr(module, "_CycleEngine", Fresh)
+        assert estimate_multiplier(m, ramp, u, T) == shared
 
 
 def test_newton_refiner_bisects_when_a_step_leaves_the_bracket():
@@ -331,26 +390,27 @@ def test_onset_search_locates_subharmonic_boundary():
 
 def test_onset_ladder_only_lengthens_runs(monkeypatch):
     # rungs not longer than the run before them are skipped, and each
-    # kept rung continues the run instead of starting it over
+    # kept rung continues the run on the probe's one engine instead of
+    # starting it over
     runs = []
-    module = sys.modules["cotstab.simulate"]
-    original = module.simulate
+    original = _CycleEngine.run
 
-    def recorded(m, ramp, x0, u, ncycles, T_guess=None):
-        tr = original(m, ramp, x0, u, ncycles, T_guess)
-        runs.append((ramp.ma, ncycles, x0, tr.x_end[-1]))
-        return tr
+    def recorded(eng, x0, ncycles):
+        out = original(eng, x0, ncycles)
+        runs.append((eng, ncycles, x0, out[1][-1]))
+        return out
 
-    monkeypatch.setattr(module, "simulate", recorded)
+    monkeypatch.setattr(_CycleEngine, "run", recorded)
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
     onset_search(fam, 900.0, 1000.0, cycles=200, settle=50,
                  escalation=(100, 400, 300, 600), iters=1)
     assert {n for _, n, _, _ in runs} == {200}
     per_probe = {}
-    for (ma, _, x0, _), prev in zip(runs, [None, *runs]):
-        per_probe[ma] = per_probe.get(ma, 0) + 1
-        if per_probe[ma] > 1:
-            assert prev[0] == ma and np.array_equal(x0, prev[3])
+    for (eng, _, x0, _), prev in zip(runs, [None, *runs]):
+        per_probe[eng] = per_probe.get(eng, 0) + 1
+        if per_probe[eng] > 1:
+            assert prev[0] is eng and np.array_equal(x0, prev[3])
+    assert len(per_probe) == 3
     assert max(per_probe.values()) == 3
 
 
@@ -365,3 +425,63 @@ def test_onset_search_validates_cycles_and_rungs(kwargs, name):
     args = dict(cycles=120, settle=30, escalation=())
     with pytest.raises(DomainError, match=name):
         onset_search(fam, 2000.0, 2500.0, **{**args, **kwargs})
+
+
+@st.composite
+def _buck_on_its_orbit(draw):
+    """A buck in the ``helpers.random_buck`` ranges on its exact orbit.
+
+    Half the draws take the load below critical damping, so the off-stage
+    eigenvalues are real and distinct; the rest give a complex pair.  An
+    overdamped pair needs a small load against sqrt(L/C), so those draws
+    take L and C from the corner of their ranges where the critical load
+    lies inside the load range.  The ramp is twice the exact period-
+    doubling slope (none where the orbit is stable without one).
+    """
+    def exp10(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    overdamped = draw(st.booleans())
+    if overdamped:
+        L, C = exp10(-5.4, -5.1), exp10(-5.0, -4.8)
+    else:
+        L, C = exp10(-6.3, -5.1), exp10(-5.0, -3.6)
+    Rc = exp10(-3.0, -1.6)
+    # the off-stage pair is real for loads up to r_crit
+    r_crit = 1.0 / (C * Rc / L + 2.0 * math.sqrt(C / L))
+    if overdamped:
+        R = exp10(-0.7, math.log10(0.95 * r_crit))
+    else:
+        R = exp10(max(-0.7, math.log10(1.05 * r_crit)), 1.2)
+    p = BuckParams(R=R, L=L, C=C, Rc=Rc, Ri=exp10(-2.0, -0.7),
+                   vs=draw(st.floats(3.0, 24.0)))
+    scheme = draw(st.sampled_from(SCHEMES))
+    T = exp10(-6.3, -5.3)
+    d = draw(st.floats(0.15, 0.85)) * T
+    m = build_model(p, scheme)
+    ma = 2.0 * max(pdb_boundary_exact(m, p.vs, d, T), 0.0)
+    return overdamped, operating(p, scheme, d, T, ma) + (T,)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_buck_on_its_orbit())
+def test_exact_orbit_is_a_fixed_point_of_the_simulator(draw):
+    # the modal engine against the sampled route: started on the exact
+    # orbit, every cycle must switch at T and return to the orbit's start
+    overdamped, (m, ramp, u, ss, T) = draw
+    lam = np.linalg.eigvals(m.A)
+    if overdamped:
+        assert np.all(lam.imag == 0.0) and lam[0] != lam[1]
+    else:
+        assert np.all(lam.imag != 0.0)
+    assert np.max(np.abs(poles(m, ramp, u, T))) < 1.0
+    # the orbit's feedback stays above the ramp over the off stage, so its
+    # first crossing is the one at T that the simulator must find
+    ts = np.linspace(ramp.d, T, 65)[1:-1]
+    xs = expm(m.A, ts - ramp.d) @ ss.x0_d
+    assert np.all(xs @ m.Cvec + m.Dvec @ u > ramp.ma * ts)
+    tr = simulate(m, ramp, ss.x0_0, u, 50, T)
+    assert not tr.saturated.any()
+    assert np.max(np.abs(tr.Tn / T - 1.0)) <= 1e-9
+    scale = np.max(np.abs(ss.x0_0))
+    assert np.max(np.abs(tr.x_end - ss.x0_0)) <= 1e-9 * scale
