@@ -1,27 +1,15 @@
-"""Small dense linear-algebra kernel used by every analysis module.
+"""Small dense linear algebra for the analysis modules, numpy only.
 
-All converter work happens on tiny dense matrices (two states for the buck,
-four for the augmented integral blocks), so the routines here use numpy
-alone and add the argument checking, error taxonomy and defaults the rest
-of the library relies on:
-
-* ``expm`` - matrix exponential by scaling and squaring after Al-Mohy &
-  Higham (2009, SIAM J. Matrix Anal. Appl. 31(3)): a Pade approximant of
-  degree 3, 5, 7, 9 or 13 and the number of squarings are picked per
-  matrix from exact 1-norms of its powers.  Takes a stack of matrices and
-  an array of times; each slice is computed exactly as it would be alone.
-* ``expm_integral`` - the convolution integral ``int_0^t expm(A*s) ds @ B``
-  evaluated through an augmented block exponential, which stays valid for
-  singular ``A`` (no inverse is ever formed).
-* ``eigenvalues`` - Hessenberg reduction plus shifted QR (LAPACK ``geev``).
-* ``solve_linear`` - LU solve with a condition estimate; solves against a
-  near-singular matrix raise instead of returning garbage.
-* ``find_root`` - deterministic bracketed scalar root finding, bisection
-  safeguarded regula falsi.
-
-Stacked inputs are evaluated with numpy's stacked ``matmul``, ``solve``
-and ``cond``, which compute every slice exactly as a lone matrix, so a
-stacked call returns bit for bit the values of the one-matrix calls.
+Every model has two states, so ``expm`` is the closed form of the 2x2
+exponential (Putzer, Amer. Math. Monthly 73(1), 1966; Moler & Van Loan,
+SIAM Rev. 45(1), 2003): with ``M = A t``, ``a = tr(M) / 2``,
+``N = M - a I`` and ``q = -det(N)``, ``exp(M) = e^a (c I + s N)``, where
+``c = cosh(sqrt q)`` and ``s = sinh(sqrt q) / sqrt q`` for ``q > 0``, the
+same with ``cos`` and ``sin`` of ``sqrt(-q)`` for ``q < 0``, and
+``c = s = 1`` for ``q = 0``: real, and continuous through critical damping.
+``expm_integral`` is ``t phi1(A t) B`` in the same form, with no inverse of
+``A``.  The exponentials and the solve take stacks and return bit for bit
+the values of the one-matrix calls.
 """
 
 from __future__ import annotations
@@ -45,219 +33,132 @@ COND_LIMIT = 1e14
 
 _EPS = float(np.finfo(float).eps)
 
+# where |a| + sqrt|q| <= _SERIES_RADIUS, phi1 is its Taylor series to
+# M^20 / 21!; the first term left out is below 1e-21
+_SERIES_RADIUS = 1.0
+_INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(22)]
 
-def _as_square(a, name="matrix"):
+
+def _as_square(a, name, size=None):
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if (a.ndim < 2 or a.shape[-1] != a.shape[-2]
+            or size not in (None, a.shape[-1])):
+        shape = "square" if size is None else f"{size}x{size}"
+        raise DimensionError(f"{name} must be {shape}, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} contains non-finite entries")
     return a
 
 
-# Coefficients b_0 .. b_m of the degree-m Pade approximant to exp
-# (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4), Table 2.3).
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-        1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-# Rows (U, V) of coefficients over the even powers I, X^2, X^4, ...:
-# U = X @ sum(b_odd X^2k), V = sum(b_even X^2k).  Degree 13 splits off the
-# X^6 multiple of its top three terms (Higham 2005, eq. 2.3).
-_UV = {m: np.array([b[1::2], b[0::2]]).reshape(2, -1, 1, 1, 1)
-       for m, b in _PADE.items() if m < 13}
-_UV13_HIGH = np.array([_PADE[13][9::2], _PADE[13][8:13:2]]).reshape(
-    2, 3, 1, 1, 1)
-_UV13_LOW = np.array([_PADE[13][1:9:2], _PADE[13][0:8:2]]).reshape(
-    2, 4, 1, 1, 1)
-# theta_m: the largest eta for which degree m meets unit roundoff in
-# backward error (Al-Mohy & Higham 2009, Table 3.1 and Algorithm 5.1).
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
-_THETA_13 = 4.25
-# u / |c_{2m+1}|, c_{2m+1} being the leading coefficient of the backward
-# error series; ell(X, m) > 0 once ||abs(X)^(2m+1)|| / ||X|| exceeds it.
-_ELL_SCALE = {m: 2.0 ** -53 * c for m, c in (
-    (3, 100800.0), (5, 10059033600.0), (7, 4487938430976000.0),
-    (9, 5914384781877411840000.0),
-    (13, 113250775606021113483283660800000000.0))}
-# ||abs(X)^(2m+1)|| <= ||X||^(2m+1), so ell(X, m) = 0 whenever ||X|| is
-# below this radius and the matrix power need not be formed.
-_ELL_RADIUS = {m: s ** (1.0 / (2 * m)) for m, s in _ELL_SCALE.items()}
+def _closed_form(m):
+    """``a``, ``h``, ``q``, ``sqrt|q|``, ``e^a c`` and ``e^a s`` per matrix.
 
-
-def _ell(absx, norm1, idx, m):
-    """Al-Mohy & Higham's ell(X, m) for the slices ``idx`` of ``abs(X)``.
-
-    The number of extra squarings degree m needs so that rounding in the
-    approximant's odd tail stays below unit roundoff; 0 almost always.
-    The 1-norm of ``abs(X)^(2m+1)`` is exact: ``ones @ abs(X)^(2m+1)`` by
-    binary powers, with no cancellation since every entry is nonnegative.
+    ``m`` is a ``(k, 2, 2)`` stack; ``N = [[h, M01], [M10, -h]]``.  Every
+    branch runs on every matrix, so the overflows and ``0 / 0`` of values
+    it discards are silenced; the values kept are checked.
     """
-    out = [0] * len(idx)
-    hard = [j for j, i in enumerate(idx) if norm1[i] > _ELL_RADIUS[m]]
-    if not hard:
-        return out
-    sel = [idx[j] for j in hard]
-    power = absx[sel]
-    row = power.sum(axis=-2)[:, None, :]
-    p = 2 * m
-    while True:
-        if p & 1:
-            row = row @ power
-        p >>= 1
-        if not p:
-            break
-        power = power @ power
-    for j, i, pnorm in zip(hard, sel, row.max(axis=(-2, -1)).tolist()):
-        ratio = pnorm / (norm1[i] * _ELL_SCALE[m])     # alpha_m / u
-        if ratio > 1.0:
-            out[j] = math.ceil(math.log2(ratio) / (2 * m))
-    return out
+    a = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+    h = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
+    q = h * h + m[:, 0, 1] * m[:, 1, 0]
+    r = np.sqrt(np.abs(q))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ea = np.exp(a)
+        ec = ea * np.cos(r)
+        es = ea * np.sin(r) / r
+        np.copyto(es, ea, where=q == 0.0)
+        np.copyto(ec, ea * np.cosh(r), where=q > 0.0)
+        np.copyto(es, ea * np.sinh(r) / r, where=q > 0.0)
+        # past sqrt(q) = 1 the pair is formed from e^(a +- sqrt q), so that
+        # no factor overflows however stiff the matrix is
+        ep = 0.5 * np.exp(a + r)
+        em = 0.5 * np.exp(a - r)
+        np.copyto(ec, ep + em, where=q > 1.0)
+        np.copyto(es, (ep - em) / r, where=q > 1.0)
+    if not (np.isfinite(ec).all() and np.isfinite(es).all()):
+        raise NumericError("matrix exponential overflows")
+    return a, h, q, r, ec, es
 
 
-def _pade_choice(x, norms):
-    """Pade degree and squaring count of each slice (Algorithm 5.1).
+def _phi1(m):
+    """``h``, ``alpha`` and ``beta`` with ``phi1(M) = alpha I + beta N``.
 
-    ``norms`` holds, per slice, the 1-norms of X, I, X^2, X^4, X^6, X^8
-    and X^10; d_k = ||X^k||^(1/k) bound the spectral radius from above
-    more tightly than ||X|| does for non-normal matrices.
+    Three forms, each where it does not cancel: ``M^-1 (exp(M) - I)``;
+    near a singular ``M``, whose eigenvalues ``a +- sqrt q`` are then real
+    and apart, divided differences of ``(e^z - 1) / z`` over them; and for
+    small ``M`` the Taylor series.
     """
-    etas = []
-    for n1, _, _, n4, n6, n8, n10 in norms:
-        d6, d8 = n6 ** (1.0 / 6.0), n8 ** 0.125
-        eta1, eta3 = max(n4 ** 0.25, d6), max(d6, d8)
-        eta5 = min(eta3, max(d8, n10 ** 0.1))
-        if not math.isfinite(eta5):
-            raise NumericError("matrix exponential: powers of a*t overflow")
-        etas.append((eta1, eta1, eta3, eta3, eta5))
-    norm1 = [row[0] for row in norms]
-    k = len(norms)
-    degree = [13] * k
-    absx = np.abs(x)
-    for stage, (m, theta) in enumerate(_THETA):
-        cand = [i for i in range(k)
-                if degree[i] == 13 and etas[i][stage] <= theta]
-        for i, extra in zip(cand, _ell(absx, norm1, cand, m)):
-            if extra == 0:
-                degree[i] = m
-    squarings = [0] * k
-    big = [i for i in range(k) if degree[i] == 13]
-    if big:
-        base = [max(math.ceil(math.log2(etas[i][4] / _THETA_13)), 0)
-                if etas[i][4] > 0.0 else 0 for i in big]
-        scale = [2.0 ** -s for s in base]
-        scaled = absx[big] * np.array(scale)[:, None, None]
-        extra = _ell(scaled, [norm1[i] * f for i, f in zip(big, scale)],
-                     list(range(len(big))), 13)
-        for i, s, e in zip(big, base, extra):
-            squarings[i] = s + e
-    return degree, squarings
+    a, h, q, r, ec, es = _closed_form(m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = a * a - q
+        alpha = (a * (ec - 1.0) - q * es) / det
+        beta = (a * es - (ec - 1.0)) / det
+        near = 3.0 * q > a * a
+        fp, fm = (np.divide(np.expm1(z), z, out=np.ones_like(z),
+                            where=z != 0.0) for z in (a + r, a - r))
+        np.copyto(alpha, 0.5 * (fp + fm), where=near)
+        np.copyto(beta, 0.5 * (fp - fm) / r, where=near)
+    # Horner on alpha I + beta N with N @ N = q I, in Python floats: the
+    # package takes the driven integral of one matrix at a time
+    for i in np.flatnonzero(np.abs(a) + r <= _SERIES_RADIUS).tolist():
+        ai, qi = float(a[i]), float(q[i])
+        x, y = _INV_FACTORIALS[-1], 0.0
+        for c in _INV_FACTORIALS[-2:0:-1]:
+            x, y = ai * x + qi * y + c, x + ai * y
+        alpha[i], beta[i] = x, y
+    return h, alpha, beta
 
 
-def _pade(x, even, m, s):
-    """``r_m(X / 2^s)^(2^s)`` for a stack, from the even powers of X."""
-    if m == 13:
-        f = 2.0 ** -s
-        x = x * f
-        even = even[:4] * np.array([1.0, f * f, f ** 4, f ** 6]).reshape(
-            4, 1, 1, 1)
-        high = even[3] @ (_UV13_HIGH * even[1:]).sum(axis=1)
-        u, v = high + (_UV13_LOW * even).sum(axis=1)
-    else:
-        u, v = (_UV[m] * even[:(m + 1) // 2]).sum(axis=1)
-    u = x @ u
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def _expm_stack(x):
-    """``exp`` of every matrix of a ``(K, n, n)`` stack, slice by slice.
-
-    Degree and squaring count are chosen per slice; slices that share them
-    are evaluated together with stacked ``matmul`` and ``solve``, which
-    treat each slice as a lone matrix would.
-    """
-    k, n = x.shape[0], x.shape[-1]
-    pw = np.empty((7, k, n, n))           # X, I, X^2, X^4, X^6, X^8, X^10
-    pw[0] = x
-    pw[1] = np.eye(n)
-    np.matmul(x, x, out=pw[2])
-    np.matmul(pw[2], pw[2], out=pw[3])
-    np.matmul(pw[3], pw[2], out=pw[4])
-    np.matmul(pw[3], pw[3], out=pw[5])
-    np.matmul(pw[3], pw[4], out=pw[6])
-    norms = np.abs(pw).sum(axis=-2).max(axis=-1).T.tolist()
-    degree, squarings = _pade_choice(x, norms)
-    even = pw[1:6]
-    groups = set(zip(degree, squarings))
-    if len(groups) == 1:
-        return _pade(x, even, *groups.pop())
-    out = np.empty_like(x)
-    degree, squarings = np.array(degree), np.array(squarings)
-    for m, s in groups:
-        idx = np.flatnonzero((degree == m) & (squarings == s))
-        out[idx] = _pade(x[idx], even[:, idx], m, s)
-    return out
+def _combine(m, h, c, s):
+    """``c I + s N`` for every matrix of the ``(k, 2, 2)`` stack ``m``."""
+    n = m.copy()
+    n[:, 0, 0], n[:, 1, 1] = h, -h
+    return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
 def expm(a, t=1.0):
-    """Return ``exp(a*t)`` for a square real matrix ``a``.
+    """Return ``exp(a*t)`` for a real 2x2 matrix ``a``.
 
     ``t`` may be any finite scalar.  ``a`` may also be a stack of shape
-    ``(..., n, n)`` and ``t`` an array; the two broadcast over the stack
+    ``(..., 2, 2)`` and ``t`` an array; the two broadcast over the stack
     dimensions, and every slice of the result is bit for bit the value of
-    the one-matrix call.
+    the one-matrix call.  Raises :class:`DimensionError` for any other
+    matrix size and :class:`NumericError` if the result overflows.
     """
-    a = _as_square(a, "a")
+    a = _as_square(a, "a", 2)
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise DomainError("t must be finite")
-    x = a * t[..., None, None]
-    n = x.shape[-1]
-    return _expm_stack(x.reshape(-1, n, n)).reshape(x.shape)
+    m = a * t[..., None, None]
+    flat = m.reshape(-1, 2, 2)
+    _, h, _, _, ec, es = _closed_form(flat)
+    return _combine(flat, h, ec, es).reshape(m.shape)
 
 
 def expm_integral(a, b, t):
-    """Return ``int_0^t exp(a*s) ds @ b`` without inverting ``a``.
+    """Return ``int_0^t exp(a*s) ds @ b``, valid for singular ``a``.
 
-    Uses the block identity
-    ``exp([[A, B], [0, 0]] * t) = [[exp(A t), int_0^t exp(A s) ds B], [0, I]]``
-    so singular ``a`` (integrator poles) needs no special casing.  ``b`` may
-    be a vector or a matrix; the result has the shape of ``b``.  Like
-    :func:`expm`, ``a``, a matrix ``b`` and ``t`` may carry stack
+    ``b`` may be a vector or a matrix; the result has the shape of ``b``.
+    Like :func:`expm`, ``a``, a matrix ``b`` and ``t`` may carry stack
     dimensions, which broadcast.
     """
-    a = _as_square(a, "a")
-    n = a.shape[-1]
+    a = _as_square(a, "a", 2)
     b_in = np.asarray(b, dtype=float)
     b2 = b_in[:, None] if b_in.ndim == 1 else b_in
-    if b2.ndim < 2 or b2.shape[-2] != n:
+    if b2.ndim < 2 or b2.shape[-2] != 2:
         raise DimensionError(
-            f"b must have {n} rows to match a, got shape {b_in.shape}")
-    if not np.all(np.isfinite(b2)):
+            f"b must have 2 rows to match a, got shape {b_in.shape}")
+    if not np.isfinite(b2).all():
         raise DomainError("b contains non-finite entries")
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+    if not np.isfinite(t).all() or (t < 0.0).any():
         raise DomainError("t must be finite and >= 0")
-    k = b2.shape[-1]
-    stack = np.broadcast_shapes(a.shape[:-2], b2.shape[:-2], t.shape)
-    blk = np.zeros(stack + (n + k, n + k))
-    blk[..., :n, :n] = a
-    blk[..., :n, n:] = b2
-    x = (blk * t[..., None, None]).reshape(-1, n + k, n + k)
-    top_right = _expm_stack(x)[:, :n, n:].reshape(stack + (n, k))
-    return top_right[..., 0] if b_in.ndim == 1 else top_right
+    m = a * t[..., None, None]
+    flat = m.reshape(-1, 2, 2)
+    tp = t[..., None, None] * _combine(flat, *_phi1(flat)).reshape(m.shape)
+    # the product written out, so that every slice rounds as it would alone
+    out = (tp[..., :, :1] * b2[..., None, 0, :]
+           + tp[..., :, 1:] * b2[..., None, 1, :])
+    return out[..., 0] if b_in.ndim == 1 else out
 
 
 def eigenvalues(m):

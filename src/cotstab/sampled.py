@@ -259,14 +259,6 @@ class LinearizedMap:
     Wr: np.ndarray
     denom: float
 
-    @property
-    def Gamma1(self):
-        return self.Gamma[:, 0]
-
-    @property
-    def Gamma2(self):
-        return self.Gamma[:, 1]
-
     def poles(self):
         """Eigenvalues of Phi, sorted by real part then imaginary part."""
         eigs = eigenvalues(self.Phi)
@@ -321,12 +313,12 @@ def control_to_output(lin: LinearizedMap, z) -> complex:
     number off the pole set.  The effective frequency response uses
     z = exp(j w T) and is meaningful up to half the switching frequency.
     """
-    return _resolvent_apply(lin, complex(z), lin.Gamma2.astype(complex))
+    return _resolvent_apply(lin, complex(z), lin.Gamma[:, 1].astype(complex))
 
 
 def audio_susceptibility(lin: LinearizedMap, z) -> complex:
     """Source-to-output transfer function of the sampled dynamics at z."""
-    return _resolvent_apply(lin, complex(z), lin.Gamma1.astype(complex))
+    return _resolvent_apply(lin, complex(z), lin.Gamma[:, 0].astype(complex))
 
 
 def orbit_sample(m: ConverterModel, ss: SteadyState, t: float):

@@ -2,33 +2,16 @@
 
 This is the oracle side of the package: it never touches the linearized
 map or the boundary formulas.  Each cycle applies the on-stage for the
-fixed on-time, then hunts for the first instant where the feedback signal
-meets the restarting ramp.  Stage propagation uses the eigenstructure of
-the off-stage matrix when it is clean, which makes the crossing scan a
-vectorized exponential evaluation; a plain matrix-stepping fallback covers
-defective or awkward cases.
-
-On the fast path a cycle runs in the modal coordinates of the off stage.
-Everything that does not depend on the state is formed once per engine:
-the on-stage map in modal form and, one chunk at a time, a real scan table
-whose rows turn the modal coefficients into the switching residual on the
-scan grid.  A cycle maps its physical start state to the modal
-coordinates after the on-time in Python complex scalars, finds the
-crossing cell with one table mat-vec over the rows up to the previous
-cycle's crossing plus a margin (the rest only when those miss), refines
-the instant with a safeguarded Newton on the exact modal residual (the
-expansion gives its slope for free) and maps the modes back to the
-physical state.  The matrix-stepping fallback refines with ``find_root``.
-A trace is bit-identical to a loop form of the same formulas that scans
-whole table chunks and evaluates every term afresh in every cycle; against
-a loop form in physical coordinates it agrees to rounding, which a
-diverging orbit amplifies.  Each cycle depends only on its start state, so
-a run continued from its last state is bit-identical to one longer run.
+fixed on-time, then switches at the first instant the feedback signal
+meets the restarting ramp, found by a table scan and a safeguarded Newton
+on the off stage's closed form (``_CycleEngine``).  A trace is bit-identical
+to a loop form of the same formulas, and since each cycle depends only on
+its start state, a run continued from its last state is bit-identical to
+one longer run.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +20,7 @@ import numpy as np
 
 from .errors import (BracketError, DomainError, MissedSwitchingError,
                      NumericError, UsageError)
-from .linalg import expm, expm_integral, find_root
+from .linalg import _closed_form, expm, expm_integral
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
 from .sampled import SteadyState, consistent_steady_state
 
@@ -97,22 +80,16 @@ class Trace:
 class _CycleEngine:
     """Per-run precomputation for the stage maps and the crossing scan.
 
-    Work that does not depend on the state is done once per engine: the
-    on-stage map, the off-stage eigenstructure (or its stepping matrix on
-    the fallback path) and the crossing-scan table.  On the fast path the
-    on-stage map is held in modal form, ``z_d = Pm x + jm`` with
-    ``Pm = vinv @ p1`` and ``jm = vinv @ j1u``, as Python complex scalars.
-    The table is real: a row ``[Re E, -Im E, 1, -ma (d + tau_k)]`` with
-    ``E = exp(lam * tau_k)`` on the scan grid, so its product with the
-    weights ``[Re az, Im az, du, 1]`` (``az = cv * z_d``) is the switching
-    residual at ``tau_k``.  It is built lazily, one chunk of
-    ``2 * SCAN_DIVISIONS`` grid points at a time, so a run whose crossings
-    all fall in the first chunk never builds the rest.  A fast-path cycle
-    then costs scalar arithmetic on the ``n`` modes, one table mat-vec over
-    the rows up to the previous crossing plus ``SCAN_MARGIN`` (the rest
-    only on a miss) and a few scalar residual evaluations.  One engine
-    serves any number of runs; the crossing row it carries between cycles
-    only sets where the scan looks first, never what it finds.
+    With ``a = tr(A) / 2``, ``q = -det(A - a I)`` and ``N = A - a I`` per
+    unit time, the off stage is ``e^(a tau) (c I + s N)``.  A cycle takes
+    its start state through the on stage to ``x_d``; with
+    ``P = Cvec x_d`` and ``Q = Cvec N x_d`` the switching residual is
+    ``phi = e^(a tau) (P c + Q s) + du - ma (d + tau)``, and the state after
+    switching is ``e^(a tau) (c x_d + s N x_d)``.  A scan table row
+    ``[e^(a tau) c, e^(a tau) s, 1, -ma (d + tau)]`` per grid point gives
+    ``phi`` there from ``[P, Q, du, 1]``.  The crossing row an engine
+    carries between cycles only sets where the scan looks first, never
+    what it finds.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -130,143 +107,109 @@ class _CycleEngine:
         self.j1u = expm_integral(m.A, m.B, d) @ self.u
         self.du = float(m.Dvec @ self.u)
         self.step = self.T_guess / SCAN_DIVISIONS
-        self.tau_max = HORIZON_PERIODS * self.T_guess
-        self.kmax = int(np.ceil(self.tau_max / self.step))
+        self.kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))
         self.hint = SCAN_DIVISIONS      # crossing row of the last cycle
-        self._setup_stage2()
+        (a00, a01), (a10, a11) = m.A.tolist()
+        self.a = 0.5 * (a00 + a11)
+        h = 0.5 * (a00 - a11)
+        self.q = h * h + a01 * a10
+        self.n = ((h, a01), (a10, -h))
+        self.terms = _stage_terms(self.a, self.q)
+        self._table = []    # scan chunks, filled on demand
 
-    def _setup_stage2(self):
-        """Diagonalize the off-stage if possible; else fall back to stepping."""
-        a = self.m.A
-        lam, vecs = np.linalg.eig(a)
-        self.fast = False
-        try:
-            vinv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            vinv = None
-        if vinv is not None:
-            err = np.linalg.norm(vecs @ np.diag(lam) @ vinv - a)
-            if err <= 1e-9 * max(np.linalg.norm(a), 1.0):
-                self.fast = True
-                self.lam = lam
-                self.vecs = vecs
-                self.vinv = vinv
-                self.cv = self.m.Cvec @ vecs
-                # the per-cycle arithmetic runs on Python scalars
-                self._pm = _complex_rows(vinv @ self.p1)
-                self._jm = _complex_rows(vinv @ self.j1u)
-                self._cv = _complex_rows(self.cv)
-                self._lam = _complex_rows(lam)
-                self._vecs = _complex_rows(vecs)
-                self._table = []    # scan chunks, filled on demand
-        if not self.fast:
-            self.phi_step = expm(a, self.step)
-
-    def run(self, x0: np.ndarray, ncycles: int):
-        """``Tn``, ``x_end`` and ``saturated`` of ``ncycles`` cycles.
+    def run(self, x: np.ndarray, ncycles: int):
+        """``ncycles`` cycles from ``x``: ``Tn``, ``x_end``, ``saturated``.
 
         Raises MissedSwitchingError tagged with the index of the cycle,
-        counted from ``x0``, whose feedback never returned to the ramp.
+        counted from ``x``, whose feedback never returned to the ramp.
         """
         tns = np.empty(ncycles)
         x_end = np.empty((ncycles, self.m.n))
         sat = np.empty(ncycles, dtype=bool)
-        cycles = (self._modal_cycles if self.fast
-                  else self._stepping_cycles)(x0)
-        try:
-            for k in range(ncycles):
-                tns[k], x_end[k], sat[k] = next(cycles)
-        except MissedSwitchingError as exc:
-            raise MissedSwitchingError(str(exc), cycle=k) from None
-        return tns, x_end, sat
-
-    def _modal_cycles(self, x0):
-        """Fast-path cycles from ``x0``; yields Tn, x_end, saturated."""
         d = self.ramp.d
         ma = self.ramp.ma
         du = self.du
-        pm, jm, cv, lam, vecs = (self._pm, self._jm, self._cv, self._lam,
-                                 self._vecs)
+        terms = self.terms
+        (p00, p01), (p10, p11) = self.p1.tolist()
+        j0, j1 = self.j1u.tolist()
+        (n00, n01), (n10, n11) = self.n
+        c0, c1 = self.m.Cvec.tolist()
         tol = REFINE_REL_TOL * self.T_guess
-        mul = operator.mul
-        x = [float(v) for v in x0]
-        while True:
-            zd = [sum(map(mul, row, x)) + j for row, j in zip(pm, jm)]
-            az = [c * z for c, z in zip(cv, zd)]
-            acc = 0.0
-            for a in az:
-                acc += a.real
-            phi0 = acc + du - ma * d
-            saturated = phi0 <= 0.0
+        x0, x1 = (float(v) for v in x)
+        for k in range(ncycles):
+            xd0 = p00 * x0 + p01 * x1 + j0
+            xd1 = p10 * x0 + p11 * x1 + j1
+            nx0 = n00 * xd0 + n01 * xd1
+            nx1 = n10 * xd0 + n11 * xd1
+            P = c0 * xd0 + c1 * xd1
+            Q = c0 * nx0 + c1 * nx1
+            phi0 = P + du - ma * d
+            sat[k] = saturated = phi0 <= 0.0
             if saturated:
                 # ramp already at or above the feedback when the on-time ends
                 tau = 0.0
             else:
-                lo, hi = self._scan_fast(az)
-                # judge the bracket with the refiner's own evaluator: the
-                # scan and the scalar path may disagree by a few ulp
-                # around an exact zero
-                f = self._modal_phi(az)
-                flo = f(lo)[0] if lo > 0.0 else phi0
-                fhi = f(hi)[0]
-                if fhi == 0.0:
-                    tau = hi
-                elif flo > 0.0 > fhi:
-                    tau = _newton(f, lo, hi, flo, fhi, tol)
-                else:
-                    scale = (2.0 * abs(du) + abs(ma) * (d + hi)
-                             + sum(map(abs, az)))
-                    tau = _end_within_noise(lo, hi, flo, fhi, scale)
-            ez = [cmath.exp(lm * tau) * z for lm, z in zip(lam, zd)]
-            x = [sum(map(mul, row, ez)).real for row in vecs]
-            yield d + tau, x, saturated
+                try:
+                    lo, hi = self._scan(P, Q)
+                    # judge the bracket with the refiner's own evaluator:
+                    # the scan and the scalar path may disagree by a few
+                    # ulp around an exact zero
+                    f = self._phi(P, Q)
+                    flo = f(lo)[0] if lo > 0.0 else phi0
+                    fhi = f(hi)[0]
+                    if fhi == 0.0:
+                        tau = hi
+                    elif flo > 0.0 > fhi:
+                        tau = _newton(f, lo, hi, flo, fhi, tol)
+                    else:
+                        scale = 2.0 * abs(du) + abs(ma) * (d + hi) + max(
+                            abs(ec * P) + abs(es * Q)
+                            for ec, es in map(terms, (lo, hi)))
+                        tau = _end_within_noise(lo, hi, flo, fhi, scale)
+                except MissedSwitchingError as exc:
+                    raise MissedSwitchingError(str(exc), cycle=k) from None
+            ec, es = terms(tau)
+            x0 = ec * xd0 + es * nx0
+            x1 = ec * xd1 + es * nx1
+            tns[k] = d + tau
+            x_end[k] = x0, x1
+        return tns, x_end, sat
 
-    def _modal_phi(self, az):
-        """This cycle's phi(tau) and phi'(tau) from the modal coefficients.
-
-        phi is the feedback minus the ramp at d + tau:
-        ``phi = sum Re(az_i exp(lam_i tau)) + du - ma (d + tau)`` and
-        ``phi' = sum Re(az_i lam_i exp(lam_i tau)) - ma``, both exact
-        scalar evaluations.
-        """
+    def _phi(self, P: float, Q: float):
+        """This cycle's ``phi(tau)`` and its slope, as ``c' = q s`` and
+        ``s' = c``: ``e^(a tau) [P (a c + q s) + Q (a s + c)] - ma``."""
         d = self.ramp.d
         ma = self.ramp.ma
         du = self.du
-        terms = [(a, a * lm, lm) for a, lm in zip(az, self._lam)]
+        terms = self.terms
+        kc = self.a * P + Q
+        ks = self.q * P + self.a * Q
 
         def phi(tau):
-            acc = 0.0
-            dacc = 0.0
-            for a, al, lm in terms:
-                e = cmath.exp(lm * tau)
-                acc += (a * e).real
-                dacc += (al * e).real
-            return acc + du - ma * (d + tau), dacc - ma
+            ec, es = terms(tau)
+            return (ec * P + es * Q + du - ma * (d + tau),
+                    ec * kc + es * ks - ma)
         return phi
 
-    def _scan_table(self, k0: int) -> np.ndarray:
-        """The scan table's ``2 * SCAN_DIVISIONS`` rows from row ``k0``."""
-        chunk = 2 * SCAN_DIVISIONS
-        taus = np.arange(k0, min(k0 + chunk, self.kmax + 1)) * self.step
-        e = np.exp(np.outer(taus, self.lam))
-        return np.column_stack([e.real, -e.imag, np.ones_like(taus),
-                                -self.ramp.ma * (self.ramp.d + taus)])
-
-    def _scan_fast(self, az):
+    def _scan(self, P: float, Q: float):
         """Vectorized crossing scan; returns the bracketing interval.
 
-        ``az`` holds the modal coefficients ``cv * z_d``.  The first chunk
-        is scanned in two blocks: rows up to the last cycle's crossing row
-        plus ``SCAN_MARGIN``, then, on a miss only, the rest.  A block is a
-        row slice of the same table, evaluated with the same operations, so
-        the first crossing row is the one a scan of the whole chunk finds.
+        Table chunks are built on first use.  The first is scanned in two
+        blocks: rows up to the last cycle's crossing row plus
+        ``SCAN_MARGIN``, then, on a miss only, the rest.  A block is a row
+        slice of the same table, evaluated with the same operations, so the
+        first crossing row is the one a scan of the whole chunk finds.
         """
-        w = np.array([a.real for a in az] + [a.imag for a in az]
-                     + [self.du, 1.0])
+        w = np.array([P, Q, self.du, 1.0])
         split = self.hint + SCAN_MARGIN
         for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
             if i == len(self._table):
-                self._table.append(self._scan_table(k0))
+                taus = np.arange(k0, min(k0 + 2 * SCAN_DIVISIONS,
+                                         self.kmax + 1)) * self.step
+                ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
+                self._table.append(np.column_stack(
+                    [ec, es * taus, np.ones_like(taus),
+                     -self.ramp.ma * (self.ramp.d + taus)]))
             table = self._table[i]
             # numpy forms a one-row product by another kernel, which may
             # round differently, so the second block keeps two rows or more
@@ -279,67 +222,30 @@ class _CycleEngine:
                     return (self.hint - 1) * self.step, self.hint * self.step
         raise MissedSwitchingError(_NO_CROSSING)
 
-    # the matrix-stepping fallback, for an off stage that does not
-    # diagonalize cleanly
-    def on_stage(self, x: np.ndarray) -> np.ndarray:
-        return self.p1 @ x + self.j1u
 
-    def _stepping_cycles(self, x0):
-        """Fallback-path cycles from ``x0``; yields Tn, x_end, saturated."""
-        d = self.ramp.d
-        ma = self.ramp.ma
-        x = x0
-        while True:
-            x_d = self.on_stage(x)
-            phi0 = float(self.m.Cvec @ x_d) + self.du - ma * d
-            saturated = phi0 <= 0.0
-            if saturated:
-                x = x_d
-                tau = 0.0
-            else:
-                lo, hi = self._scan_steps(x_d)
-                phi = self._stepping_phi(x_d)
-                flo = phi(lo) if lo > 0.0 else phi0
-                fhi = phi(hi)
-                if fhi == 0.0:
-                    tau = hi
-                elif flo > 0.0 > fhi:
-                    tau = find_root(phi, lo, hi,
-                                    tol=REFINE_REL_TOL * self.T_guess)
-                else:
-                    scale = (abs(self.du) + abs(ma) * (d + hi)
-                             + float(np.abs(self.m.Cvec) @ np.abs(x_d)))
-                    tau = _end_within_noise(lo, hi, flo, fhi, scale)
-                x = expm(self.m.A, tau) @ x_d
-            yield d + tau, x, saturated
-
-    def _stepping_phi(self, x_d: np.ndarray):
-        """phi(tau) on the fallback path, by one exponential per evaluation."""
-        d = self.ramp.d
-        ma = self.ramp.ma
-
-        def phi(tau):
-            xt = expm(self.m.A, tau) @ x_d
-            return float(self.m.Cvec @ xt) + self.du - ma * (d + tau)
-        return phi
-
-    def _scan_steps(self, x_d: np.ndarray):
-        """Matrix-stepping crossing scan for the fallback path."""
-        d = self.ramp.d
-        x = x_d
-        for k in range(1, self.kmax + 1):
-            x = self.phi_step @ x
-            phi = float(self.m.Cvec @ x) + self.du - self.ramp.ma * (d + k * self.step)
-            if phi <= 0.0:
-                return (k - 1) * self.step, k * self.step
-        raise MissedSwitchingError(_NO_CROSSING)
-
-
-def _complex_rows(a: np.ndarray) -> list:
-    """``a`` (a vector or a matrix) as nested lists of Python complex."""
-    if a.ndim == 1:
-        return [complex(v) for v in a]
-    return [_complex_rows(row) for row in a]
+def _stage_terms(a: float, q: float):
+    """``tau -> (e^(a tau) c, e^(a tau) s)``: the closed form of
+    :mod:`linalg` on Python floats, per unit time (``s`` is in units of
+    time).  Past ``sqrt(q) tau = 1`` the hyperbolic pair is formed from
+    ``e^((a +- sqrt q) tau)``, so that no factor overflows."""
+    r = math.sqrt(abs(q))
+    if q > 0.0:
+        def terms(tau):
+            if r * tau > 1.0:
+                ep = 0.5 * math.exp((a + r) * tau)
+                em = 0.5 * math.exp((a - r) * tau)
+                return ep + em, (ep - em) / r
+            e = math.exp(a * tau)
+            return e * math.cosh(r * tau), e * math.sinh(r * tau) / r
+    elif q < 0.0:
+        def terms(tau):
+            e = math.exp(a * tau)
+            return e * math.cos(r * tau), e * math.sin(r * tau) / r
+    else:
+        def terms(tau):
+            e = math.exp(a * tau)
+            return e, e * tau
+    return terms
 
 
 def _end_within_noise(lo: float, hi: float, flo: float, fhi: float,

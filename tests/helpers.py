@@ -55,3 +55,10 @@ def random_operating(rng, scheme=None, ma=0.0):
     d = float(rng.uniform(0.15, 0.85)) * T
     m, ramp, u, ss = operating(p, scheme, d, T, ma)
     return p, scheme, d, T, m, ramp, u, ss
+
+
+def closed_form_q(m) -> float:
+    """``q = -det(M - a I)`` of a 2x2 matrix, formed as the closed form
+    of the stage exponential forms it: its sign picks the branch."""
+    h = 0.5 * (m[0, 0] - m[1, 1])
+    return float(h * h + m[0, 1] * m[1, 0])

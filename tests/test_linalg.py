@@ -53,25 +53,44 @@ def test_expm_rejects_nonsquare_and_nonfinite():
         expm(np.eye(2), math.inf)
 
 
+def test_exponentials_reject_matrices_other_than_2x2():
+    # the closed form is for two states; larger matrices are refused,
+    # not handed to another method
+    for n in (1, 3):
+        with pytest.raises(DimensionError):
+            expm(np.eye(n), 1.0)
+        with pytest.raises(DimensionError):
+            expm_integral(np.eye(n), np.ones(n), 1.0)
+    with pytest.raises(DimensionError):
+        expm(np.zeros((4, 3, 3)), np.ones(4))
+
+
+def test_expm_overflow_raises():
+    with pytest.raises(NumericError):
+        expm(np.eye(2), 800.0)
+    with pytest.raises(NumericError):
+        expm_integral(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 800.0)
+
+
 def test_expm_stack_slices_equal_single_calls_bitwise():
-    # ||a*t|| from 1e-2 to 1e3: slices take every Pade degree and squaring
-    # counts 0 to 8, yet each equals its own one-matrix call bit for bit
+    # ||a*t|| from 1e-2 to 1e3 over 32 random stable matrices, yet each
+    # slice equals its own one-matrix call bit for bit
     def stable():
-        a = random_state_matrix(RNG, n=3)
-        return a - (np.max(np.linalg.eigvals(a).real) + 1e4) * np.eye(3)
+        a = random_state_matrix(RNG)
+        return a - (np.max(np.linalg.eigvals(a).real) + 1e4) * np.eye(2)
 
     a = stable()
     ts = 10.0 ** np.linspace(-8.0, -3.0, 31)
     by_time = expm(a, ts)
-    assert by_time.shape == (31, 3, 3)
+    assert by_time.shape == (31, 2, 2)
     for k, t in enumerate(ts):
         assert np.array_equal(by_time[k], expm(a, t))
     stack = np.stack([stable() * t for t in ts])
     stacked = expm(stack)
     for k in range(len(ts)):
         assert np.array_equal(stacked[k], expm(stack[k]))
-    grid = expm(stack.reshape(31, 1, 3, 3), ts[:2])     # broadcast (31, 2)
-    assert grid.shape == (31, 2, 3, 3)
+    grid = expm(stack.reshape(31, 1, 2, 2), ts[:2])     # broadcast (31, 2)
+    assert grid.shape == (31, 2, 2, 2)
     assert np.array_equal(grid[7, 1], expm(stack[7], ts[1]))
 
 

@@ -42,7 +42,7 @@ from cotstab.simulate import (OTHER, PERIOD1, PERIOD2, _CycleEngine,
                               _newton)
 
 from helpers import (CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES,
-                     operating)
+                     closed_form_q, operating)
 
 
 def _synthetic_trace(tns, saturated=None):
@@ -116,24 +116,41 @@ def test_simulate_input_validation():
             simulate(m, ramp, np.zeros(2), u, 10, bad)
 
 
-def test_critical_damping_uses_stepping_fallback():
-    # R = sqrt(L/C)/2 with no ESR gives the off-stage a double eigenvalue,
-    # so the engine cannot diagonalize it and scans by matrix stepping; a
-    # hair more damping splits the pair and the fast path takes over.  The
-    # first cycles move by about 8x the relative change in R, hence 5e-5
-    # over the whole trace; the settled period must agree far closer.
+def test_critical_damping_runs_on_the_one_path():
+    # R = sqrt(L/C)/2 with no ESR gives the off-stage a double eigenvalue
+    # (q == 0, where c = s = 1), and a hair more load resistance splits
+    # it into a complex pair (q < 0, cos and sin); both run on the same
+    # closed form.  The first cycles move by about 8x the relative change
+    # in R, hence 5e-5 over the whole trace; the settled period must agree
+    # far closer.
     L, C = 2e-6, 2e-5
     p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
     fam = make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
     m, ramp, u, T, x0 = fam(5000.0)
-    assert not _CycleEngine(m, ramp, u, T).fast
     tr = simulate(m, ramp, x0, u, 400, T)
     assert classify_orbit(tr, settle=300) == PERIOD1
     m_split = build_model(p.with_(R=p.R * (1.0 + 1e-6)), Scheme.V_COTC)
-    assert _CycleEngine(m_split, ramp, u, T).fast
     ref = simulate(m_split, ramp, x0, u, 400, T)
     assert np.max(np.abs(tr.Tn / ref.Tn - 1.0)) <= 5e-5
     assert tr.Tn[-1] == pytest.approx(ref.Tn[-1], rel=1e-8)
+
+
+def test_trace_is_continuous_through_critical_damping():
+    # loads 1e-8 either side of critical damping take the trigonometric
+    # and the hyperbolic branch, the critical load the q == 0 one; the
+    # closed form is continuous in q, so the three traces stay together
+    L, C = 2e-6, 2e-5
+    p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
+    m, ramp, u, T, x0 = make_ramp_family(p, Scheme.V_COTC, FAST_D,
+                                         FAST_T)(5000.0)
+    traces = {}
+    for f in (1.0 - 1e-8, 1.0, 1.0 + 1e-8):
+        mf = build_model(p.with_(R=p.R * f), Scheme.V_COTC)
+        side = np.sign(closed_form_q(mf.A))
+        traces[side] = simulate(mf, ramp, x0, u, 400, T)
+    assert set(traces) == {-1.0, 0.0, 1.0}
+    for side in (-1.0, 1.0):
+        assert np.max(np.abs(traces[side].Tn / traces[0.0].Tn - 1.0)) <= 1e-6
 
 
 def _critical_family():
@@ -143,20 +160,21 @@ def _critical_family():
     return make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
 
 
-@pytest.mark.parametrize("family, ma, fast", [
+@pytest.mark.parametrize("family, ma, split", [
     (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 1000.0,
      True),
     (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 600.0,
      True),
     (_critical_family, 5000.0, False),
 ])
-def test_continued_run_matches_one_long_run(family, ma, fast):
+def test_continued_run_matches_one_long_run(family, ma, split):
     # a cycle depends only on its start state, so a run continued from
     # its last state is the longer run, bit for bit; at ma = 600 the
     # crossing rows jump between saturated and long cycles, so the scan's
-    # window from the last cycle misses
+    # window from the last cycle misses.  ``split`` says whether the
+    # off-stage eigenvalues are distinct (q != 0) or double (q == 0)
     m, ramp, u, T, x0 = family()(ma)
-    assert _CycleEngine(m, ramp, u, T).fast is fast
+    assert (closed_form_q(m.A) != 0.0) is split
     n1, n2 = 250, 150
     head = simulate(m, ramp, x0, u, n1, T)
     tail = simulate(m, ramp, head.x_end[-1], u, n2, T)
@@ -168,7 +186,7 @@ def test_continued_run_matches_one_long_run(family, ma, fast):
     assert np.array_equal(whole.u, tail.u)
 
 
-@pytest.mark.parametrize("family, ma, ncycles, fast", [
+@pytest.mark.parametrize("family, ma, ncycles, split", [
     (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 1000.0,
      40, True),
     (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 600.0,
@@ -176,12 +194,12 @@ def test_continued_run_matches_one_long_run(family, ma, fast):
     (_critical_family, 5000.0, 40, False),
 ])
 def test_step_cycle_is_the_first_cycle_of_simulate(family, ma, ncycles,
-                                                   fast):
+                                                   split):
     # from each of the last 40 start states of a run, one step is that
     # cycle of the run, bit for bit; at ma = 600 they include saturated
     # cycles, which begin after about 400
     m, ramp, u, T, x0 = family()(ma)
-    assert _CycleEngine(m, ramp, u, T).fast is fast
+    assert (closed_form_q(m.A) != 0.0) is split
     tr = simulate(m, ramp, x0, u, ncycles, T)
     starts = np.vstack([x0, tr.x_end[:-1]])
     for k in range(ncycles - 40, ncycles):
@@ -431,28 +449,32 @@ def test_onset_search_validates_cycles_and_rungs(kwargs, name):
 def _buck_on_its_orbit(draw):
     """A buck in the ``helpers.random_buck`` ranges on its exact orbit.
 
-    Half the draws take the load below critical damping, so the off-stage
-    eigenvalues are real and distinct; the rest give a complex pair.  An
-    overdamped pair needs a small load against sqrt(L/C), so those draws
-    take L and C from the corner of their ranges where the critical load
-    lies inside the load range.  The ramp is twice the exact period-
-    doubling slope (none where the orbit is stable without one).
+    A third of the draws take the load below critical damping, so the
+    off-stage eigenvalues are real and distinct, a third above it, giving
+    a complex pair, and a third at it, a double eigenvalue to rounding.
+    An overdamped or critical pair needs a small load against sqrt(L/C),
+    so those draws take L and C from the corner of their ranges where the
+    critical load lies inside the load range.  The ramp is twice the
+    exact period-doubling slope (none where the orbit is stable without
+    one).
     """
     def exp10(lo, hi):
         return 10.0 ** draw(st.floats(lo, hi))
 
-    overdamped = draw(st.booleans())
-    if overdamped:
-        L, C = exp10(-5.4, -5.1), exp10(-5.0, -4.8)
-    else:
+    damping = draw(st.sampled_from(("over", "under", "critical")))
+    if damping == "under":
         L, C = exp10(-6.3, -5.1), exp10(-5.0, -3.6)
+    else:
+        L, C = exp10(-5.4, -5.1), exp10(-5.0, -4.8)
     Rc = exp10(-3.0, -1.6)
     # the off-stage pair is real for loads up to r_crit
     r_crit = 1.0 / (C * Rc / L + 2.0 * math.sqrt(C / L))
-    if overdamped:
+    if damping == "over":
         R = exp10(-0.7, math.log10(0.95 * r_crit))
-    else:
+    elif damping == "under":
         R = exp10(max(-0.7, math.log10(1.05 * r_crit)), 1.2)
+    else:
+        R = r_crit
     p = BuckParams(R=R, L=L, C=C, Rc=Rc, Ri=exp10(-2.0, -0.7),
                    vs=draw(st.floats(3.0, 24.0)))
     scheme = draw(st.sampled_from(SCHEMES))
@@ -460,20 +482,22 @@ def _buck_on_its_orbit(draw):
     d = draw(st.floats(0.15, 0.85)) * T
     m = build_model(p, scheme)
     ma = 2.0 * max(pdb_boundary_exact(m, p.vs, d, T), 0.0)
-    return overdamped, operating(p, scheme, d, T, ma) + (T,)
+    return damping, operating(p, scheme, d, T, ma) + (T,)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_buck_on_its_orbit())
 def test_exact_orbit_is_a_fixed_point_of_the_simulator(draw):
-    # the modal engine against the sampled route: started on the exact
+    # the simulator against the sampled route: started on the exact
     # orbit, every cycle must switch at T and return to the orbit's start
-    overdamped, (m, ramp, u, ss, T) = draw
+    damping, (m, ramp, u, ss, T) = draw
     lam = np.linalg.eigvals(m.A)
-    if overdamped:
+    if damping == "over":
         assert np.all(lam.imag == 0.0) and lam[0] != lam[1]
-    else:
+    elif damping == "under":
         assert np.all(lam.imag != 0.0)
+    else:
+        assert abs(lam[0] - lam[1]) <= 1e-6 * abs(lam[0])
     assert np.max(np.abs(poles(m, ramp, u, T))) < 1.0
     # the orbit's feedback stays above the ramp over the off stage, so its
     # first crossing is the one at T that the simulator must find

@@ -1,88 +1,111 @@
-"""The modal cycle engine against loop forms of its arithmetic.
+"""The cycle engine against loop forms of its arithmetic.
 
-``_CycleEngine`` runs fast-path cycles in the modal coordinates of the off
-stage.  It forms the modal on-stage map and the real scan table once per
-engine, scans only the table rows up to the last cycle's crossing unless
-that misses, and writes the trace once per run.  None of this may change
-arithmetic, so the first reference below keeps the per-cycle formulas in
-loop form (a whole-chunk scan, with the modal map, the table chunk and
-every modal coefficient evaluated afresh at each use, and the same
-safeguarded Newton refiner) and the traces must match bit for bit,
-including at a near-boundary point where any last-digit change would be
-amplified into a visibly different orbit.
+``_CycleEngine`` runs every cycle on the real closed form of the off
+stage.  It forms the on-stage map, the closed form's scalars and the scan
+table once per engine, scans only the table rows up to the last cycle's
+crossing unless that misses, and writes the trace once per run.  None of
+this may change arithmetic, so the first reference below keeps the
+per-cycle formulas in loop form (a whole-chunk scan, with the closed
+form's scalars, the table chunk and every coefficient evaluated afresh at
+each use, and the same safeguarded Newton refiner) and the traces must
+match bit for bit, including at a near-boundary point where any last-digit
+change would be amplified into a visibly different orbit, and at critical
+damping.
 
-The second reference is the physical-coordinate loop form the modal
-engine replaced: it propagates the state through the on stage, takes its
-modal coordinates and scans a complex table.  It rounds differently, so on
+The second reference shares no stage arithmetic with the engine: it
+propagates the state through the on stage in physical coordinates, takes
+its modal coordinates in the eigenvectors of the off stage and scans a
+complex table, as an earlier engine did.  It rounds differently, so on
 orbits that do not diverge the traces must agree within a stated
-tolerance and classify alike.  A third reference does the same for the
-matrix-stepping fallback path, bit for bit.  A fourth refines the modal
-loop form with ``find_root``, and the Newton instants must lie within the
-refiner tolerance of its roots.
+tolerance and classify alike.  A third reference refines the loop form
+with ``find_root``, and the Newton instants must lie within the refiner
+tolerance of its roots.
 """
 
 import cmath
-import operator
+import math
 
 import numpy as np
 import pytest
 
 from cotstab import (BuckParams, Scheme, Trace, make_duty_family,
                      make_ramp_family, simulate)
-from cotstab.linalg import expm, expm_integral, find_root
-from cotstab.simulate import (OTHER, PERIOD1, REFINE_REL_TOL, SCAN_DIVISIONS,
-                              SCAN_MARGIN, CycleStep, _complex_rows,
-                              _CycleEngine, _newton, classify_orbit)
+from cotstab.linalg import _closed_form, find_root
+from cotstab.simulate import (HORIZON_PERIODS, OTHER, PERIOD1,
+                              REFINE_REL_TOL, SCAN_DIVISIONS, SCAN_MARGIN,
+                              CycleStep, _CycleEngine, _newton,
+                              classify_orbit)
 
-from helpers import FAST, FAST_D, FAST_T
+from helpers import FAST, FAST_D, FAST_T, closed_form_q
 
 VO = 2.0
-# physical against modal coordinates: rounding differences of a few ulp
-# per cycle, which a non-diverging orbit keeps far below this
+# physical modal against closed-form arithmetic: rounding differences of a
+# few ulp per cycle, which a non-diverging orbit keeps far below this
 PHYSICAL_REL_TOL = 1e-10
 
 
-class _ModalLoopEngine(_CycleEngine):
-    """Fast-path cycle with the modal formulas in loop form."""
+class _LoopEngine(_CycleEngine):
+    """The engine's cycle with the closed-form formulas in loop form."""
 
-    def modes(self, x):
-        """Modal coordinates after the on-time and their coefficients."""
-        pm = _complex_rows(self.vinv @ self.p1)
-        jm = _complex_rows(self.vinv @ self.j1u)
-        cv = _complex_rows(self.m.Cvec @ self.vecs)
+    def closed_form(self):
+        """``a``, ``q`` and ``N = A - a I`` of the off stage."""
+        (a00, a01), (a10, a11) = self.m.A.tolist()
+        a = 0.5 * (a00 + a11)
+        h = 0.5 * (a00 - a11)
+        return a, h * h + a01 * a10, ((h, a01), (a10, -h))
+
+    def stage(self, tau):
+        """``e^(a tau) c`` and ``e^(a tau) s`` at ``tau``."""
+        a, q, _ = self.closed_form()
+        if q > 0.0:
+            r = math.sqrt(q)
+            if r * tau > 1.0:
+                ep = 0.5 * math.exp((a + r) * tau)
+                em = 0.5 * math.exp((a - r) * tau)
+                return ep + em, (ep - em) / r
+            e = math.exp(a * tau)
+            return e * math.cosh(r * tau), e * math.sinh(r * tau) / r
+        e = math.exp(a * tau)
+        if q < 0.0:
+            w = math.sqrt(-q)
+            return e * math.cos(w * tau), e * math.sin(w * tau) / w
+        return e, e * tau
+
+    def coefficients(self, x):
+        """``x_d``, ``N x_d``, ``P = Cvec x_d`` and ``Q = Cvec N x_d``."""
+        _, _, n = self.closed_form()
         x = [float(v) for v in x]
-        zd = [sum(map(operator.mul, row, x)) + j for row, j in zip(pm, jm)]
-        return zd, [c * z for c, z in zip(cv, zd)]
+        xd = [row[0] * x[0] + row[1] * x[1] + j
+              for row, j in zip(self.p1.tolist(), self.j1u.tolist())]
+        nx = [row[0] * xd[0] + row[1] * xd[1] for row in n]
+        c = self.m.Cvec.tolist()
+        return (xd, nx, c[0] * xd[0] + c[1] * xd[1],
+                c[0] * nx[0] + c[1] * nx[1])
 
-    def phi_and_slope(self, az, tau):
-        acc = 0.0
-        dacc = 0.0
-        for a, lam in zip(az, _complex_rows(self.lam)):
-            e = cmath.exp(lam * tau)
-            acc += (a * e).real
-            dacc += (a * lam * e).real
-        return (acc + self.du - self.ramp.ma * (self.ramp.d + tau),
-                dacc - self.ramp.ma)
+    def phi_and_slope(self, P, Q, tau):
+        a, q, _ = self.closed_form()
+        ec, es = self.stage(tau)
+        return (ec * P + es * Q + self.du - self.ramp.ma * (self.ramp.d + tau),
+                ec * (a * P + Q) + es * (q * P + a * Q) - self.ramp.ma)
 
-    def phi_at(self, az, tau):
-        return self.phi_and_slope(az, tau)[0]
+    def phi_at(self, P, Q, tau):
+        return self.phi_and_slope(P, Q, tau)[0]
 
-    def refine(self, az, lo, hi, flo, fhi):
-        return _newton(lambda t: self.phi_and_slope(az, t), lo, hi, flo, fhi,
-                       REFINE_REL_TOL * self.T_guess)
+    def refine(self, P, Q, lo, hi, flo, fhi):
+        return _newton(lambda t: self.phi_and_slope(P, Q, t), lo, hi, flo,
+                       fhi, REFINE_REL_TOL * self.T_guess)
 
-    def scan(self, az):
+    def scan(self, P, Q):
         """Whole-chunk scan, each chunk's table built afresh."""
-        w = np.array([a.real for a in az] + [a.imag for a in az]
-                     + [self.du, 1.0])
+        w = np.array([P, Q, self.du, 1.0])
         chunk = 2 * SCAN_DIVISIONS
         k0 = 1
-        kmax = int(np.ceil(self.tau_max / self.step))
+        kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))
         while k0 <= kmax:
             ks = np.arange(k0, min(k0 + chunk, kmax + 1))
             taus = ks * self.step
-            e = np.exp(np.outer(taus, self.lam))
-            table = np.column_stack([e.real, -e.imag, np.ones_like(taus),
+            ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
+            table = np.column_stack([ec, es * taus, np.ones_like(taus),
                                      -self.ramp.ma * (self.ramp.d + taus)])
             hits = np.nonzero(table.dot(w) <= 0.0)[0]
             if hits.size:
@@ -91,51 +114,54 @@ class _ModalLoopEngine(_CycleEngine):
             k0 = ks[-1] + 1
         raise AssertionError("reference scan found no crossing")
 
-    def state(self, zd, tau):
-        ez = [cmath.exp(lam * tau) * z
-              for lam, z in zip(_complex_rows(self.lam), zd)]
-        return np.array([sum(map(operator.mul, row, ez)).real
-                         for row in _complex_rows(self.vecs)])
-
     def run_cycle(self, x):
         d = self.ramp.d
-        zd, az = self.modes(x)
-        acc = 0.0
-        for a in az:
-            acc += a.real
-        phi0 = acc + self.du - self.ramp.ma * d
+        xd, nx, P, Q = self.coefficients(x)
+        phi0 = P + self.du - self.ramp.ma * d
         if phi0 <= 0.0:
             tau = 0.0
         else:
-            lo, hi = self.scan(az)
-            flo = self.phi_at(az, lo) if lo > 0.0 else phi0
-            fhi = self.phi_at(az, hi)
+            lo, hi = self.scan(P, Q)
+            flo = self.phi_at(P, Q, lo) if lo > 0.0 else phi0
+            fhi = self.phi_at(P, Q, hi)
             if fhi == 0.0:
                 tau = hi
             elif flo > 0.0 > fhi:
-                tau = self.refine(az, lo, hi, flo, fhi)
+                tau = self.refine(P, Q, lo, hi, flo, fhi)
             else:
                 scale = (2.0 * abs(self.du)
                          + abs(self.ramp.ma) * (self.ramp.d + hi)
-                         + sum(map(abs, az)))
+                         + max(abs(ec * P) + abs(es * Q)
+                               for ec, es in (self.stage(lo),
+                                              self.stage(hi))))
                 noise = 64.0 * np.finfo(float).eps * max(scale, 1e-300)
                 assert min(abs(flo), abs(fhi)) <= noise
                 tau = lo if abs(flo) < abs(fhi) else hi
-        x_next = self.state(zd, tau)
+        ec, es = self.stage(tau)
+        x_next = np.array([ec * xd[0] + es * nx[0], ec * xd[1] + es * nx[1]])
         return CycleStep(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, phi0 <= 0.0)
 
 
-class _FindRootEngine(_ModalLoopEngine):
-    """Modal loop-form cycle refined by ``find_root``."""
+class _FindRootEngine(_LoopEngine):
+    """Loop-form cycle refined by ``find_root``."""
 
-    def refine(self, az, lo, hi, flo, fhi):
-        return find_root(lambda t: self.phi_at(az, t), lo, hi,
+    def refine(self, P, Q, lo, hi, flo, fhi):
+        return find_root(lambda t: self.phi_at(P, Q, t), lo, hi,
                          tol=REFINE_REL_TOL * self.T_guess)
 
 
 class _PhysicalEngine(_CycleEngine):
-    """Fast-path cycle in physical coordinates, as the engine once ran it."""
+    """A cycle through the off stage's eigenvectors, physical coordinates."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lam, self.vecs = np.linalg.eig(self.m.A)
+        self.vinv = np.linalg.inv(self.vecs)
+        self.cv = self.m.Cvec @ self.vecs
+
+    def on_stage(self, x):
+        return self.p1 @ x + self.j1u
 
     def _modal(self, x_d):
         return self.vinv @ x_d
@@ -163,7 +189,7 @@ class _PhysicalEngine(_CycleEngine):
         az = self.cv * self._modal(x_d)
         chunk = 2 * SCAN_DIVISIONS
         k0 = 1
-        kmax = int(np.ceil(self.tau_max / self.step))
+        kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))
         while k0 <= kmax:
             ks = np.arange(k0, min(k0 + chunk, kmax + 1))
             taus = ks * self.step
@@ -210,46 +236,6 @@ class _PhysicalEngine(_CycleEngine):
                          float(self.m.Cvec @ x_next) + self.du, False)
 
 
-class _SteppingEngine(_PhysicalEngine):
-    """Fallback-path cycle in loop form, off-stage drive integral included.
-
-    The off stage is undriven, so the ``expm_integral`` term the engine
-    once added at every step is an exact zero; keeping it here shows that
-    leaving it out moved no bit.
-    """
-
-    def drive(self, tau):
-        zero = np.zeros_like(self.m.B)
-        return expm_integral(self.m.A, zero, tau) @ self.u
-
-    def refine(self, x_d, lo, hi, flo, fhi):
-        return find_root(lambda t: self.phi_at(x_d, t), lo, hi,
-                         tol=REFINE_REL_TOL * self.T_guess)
-
-    def state(self, x_d, tau):
-        return expm(self.m.A, tau) @ x_d + self.drive(tau)
-
-    def phi_at(self, x_d, tau):
-        return (float(self.m.Cvec @ self.state(x_d, tau)) + self.du
-                - self.ramp.ma * (self.ramp.d + tau))
-
-    def scan(self, x_d):
-        phi_step = expm(self.m.A, self.step)
-        j_step = self.drive(self.step)
-        x = x_d
-        for k in range(1, int(np.ceil(self.tau_max / self.step)) + 1):
-            x = phi_step @ x + j_step
-            phi = (float(self.m.Cvec @ x) + self.du
-                   - self.ramp.ma * (self.ramp.d + k * self.step))
-            if phi <= 0.0:
-                return (k - 1) * self.step, k * self.step
-        raise AssertionError("reference scan found no crossing")
-
-    def noise_scale(self, x_d, hi):
-        return (abs(self.du) + abs(self.ramp.ma) * (self.ramp.d + hi)
-                + float(np.abs(self.m.Cvec) @ np.abs(x_d)))
-
-
 def _loop_trace(engine, setup, ncycles):
     m, ramp, u, T, x0 = setup
     eng = engine(m, ramp, u, T)
@@ -261,10 +247,9 @@ def _loop_trace(engine, setup, ncycles):
     return eng, steps
 
 
-def _assert_matches_loop_form(setup, ncycles, engine=_ModalLoopEngine):
+def _assert_matches_loop_form(setup, ncycles):
     m, ramp, u, T, x0 = setup
-    eng, steps = _loop_trace(engine, setup, ncycles)
-    assert eng.fast is (engine is not _SteppingEngine)
+    _, steps = _loop_trace(_LoopEngine, setup, ncycles)
     tr = simulate(m, ramp, x0, u, ncycles, T)
     assert np.array_equal(tr.Tn, [st.Tn for st in steps])
     assert np.array_equal(tr.x_end, [st.x_next for st in steps])
@@ -294,13 +279,25 @@ def test_duty_family_orbit_matches_loop_form():
     _assert_matches_loop_form(fam(0.37), 1500)
 
 
-def test_critical_damping_matches_stepping_loop_form():
-    # R = sqrt(L/C)/2 with no ESR: a double off-stage eigenvalue, so the
-    # engine scans by matrix stepping and refines with exact exponentials
+def test_critical_damping_matches_loop_form():
+    # R = sqrt(L/C)/2 with no ESR: a double off-stage eigenvalue, q == 0,
+    # on the same path as every other model
     L, C = 2e-6, 2e-5
     p = BuckParams(R=0.5 * np.sqrt(L / C), L=L, C=C, Rc=0.0, vs=5.0)
     fam = make_ramp_family(p, Scheme.V_COTC, FAST_D, FAST_T)
-    tr = _assert_matches_loop_form(fam(5000.0), 400, _SteppingEngine)
+    tr = _assert_matches_loop_form(fam(5000.0), 400)
+    assert classify_orbit(tr, settle=300) == PERIOD1
+
+
+def test_overdamped_orbit_matches_loop_form():
+    # a small load splits the off-stage pair far apart (q > 0), and the
+    # crossing lies past sqrt(q) tau = 1, where the hyperbolic pair is
+    # formed from exp((a +- sqrt q) tau)
+    p = BuckParams(R=0.08, L=5e-6, C=1.2e-5, Rc=0.01, vs=5.0)
+    d, T = 2e-6, 5e-6
+    setup = make_ramp_family(p, Scheme.V_COTC, d, T)(0.0)
+    assert math.sqrt(closed_form_q(setup[0].A)) * (T - d) > 1.0
+    tr = _assert_matches_loop_form(setup, 400)
     assert classify_orbit(tr, settle=300) == PERIOD1
 
 
@@ -314,8 +311,8 @@ def test_critical_damping_matches_stepping_loop_form():
 ])
 def test_modal_engine_agrees_with_physical_loop_form(family, value, ncycles,
                                                      settle):
-    # orbits that do not diverge: the two coordinate systems round
-    # differently, but the difference must stay at rounding level
+    # orbits that do not diverge: the closed form and the modal form
+    # round differently, but the difference must stay at rounding level
     setup = family()(value)
     m, ramp, u, T, x0 = setup
     _, steps = _loop_trace(_PhysicalEngine, setup, ncycles)
@@ -348,22 +345,22 @@ def _assert_refiner_matches_find_root(setup, ncycles):
     for k, x in enumerate(starts):
         if tr.saturated[k]:
             continue
-        _, az = ref.modes(x)
-        cell = ref.scan(az)
+        _, _, P, Q = ref.coefficients(x)
+        cell = ref.scan(P, Q)
         window = eng.hint + SCAN_MARGIN
-        assert eng._scan_fast(az) == cell, k
+        assert eng._scan(P, Q) == cell, k
         misses += cell[1] > window * eng.step
         eng.hint = 0
-        assert eng._scan_fast(az) == cell, k
+        assert eng._scan(P, Q) == cell, k
         lo, hi = cell
-        phi0 = ref.phi_at(az, 0.0)
-        flo = ref.phi_at(az, lo) if lo > 0.0 else phi0
-        fhi = ref.phi_at(az, hi)
+        phi0 = ref.phi_at(P, Q, 0.0)
+        flo = ref.phi_at(P, Q, lo) if lo > 0.0 else phi0
+        fhi = ref.phi_at(P, Q, hi)
         if not flo > 0.0 > fhi:
             continue
-        tau = _newton(eng._modal_phi(az), lo, hi, flo, fhi, tol)
+        tau = _newton(eng._phi(P, Q), lo, hi, flo, fhi, tol)
         assert tr.Tn[k] == ramp.d + tau
-        assert abs(tau - ref.refine(az, lo, hi, flo, fhi)) <= tol, k
+        assert abs(tau - ref.refine(P, Q, lo, hi, flo, fhi)) <= tol, k
         refined += 1
     assert refined >= ncycles // 2
     return misses

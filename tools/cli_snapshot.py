@@ -20,12 +20,12 @@ and at a given duty, with no ramp, a stabilising ramp and a steep negative
 one; CSV and JSON output, ``--formula``, ``--sweep`` and ``--nh``; the
 fixed-period and fixed-output duty sweeps; both onset families at reduced
 cycle counts, and the ramp family at a first rung longer than the default
-escalation rung; a critically damped simulation (the matrix-stepping path
-of the simulator) and one on the fixed-output duty family; the built-in
-worked cases; the error cases of ``tests/test_cli.py``; and, for each
-command that keeps formula rows, ``--formula`` with every catalog id on
-every scheme, so each row filter and each "does not apply" error is
-covered.  It runs in about two minutes.
+escalation rung; a critically damped simulation (the ``q == 0`` branch of
+the simulator's closed form) and one on the fixed-output duty family; the
+built-in worked cases; the error cases of ``tests/test_cli.py``; and, for
+each command that keeps formula rows, ``--formula`` with every catalog id
+on every scheme, so each row filter and each "does not apply" error is
+covered.  It runs in well under a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def invocations(conf: dict) -> list[list[str]]:
         ["splot", "--config", current, "--set", "vo=3.3"],
         ["hb-splot", "--config", fast, "--set", "vo=2.0", "--nh", "40",
          "--sweep", "D=0.2:0.8:4"],
-        # simulation: the stepping path, then both onset families
+        # simulation: critical damping, then both onset families
         ["simulate", "--config", fast, *CRITICAL, "--cycles", "400"],
         ["simulate", "--config", fast, "--set", "ma=2000", "--cycles", "600",
          "--set", "settle=300"],
