@@ -15,13 +15,7 @@ import numpy as np
 
 from cotstab import BuckParams, Scheme, build_model
 from cotstab.bifurcation import pdb_boundary_exact
-from cotstab.harmonic import (
-    convergence_points,
-    hb_pdb_first_harmonic,
-    hb_pdb_splot,
-    l2_plot,
-    loop_gain_pdb,
-)
+from cotstab.harmonic import convergence_points, hb_pdb_splot, l1_plot, l2_plot
 from cotstab.tables import Table, write_table
 
 p = BuckParams(R=0.5, L=2e-6, C=2e-5, Rc=0.02, vs=5.0)
@@ -38,12 +32,12 @@ for nh in convergence_points(2000):
 
 # keeping only the first harmonic is the textbook describing-function
 # shortcut; useful for intuition, crude in value
-first = hb_pdb_first_harmonic(p, Scheme.V_COTC, d, T)
+first = hb_pdb_splot(p, Scheme.V_COTC, d, T, nh=1)
 print(f"  first harmonic only: {first:.1f} V/s ({first / exact:.1f} x)")
 
 # at the critical slope the two-sided loop gain at half the switching
 # frequency is exactly 2
-gain = loop_gain_pdb(p, Scheme.V_COTC, exact, d, T, form="two_sided")
+gain = l1_plot(2.0 * np.pi / T, p, Scheme.V_COTC, exact, d, 2000)
 print(f"two-sided loop gain at the boundary: {gain.real:.6f} "
       f"(imag {gain.imag:+.1e})")
 

@@ -23,9 +23,8 @@ from .errors import (BracketError, ConfigError, CotstabError,
                      NumericError, PoleEvaluationError, SingularMatrixError,
                      UsageError)
 from .harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
-                       hb_pdb_first_harmonic, hb_snb_condition, l1_plot,
-                       l2_plot, loop_gain, loop_gain_pdb, period2_coeff,
-                       scheme_gain, scheme_gain_derivative,
+                       hb_snb_condition, l1_plot, l2_plot, loop_gain,
+                       period2_coeff, scheme_gain, scheme_gain_derivative,
                        series_identities_check, square_wave_coeff, y0_series)
 from .linalg import eigenvalues, expm, expm_integral, find_root, solve_linear
 from .models import (BuckParams, ConverterModel, RampSpec, Scheme, build_model,
@@ -35,10 +34,9 @@ from .sampled import (CycleOps, LinearizedMap, SteadyState,
                       consistent_vc, control_to_output, linearize,
                       orbit_sample, period_residual, poles, solve_period,
                       steady_state_at)
-from .simulate import (CycleStep, Trace, classify_orbit, estimate_multiplier,
+from .simulate import (Trace, classify_orbit, estimate_multiplier,
                        make_duty_family, make_ramp_family,
-                       nominal_probe_state, onset_search, simulate,
-                       step_cycle)
+                       nominal_probe_state, onset_search, simulate)
 
 __version__ = "0.1.0"
 

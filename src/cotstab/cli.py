@@ -506,26 +506,29 @@ def _freq_sweep(prefix: str, boundary_text: str, series, boundary, args,
     ma = cfg.get("ma", 0.0)
     nh = _count(args, "nh", cfg, "Nh", 2000)
     if args.sweep or "fs_range" in cfg:
-        fss = np.linspace(*_grid(args, cfg, "fs", "fs_range", None))
+        grid = _grid(args, cfg, "fs", "fs_range", None)
     else:
         # Default window around the design point, kept below the 1/d ceiling.
         _, T0 = _timing(cfg, "the default frequency sweep")
-        fss = np.linspace(0.25 / T0, min(2.5 / T0, 0.98 / d), 121)
+        grid = (0.25 / T0, min(2.5 / T0, 0.98 / d), 121)
     if needs_ramp and ma == 0.0:
         raise ConfigError(f"{args.command} needs a nonzero ma (the sum is "
                           "normalized by the ramp amplitude)")
+    if not d > 0.0:  # or every point would fail, and read NaN
+        raise ConfigError(f"{args.command} needs d > 0, got d={d!r}")
     meta = {"scheme": scheme.name, "d_seconds": d, "nh": nh,
             "ma_volts_per_second": ma, "boundary": boundary_text}
     table = Table(["fs_hertz", f"{prefix}_real", f"{prefix}_imag", "boundary"],
                   metadata=meta)
-    for fs in fss:
-        T = 1.0 / float(fs)
+
+    def point(fs):
+        T = 1.0 / fs
         if T <= d:
-            table.add(float(fs), math.nan, math.nan, math.nan)
-            continue
-        val = series(2.0 * math.pi * float(fs), p, scheme, ma, d, nh)
-        table.add(float(fs), val.real, val.imag, boundary(T, ma, p.vs))
-    return table
+            return math.nan, math.nan, math.nan
+        val = series(2.0 * math.pi * fs, p, scheme, ma, d, nh)
+        return val.real, val.imag, boundary(T, ma, p.vs)
+
+    return _sweep_rows(table, grid, point)
 
 
 def _simulate(args, cfg: dict) -> Table:

@@ -35,8 +35,6 @@ __all__ = [
     "loop_gain",
     "y0_series",
     "hb_pdb_splot",
-    "hb_pdb_first_harmonic",
-    "loop_gain_pdb",
     "l1_plot",
     "l2_plot",
     "h_plot",
@@ -277,41 +275,16 @@ def l1_plot(omega_s: float, p: BuckParams, scheme: Scheme, ma: float,
     return _normalized(_l2_sum(p, scheme, d, T, nh), p, ma, T)
 
 
-def loop_gain_pdb(p: BuckParams, scheme: Scheme, ma: float, d: float,
-                  T: float, nh: int = 2000, form: str = "two_sided") -> complex:
-    """Period-doubling balance in loop-gain form.
-
-    ``two_sided`` sums both harmonic signs (boundary value 2);
-    ``one_sided`` keeps positive harmonics (boundary: real part 1);
-    ``first_harmonic`` truncates the one-sided form at the half-switching
-    frequency, the classical slope-compensation estimate.
-    """
-    if form == "two_sided":
-        val = _l2_sum(p, scheme, d, T, nh)
-    elif form == "one_sided":
-        val = _h_sum(p, scheme, d, T, nh)
-    elif form == "first_harmonic":
-        val = complex(_pdb_terms(p, scheme, d, T, 1)[0])
-    else:
-        raise UsageError(
-            f"form must be two_sided, one_sided or first_harmonic, got {form!r}")
-    return _normalized(val, p, ma, T)
-
-
 def hb_pdb_splot(p: BuckParams, scheme: Scheme, d: float, T: float,
                  nh: int = 2000) -> float:
     """Critical ramp slope at period doubling, from the harmonic series.
 
     Independent of the stage-transition route; the two are compared
-    point by point in the regression suite.
+    point by point in the regression suite.  ``nh = 1`` keeps only the
+    half-switching-frequency term: the classical first-harmonic
+    (describing-function) estimate of the slope.
     """
     return float(_h_sum(p, scheme, d, T, nh).real * p.vs / T)
-
-
-def hb_pdb_first_harmonic(p: BuckParams, scheme: Scheme, d: float,
-                          T: float) -> float:
-    """First-harmonic estimate of the critical ramp slope."""
-    return float(_pdb_terms(p, scheme, d, T, 1)[0].real * p.vs / T)
 
 
 def hb_snb_condition(p: BuckParams, scheme: Scheme, d: float, T: float,

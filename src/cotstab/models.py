@@ -152,6 +152,9 @@ class ConverterModel:
                             ("Dvec", (2,)), ("E", (2,))):
             object.__setattr__(self, name,
                                _check_matrix(name, getattr(self, name), shape))
+        if np.any(self.B[:, 1] != 0.0):
+            raise DomainError("B must have a zero vc column: the control "
+                              "reference acts only through Dvec")
 
     @property
     def n(self):

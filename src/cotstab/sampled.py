@@ -114,12 +114,9 @@ def _cycle_start(p1, p2, j1b1, u):
         ) from exc
 
 
-def _orbit(m: ConverterModel, ops: CycleOps, u) -> SteadyState:
-    """Fixed point of the cycle map built from ``ops``, at inputs ``u``."""
-    u = np.asarray(u, dtype=float)
-    p1, p2, j1b1 = ops.p1, ops.p2, ops.j1b1
-    x0 = _cycle_start(p1, p2, j1b1, u)
-    xd = p1 @ x0 + j1b1 @ u
+def _orbit(m: ConverterModel, ops: CycleOps, u, x0) -> SteadyState:
+    """The fixed point of the cycle map of ``ops`` at ``u``, starting at x0."""
+    xd = ops.p1 @ x0 + ops.j1b1 @ u
     v = m.A @ x0
     y_end = float(m.Cvec @ x0 + m.Dvec @ u)
     return SteadyState(x0_0=x0, x0_d=xd, xdot0_minus=v, T=ops.T, d=ops.d,
@@ -134,62 +131,58 @@ def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
     the pair is consistent with a given ramp is a separate question
     (see :func:`solve_period` and :func:`consistent_vc`).
     """
-    return _orbit(m, _cycle_ops(m, d, T), u)
-
-
-def _consistent_vc(m: ConverterModel, ops: CycleOps, ma: float,
-                   vs: float) -> float:
-    r0 = _orbit(m, ops, (vs, 0.0)).y_end - ma * ops.T
-    r1 = _orbit(m, ops, (vs, 1.0)).y_end - ma * ops.T
-    slope = r1 - r0
-    if abs(slope) < 1e-14 * (abs(r0) + abs(r1) + 1e-300):
-        raise DegenerateSwitchingError(
-            "switching residual does not depend on the control reference")
-    return -r0 / slope
+    ops = _cycle_ops(m, d, T)
+    u = np.asarray(u, dtype=float)
+    return _orbit(m, ops, u, _cycle_start(ops.p1, ops.p2, ops.j1b1, u))
 
 
 def consistent_vc(m: ConverterModel, ramp: RampSpec, T: float, vs: float) -> float:
     """Control reference that makes (d, T) a steady cycle under the ramp.
 
     At a consistent operating point the feedback signal meets the ramp at
-    the cycle boundary.  The residual is affine in ``vc``, so two
-    evaluations pin it exactly; both use one set of stage operators.
+    the cycle boundary.  It is ``u[1]`` of :func:`consistent_steady_state`.
     """
-    return _consistent_vc(m, _cycle_ops(m, ramp.d, T), ramp.ma, vs)
+    return float(consistent_steady_state(m, ramp, T, vs).u[1])
 
 
 def consistent_steady_state(m: ConverterModel, ramp: RampSpec, T: float,
                             vs: float) -> SteadyState:
     """Periodic orbit at the consistent operating point.
 
-    The control reference comes from :func:`consistent_vc`, so the cycle
-    (``ramp.d``, ``T``) closes on the ramp: ``y_end`` equals ``ramp.ma * T``
-    and the reference is ``u[1]`` of the result.
+    ``u[1]`` is the control reference that closes the cycle (``ramp.d``,
+    ``T``) on the ramp: ``y_end`` equals ``ramp.ma * T``.  ``vc`` drives no
+    state, so one periodicity solve at ``vc = 0`` gives the start state;
+    the switching residual, affine in ``vc``, is read off it at ``vc = 0``
+    and ``vc = 1``.
     """
     ops = _cycle_ops(m, ramp.d, T)
-    vc = _consistent_vc(m, ops, ramp.ma, vs)
-    return _orbit(m, ops, np.array([vs, vc]))
+    x0 = _cycle_start(ops.p1, ops.p2, ops.j1b1, np.array([vs, 0.0]))
+    r0, r1 = (float(m.Cvec @ x0 + m.Dvec @ np.array([vs, vc]))
+              - ramp.ma * ops.T for vc in (0.0, 1.0))
+    slope = r1 - r0
+    if abs(slope) < 1e-14 * (abs(r0) + abs(r1) + 1e-300):
+        raise DegenerateSwitchingError(
+            "switching residual does not depend on the control reference")
+    return _orbit(m, ops, np.array([vs, -r0 / slope]), x0)
 
 
-def period_residual(m: ConverterModel, ramp: RampSpec, u, T: float) -> float:
-    """Feedback-minus-ramp mismatch at the cycle boundary for period T."""
-    ss = steady_state_at(m, ramp.d, T, u)
-    return ss.y_end - ramp.ma * T
+def period_residual(m: ConverterModel, ramp: RampSpec, u, T):
+    """Feedback-minus-ramp mismatch at the cycle boundary for period T.
 
-
-def _period_residuals(m: ConverterModel, ramp: RampSpec, u, ts) -> np.ndarray:
-    """:func:`period_residual` at every period of ``ts``, bit for bit.
-
-    Only the period varies along ``ts``, so the on-stage operators are
-    formed once, and the off-stage exponentials and the periodicity solves
-    are one stacked call each.
+    ``T`` may be an array, as for the exact boundaries: the off-stage
+    exponentials and the periodicity solves are then one stacked call
+    each, and each point is the float its scalar call gives, bit for bit.
     """
+    ts = np.asarray(T, dtype=float)
+    if not np.all(ramp.d < ts):
+        raise DomainError(f"need 0 < d < T, got d={ramp.d!r}, T={T!r}")
     u = np.asarray(u, dtype=float)
     x0 = _cycle_start(expm(m.A, ramp.d), expm(m.A, ts - ramp.d),
                       expm_integral(m.A, m.B, ramp.d), u)
     # a stacked product, so that each point is its own Cvec @ x0
     y_end = (m.Cvec @ x0[..., None])[..., 0] + m.Dvec @ u
-    return y_end - ramp.ma * ts
+    res = y_end - ramp.ma * ts
+    return float(res) if res.ndim == 0 else res
 
 
 def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
@@ -210,7 +203,7 @@ def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
             f"bracket must satisfy d < T_lo < T_hi, got d={ramp.d!r}, "
             f"T_lo={T_lo!r}, T_hi={T_hi!r}")
     ts = np.linspace(T_lo, T_hi, int(grid))
-    res = _period_residuals(m, ramp, u, ts)
+    res = period_residual(m, ramp, u, ts)
     scale = float(np.max(np.abs(res))) or 1.0
     roots = []
     for i in range(len(ts) - 1):
@@ -244,20 +237,13 @@ class LinearizedMap:
     """Small-signal cycle-to-cycle dynamics around a periodic orbit.
 
     ``Phi`` maps a state perturbation across one cycle; ``Gamma`` maps the
-    held input perturbation (columns: source, control reference).  ``W`` is
-    the open-loop stage product in forward order, ``Wr`` the same two
-    factors in reversed order (its resolvent appears in the pole placement
-    function).  ``denom`` is the switching transversality factor: the slope
-    margin between feedback and ramp at the crossing.
+    held input perturbation (columns: source, control reference); ``Evec``
+    maps the state to the output voltage.
     """
 
     Phi: np.ndarray
     Gamma: np.ndarray
     Evec: np.ndarray
-    T: float
-    W: np.ndarray
-    Wr: np.ndarray
-    denom: float
 
     def poles(self):
         """Eigenvalues of Phi, sorted by real part then imaginary part."""
@@ -282,12 +268,10 @@ def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
         raise DegenerateSwitchingError(
             "ramp slope equals the feedback slope at the switching instant; "
             "the switching instant is not locally well defined")
-    w = p2 @ p1
     proj = np.eye(m.n) - np.outer(v, m.Cvec) / denom
-    phi = proj @ w
+    phi = proj @ (p2 @ p1)
     gamma = proj @ (p2 @ j1b1) - np.outer(v, m.Dvec) / denom
-    return LinearizedMap(Phi=phi, Gamma=gamma, Evec=m.E, T=ss.T,
-                         W=w, Wr=p1 @ p2, denom=denom)
+    return LinearizedMap(Phi=phi, Gamma=gamma, Evec=m.E)
 
 
 def poles(m: ConverterModel, ramp: RampSpec, u, T: float):

@@ -25,9 +25,7 @@ from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
 from .sampled import SteadyState, consistent_steady_state
 
 __all__ = [
-    "CycleStep",
     "Trace",
-    "step_cycle",
     "simulate",
     "classify_orbit",
     "estimate_multiplier",
@@ -49,16 +47,6 @@ _NO_CROSSING = f"no ramp crossing within {HORIZON_PERIODS} guess periods"
 PERIOD1 = "PERIOD1"
 PERIOD2 = "PERIOD2"
 OTHER = "OTHER"
-
-
-@dataclass(frozen=True)
-class CycleStep:
-    """Outcome of a single switching cycle."""
-
-    x_next: np.ndarray
-    Tn: float
-    y_switch: float
-    saturated: bool
 
 
 @dataclass(frozen=True)
@@ -332,29 +320,16 @@ def _run(eng: _CycleEngine, x0: np.ndarray, ncycles: int) -> Trace:
     return Trace(tns, x_end, y_switch, sat, x0, eng.u)
 
 
-def step_cycle(m: ConverterModel, ramp: RampSpec, x, u,
-               T_guess: float) -> CycleStep:
-    """Advance the converter by one switching cycle.
-
-    Applies the on-stage for the fixed on-time, then switches at the first
-    instant the feedback signal falls to the ramp.  A cycle whose feedback
-    is already at or below the ramp when the on-time ends is flagged
-    saturated and switches immediately.  The result is the first cycle of
-    :func:`simulate` from the same state, bit for bit.
-    """
-    x = _start_state(m, x)
-    tr = _run(_CycleEngine(m, ramp, u, T_guess), x, 1)
-    return CycleStep(tr.x_end[0], float(tr.Tn[0]), float(tr.y_switch[0]),
-                     bool(tr.saturated[0]))
-
-
 def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
              T_guess: float | None = None) -> Trace:
     """Run ``ncycles`` switching cycles from the given state.
 
-    Deterministic: the same inputs always produce the bit-identical trace.
-    Raises MissedSwitchingError, tagged with the cycle index, if the
-    feedback never returns to the ramp within the scan horizon.
+    A one-cycle run is the single-step cycle map.  A cycle whose feedback
+    is already at or below the ramp when the on-time ends is flagged
+    saturated and switches at once.  Deterministic: the same inputs always
+    produce the bit-identical trace.  Raises MissedSwitchingError, tagged
+    with the cycle index, if the feedback never returns to the ramp within
+    the scan horizon.
     """
     ncycles = _integer("ncycles", ncycles, 1)
     if T_guess is None:

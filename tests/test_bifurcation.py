@@ -102,7 +102,7 @@ def test_pole_placement_rejects_spectrum_points():
     # real lambda can land exactly on the open-loop spectrum
     p = BuckParams(R=0.2, L=10e-6, C=1e-5, Rc=0.5, vs=5.0)
     m, _, _, ss = operating(p, Scheme.V_COTC, 1.2e-6, 3e-6, 0.0)
-    eigs = np.linalg.eigvals(linearize(m, ss, 0.0).Wr)
+    eigs = np.linalg.eigvals(ss.ops.p1 @ ss.ops.p2)
     assert np.abs(eigs.imag).max() < 1e-12  # really overdamped
     lam = float(eigs.real[np.argmax(np.abs(eigs.real))])
     with pytest.raises(PoleEvaluationError):

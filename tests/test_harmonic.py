@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from cotstab import (DomainError, InfiniteLoopGainError, Scheme, UsageError,
-                     build_model, orbit_sample, pdb_boundary_exact,
-                     snb_boundary_exact)
-from cotstab.harmonic import (convergence_points, gi, gv, h_plot,
-                              hb_pdb_first_harmonic, hb_pdb_splot,
+from cotstab import (DomainError, InfiniteLoopGainError, Scheme, build_model,
+                     orbit_sample, pdb_boundary_exact, snb_boundary_exact)
+from cotstab.harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
                               hb_snb_condition, l1_plot, l2_plot, loop_gain,
-                              loop_gain_pdb, period2_coeff, scheme_gain,
+                              period2_coeff, scheme_gain,
                               scheme_gain_derivative, series_identities_check,
                               square_wave_coeff, y0_series)
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
@@ -142,13 +140,6 @@ def test_normalized_sum_and_loop_gain_forms():
     assert l1 == pytest.approx(l2 * FAST.vs / (ma * FAST_T), rel=1e-12)
     # at the critical slope the normalized sum sits on its boundary value 2
     assert l1.real == pytest.approx(2.0, abs=1e-3)
-    two = loop_gain_pdb(FAST, Scheme.V_COTC, ma, FAST_D, FAST_T, 2000,
-                        "two_sided")
-    one = loop_gain_pdb(FAST, Scheme.V_COTC, ma, FAST_D, FAST_T, 2000,
-                        "one_sided")
-    assert two.real == pytest.approx(2.0 * one.real, rel=1e-9)
-    with pytest.raises(UsageError):
-        loop_gain_pdb(FAST, Scheme.V_COTC, ma, FAST_D, FAST_T, 2000, "bode")
     with pytest.raises(InfiniteLoopGainError):
         l1_plot(WS, FAST, Scheme.V_COTC, 0.0, FAST_D, 2000)
     with pytest.raises(DomainError):
@@ -156,7 +147,8 @@ def test_normalized_sum_and_loop_gain_forms():
 
 
 def test_first_harmonic_estimate_is_the_classical_one():
-    val = hb_pdb_first_harmonic(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    # the series cut at its first term, the half-switching frequency
+    val = hb_pdb_splot(FAST, Scheme.V_COTC, FAST_D, FAST_T, 1)
     assert val == pytest.approx(6079.887644900889, rel=1e-12)  # frozen
     # crude by design: same sign as the full sum, far from its value
     full = hb_pdb_splot(FAST, Scheme.V_COTC, FAST_D, FAST_T, 2000)
@@ -198,8 +190,6 @@ _SERIES = {
                                         nh),
     "l1_plot": lambda nh, d, T: l1_plot(_omega(T), FAST, Scheme.V_COTC,
                                         943.4, d, nh),
-    "loop_gain_pdb": lambda nh, d, T: loop_gain_pdb(
-        FAST, Scheme.V_COTC, 943.4, d, T, nh, "one_sided"),
     "y0_series": lambda nh, d, T: y0_series(0.3 * FAST_T, FAST,
                                             Scheme.V_COTC, 1.9, d, T, nh),
 }
@@ -230,9 +220,7 @@ def test_series_reject_bad_depth_and_timing(name, nh, d, T):
                                   (FAST_D, 0.0), (FAST_D, math.nan)])
 def test_first_harmonic_rejects_bad_timing(d, T):
     with pytest.raises(DomainError):
-        hb_pdb_first_harmonic(FAST, Scheme.V_COTC, d, T)
-    with pytest.raises(DomainError):
-        loop_gain_pdb(FAST, Scheme.V_COTC, 943.4, d, T, 40, "first_harmonic")
+        hb_pdb_splot(FAST, Scheme.V_COTC, d, T, 1)
 
 
 def test_series_accept_the_zero_off_time_corner():

@@ -112,7 +112,7 @@ def test_expm_integral_matches_quadrature():
     b = RNG.standard_normal(2)
     t = 1.3e-6
     ts = np.linspace(0.0, t, 20001)
-    vals = np.stack([expm(a, tk) @ b for tk in ts])
+    vals = expm(a, ts) @ b  # one stacked call; slices equal single calls
     quad = np.trapezoid(vals, ts, axis=0)
     assert np.allclose(expm_integral(a, b, t), quad, rtol=1e-7, atol=1e-12)
 

@@ -89,6 +89,17 @@ def test_model_records_its_scheme():
         ConverterModel(A=m.A, B=m.B, Cvec=m.Cvec, Dvec=m.Dvec, E=m.E)
 
 
+def test_model_rejects_a_control_reference_in_the_drive():
+    # vc acts only through Dvec; a B that feeds it into the state would
+    # make the consistent orbit's reference wrong
+    m = build_model(FAST, Scheme.V_COTC)
+    b = m.B.copy()
+    b[1, 1] = 1e-9
+    with pytest.raises(DomainError, match="vc"):
+        ConverterModel(A=m.A, B=b, Cvec=m.Cvec, Dvec=m.Dvec, E=m.E,
+                       scheme=m.scheme)
+
+
 def test_slope_normalizer_is_ripple_slope_scale():
     # sf = Rc * vs * D / L for the voltage-feedback schemes
     p = FAST

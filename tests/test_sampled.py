@@ -1,5 +1,7 @@
 """Sampled-data layer: periodic orbit, consistency, linearized cycle map."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from cotstab import (DegenerateSwitchingError, DomainError, RampSpec, Scheme,
                      audio_susceptibility, consistent_steady_state,
                      consistent_vc, control_to_output, expm,
                      expm_integral, linearize, orbit_sample, period_residual,
-                     poles, solve_period, steady_state_at)
-from cotstab.sampled import _period_residuals
+                     poles, solve_linear, solve_period, steady_state_at)
 from helpers import (FAST, FAST_D, FAST_T, SCHEMES, operating,
                      random_operating)
 
@@ -45,10 +46,26 @@ def test_consistent_orbit_equals_the_separate_calls_bitwise():
     assert ss.u[1] == vc
     assert np.array_equal(ss.x0_0, again.x0_0)
     assert ss.y_end == again.y_end
-    lin = linearize(m, ss, ramp.ma)
-    w = ss.ops.p2 @ ss.ops.p1
-    assert np.array_equal(lin.W, w)
-    assert np.array_equal(lin.Wr, ss.ops.p1 @ ss.ops.p2)
+
+
+def test_consistent_orbit_makes_one_periodicity_solve(monkeypatch):
+    # vc drives no state, so one solve serves both switching residuals
+    # and the orbit itself
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_linear(*args)
+
+    monkeypatch.setattr(sys.modules["cotstab.sampled"], "solve_linear",
+                        counted)
+    rng = np.random.default_rng(7108)
+    for scheme in SCHEMES:
+        p, _, _, T, m, ramp, _, _ = random_operating(rng, scheme, 1500.0)
+        for solve in (consistent_vc, consistent_steady_state):
+            calls.clear()
+            solve(m, ramp, T, p.vs)
+            assert len(calls) == 1, solve.__name__
 
 
 def test_velocity_is_off_stage_rate_at_cycle_start():
@@ -88,15 +105,18 @@ def test_solve_period_recovers_the_design_period():
 
 
 def test_stacked_period_residuals_match_the_pointwise_residual():
-    # solve_period scans its grid in one stacked evaluation; every point
-    # must be the scalar residual, bit for bit
+    # solve_period scans its grid in one call on an array of periods;
+    # every point must be the scalar call's float, bit for bit
     rng = np.random.default_rng(7106)
     for scheme, ma in zip(SCHEMES, (0.0, 2e4, -3e4)):
         _, _, _, T, m, ramp, u, _ = random_operating(rng, scheme, ma)
         ts = np.linspace(1.05 * ramp.d, 1.9 * T, 301)
-        stacked = _period_residuals(m, ramp, u, ts)
-        pointwise = [period_residual(m, ramp, u, t) for t in ts]
+        stacked = period_residual(m, ramp, u, ts)
+        pointwise = [period_residual(m, ramp, u, float(t)) for t in ts]
+        assert all(type(r) is float for r in pointwise)
         assert np.array_equal(stacked, pointwise)
+    with pytest.raises(DomainError):
+        period_residual(m, ramp, u, ramp.d)
 
 
 def test_orbit_sample_continuity_and_endpoints():
@@ -128,8 +148,10 @@ def test_linearize_denominator_is_slope_margin():
     rng = np.random.default_rng(7107)
     _, _, _, _, m, _, u, ss = random_operating(rng, ma=0.0)
     ydot = float(m.Cvec @ ss.xdot0_minus)
+    # vc moves only the switching instant: its column of Gamma is the
+    # orbit velocity over the slope margin
     lin = linearize(m, ss, 0.0)
-    assert lin.denom == pytest.approx(ydot, rel=1e-12)
+    assert np.allclose(lin.Gamma[:, 1] * ydot, ss.xdot0_minus, rtol=1e-12)
     with pytest.raises(DegenerateSwitchingError):
         linearize(m, ss, ydot)  # ramp slope equal to feedback slope
 
@@ -168,7 +190,6 @@ def test_forward_and_reversed_products_share_spectrum():
     rng = np.random.default_rng(7109)
     # the two stage-product orderings are similar matrices
     _, _, _, _, m, _, _, ss = random_operating(rng)
-    lin = linearize(m, ss, 0.0)
-    a = np.sort_complex(np.linalg.eigvals(lin.W))
-    b = np.sort_complex(np.linalg.eigvals(lin.Wr))
+    a = np.sort_complex(np.linalg.eigvals(ss.ops.p2 @ ss.ops.p1))
+    b = np.sort_complex(np.linalg.eigvals(ss.ops.p1 @ ss.ops.p2))
     assert np.allclose(a, b, rtol=1e-9, atol=1e-12)

@@ -27,7 +27,6 @@ from cotstab import (
     nominal_probe_state,
     onset_search,
     simulate,
-    step_cycle,
 )
 from cotstab.errors import (
     BracketError,
@@ -54,7 +53,7 @@ def _synthetic_trace(tns, saturated=None):
                  np.zeros(2), np.zeros(2))
 
 
-def test_step_cycle_holds_fixed_point():
+def test_one_cycle_run_holds_fixed_point():
     # periodic orbit of the cycle map: one step must return the same
     # state, the design period and a switching value on the ramp
     for p, scheme, d, T, ma in [
@@ -62,12 +61,12 @@ def test_step_cycle_holds_fixed_point():
         (CURRENT, Scheme.C_COTC, CUR_D, CUR_T, 0.0),
     ]:
         m, ramp, u, ss = operating(p, scheme, d, T, ma)
-        st = step_cycle(m, ramp, ss.x0_0, u, T)
-        assert not st.saturated
-        assert st.Tn == pytest.approx(T, rel=1e-9)
+        st = simulate(m, ramp, ss.x0_0, u, 1, T)
+        assert not st.saturated[0]
+        assert st.Tn[0] == pytest.approx(T, rel=1e-9)
         scale = np.max(np.abs(ss.x0_0))
-        assert np.max(np.abs(st.x_next - ss.x0_0)) <= 1e-12 * scale
-        assert st.y_switch - ma * st.Tn == pytest.approx(0.0, abs=1e-9)
+        assert np.max(np.abs(st.x_end[0] - ss.x0_0)) <= 1e-12 * scale
+        assert st.y_switch[0] - ma * st.Tn[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_switching_residual_is_zero_along_trace():
@@ -193,21 +192,21 @@ def test_continued_run_matches_one_long_run(family, ma, split):
      440, True),
     (_critical_family, 5000.0, 40, False),
 ])
-def test_step_cycle_is_the_first_cycle_of_simulate(family, ma, ncycles,
+def test_one_cycle_run_is_that_cycle_of_a_long_run(family, ma, ncycles,
                                                    split):
-    # from each of the last 40 start states of a run, one step is that
-    # cycle of the run, bit for bit; at ma = 600 they include saturated
-    # cycles, which begin after about 400
+    # from each of the last 40 start states of a run, a one-cycle run is
+    # that cycle of the run, bit for bit; at ma = 600 they include
+    # saturated cycles, which begin after about 400
     m, ramp, u, T, x0 = family()(ma)
     assert (closed_form_q(m.A) != 0.0) is split
     tr = simulate(m, ramp, x0, u, ncycles, T)
     starts = np.vstack([x0, tr.x_end[:-1]])
     for k in range(ncycles - 40, ncycles):
-        one = step_cycle(m, ramp, starts[k], u, T)
-        assert np.array_equal(one.x_next, tr.x_end[k]), k
-        assert one.Tn == tr.Tn[k], k
-        assert one.y_switch == tr.y_switch[k], k
-        assert one.saturated == tr.saturated[k], k
+        one = simulate(m, ramp, starts[k], u, 1, T)
+        assert np.array_equal(one.x_end[0], tr.x_end[k]), k
+        assert one.Tn[0] == tr.Tn[k], k
+        assert one.y_switch[0] == tr.y_switch[k], k
+        assert one.saturated[0] == tr.saturated[k], k
     assert bool(tr.saturated[-40:].any()) is (ma == 600.0)
 
 
@@ -384,8 +383,8 @@ def test_duty_family_scales_period_and_source():
     assert T == pytest.approx(FAST_D / 0.4, rel=1e-12)
     assert u[0] == pytest.approx(vo / 0.4, rel=1e-12)
     assert ramp.ma == ma
-    st = step_cycle(m, ramp, steady_state_at(m, FAST_D, T, u).x0_0, u, T)
-    assert st.Tn == pytest.approx(T, rel=1e-9)
+    st = simulate(m, ramp, steady_state_at(m, FAST_D, T, u).x0_0, u, 1, T)
+    assert st.Tn[0] == pytest.approx(T, rel=1e-9)
     with pytest.raises(DomainError):
         fam(1.0)
 

@@ -24,6 +24,7 @@ tolerance of its roots.
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ from cotstab import (BuckParams, Scheme, Trace, make_duty_family,
 from cotstab.linalg import _closed_form, find_root
 from cotstab.simulate import (HORIZON_PERIODS, OTHER, PERIOD1,
                               REFINE_REL_TOL, SCAN_DIVISIONS, SCAN_MARGIN,
-                              CycleStep, _CycleEngine, _newton,
-                              classify_orbit)
+                              _CycleEngine, _newton, classify_orbit)
 
 from helpers import FAST, FAST_D, FAST_T, closed_form_q
 
@@ -42,6 +42,15 @@ VO = 2.0
 # physical modal against closed-form arithmetic: rounding differences of a
 # few ulp per cycle, which a non-diverging orbit keeps far below this
 PHYSICAL_REL_TOL = 1e-10
+
+
+class _Cycle(NamedTuple):
+    """One cycle of a reference: the fields one row of a trace holds."""
+
+    x_next: np.ndarray
+    Tn: float
+    y_switch: float
+    saturated: bool
 
 
 class _LoopEngine(_CycleEngine):
@@ -139,7 +148,7 @@ class _LoopEngine(_CycleEngine):
                 tau = lo if abs(flo) < abs(fhi) else hi
         ec, es = self.stage(tau)
         x_next = np.array([ec * xd[0] + es * nx[0], ec * xd[1] + es * nx[1]])
-        return CycleStep(x_next, d + tau,
+        return _Cycle(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, phi0 <= 0.0)
 
 
@@ -218,7 +227,7 @@ class _PhysicalEngine(_CycleEngine):
         y_d = float(self.m.Cvec @ x_d) + self.du
         phi0 = y_d - self.ramp.ma * d
         if phi0 <= 0.0:
-            return CycleStep(x_d, d, y_d, True)
+            return _Cycle(x_d, d, y_d, True)
         lo, hi = self.scan(x_d)
         flo = self.phi_at(x_d, lo) if lo > 0.0 else phi0
         fhi = self.phi_at(x_d, hi)
@@ -232,7 +241,7 @@ class _PhysicalEngine(_CycleEngine):
             assert min(abs(flo), abs(fhi)) <= noise
             tau = lo if abs(flo) < abs(fhi) else hi
         x_next = self.state(x_d, tau)
-        return CycleStep(x_next, d + tau,
+        return _Cycle(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, False)
 
 
@@ -309,10 +318,11 @@ def test_overdamped_orbit_matches_loop_form():
     (lambda: make_duty_family(FAST, Scheme.V_COTC, FAST_D, VO, 0.0), 0.35,
      1500, 300),
 ])
-def test_modal_engine_agrees_with_physical_loop_form(family, value, ncycles,
-                                                     settle):
-    # orbits that do not diverge: the closed form and the modal form
-    # round differently, but the difference must stay at rounding level
+def test_closed_form_engine_agrees_with_physical_modal_form(family, value,
+                                                            ncycles, settle):
+    # orbits that do not diverge: the engine's closed form and the
+    # reference's modal form round differently, but the difference must
+    # stay at rounding level
     setup = family()(value)
     m, ramp, u, T, x0 = setup
     _, steps = _loop_trace(_PhysicalEngine, setup, ncycles)
