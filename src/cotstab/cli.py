@@ -516,6 +516,10 @@ def _freq_sweep(prefix: str, boundary_text: str, series, boundary, args,
                           "normalized by the ramp amplitude)")
     if not d > 0.0:  # or every point would fail, and read NaN
         raise ConfigError(f"{args.command} needs d > 0, got d={d!r}")
+    bad = [fs for fs in grid[:2] if not fs > 0.0]   # the grid's ends
+    if bad:
+        raise ConfigError(f"{args.command} needs switching frequencies "
+                          f"fs > 0, got fs={bad[0]!r}")
     meta = {"scheme": scheme.name, "d_seconds": d, "nh": nh,
             "ma_volts_per_second": ma, "boundary": boundary_text}
     table = Table(["fs_hertz", f"{prefix}_real", f"{prefix}_imag", "boundary"],

@@ -75,8 +75,9 @@ class _CycleEngine:
     ``phi = e^(a tau) (P c + Q s) + du - ma (d + tau)``, and the state after
     switching is ``e^(a tau) (c x_d + s N x_d)``.  A scan table row
     ``[e^(a tau) c, e^(a tau) s, 1, -ma (d + tau)]`` per grid point gives
-    ``phi`` there from ``[P, Q, du, 1]``.  The crossing row an engine
-    carries between cycles only sets where the scan looks first, never
+    ``phi`` there from ``[P, Q, du, 1]``.  What an engine carries between
+    cycles, the last crossing row and a certificate that the rows below it
+    stay positive (see ``_scan``), only sets where the scan looks, never
     what it finds.
     """
 
@@ -104,13 +105,21 @@ class _CycleEngine:
         self.n = ((h, a01), (a10, -h))
         self.terms = _stage_terms(self.a, self.q)
         self._table = []    # scan chunks, filled on demand
+        self._colmax = None     # running max |column| of chunk 0, by row
+        self._cert = None       # certificate of chunk 0's leading rows
+        self._ends = {}         # crossing row -> terms at its cell's ends
+        self._w = np.array([0.0, 0.0, self.du, 1.0])    # [P, Q, du, 1]
 
-    def run(self, x: np.ndarray, ncycles: int):
+    def run(self, x: np.ndarray, ncycles: int, stop_from: int | None = None):
         """``ncycles`` cycles from ``x``: ``Tn``, ``x_end``, ``saturated``.
 
-        Raises MissedSwitchingError tagged with the index of the cycle,
-        counted from ``x``, whose feedback never returned to the ramp.
+        With ``stop_from``, the run ends early after its first saturated
+        cycle whose index is ``stop_from`` or more, and the arrays hold the
+        cycles up to and including that one.  Raises MissedSwitchingError
+        tagged with the index of the cycle, counted from ``x``, whose
+        feedback never returned to the ramp.
         """
+        stop = ncycles if stop_from is None else stop_from
         tns = np.empty(ncycles)
         x_end = np.empty((ncycles, self.m.n))
         sat = np.empty(ncycles, dtype=bool)
@@ -118,6 +127,8 @@ class _CycleEngine:
         ma = self.ramp.ma
         du = self.du
         terms = self.terms
+        ends = self._ends
+        step = self.step
         (p00, p01), (p10, p11) = self.p1.tolist()
         j0, j1 = self.j1u.tolist()
         (n00, n01), (n10, n11) = self.n
@@ -141,18 +152,24 @@ class _CycleEngine:
                     lo, hi = self._scan(P, Q)
                     # judge the bracket with the refiner's own evaluator:
                     # the scan and the scalar path may disagree by a few
-                    # ulp around an exact zero
-                    f = self._phi(P, Q)
-                    flo = f(lo)[0] if lo > 0.0 else phi0
-                    fhi = f(hi)[0]
+                    # ulp around an exact zero.  The cell's ends are grid
+                    # rows, so their terms are kept per row
+                    row = self.hint
+                    cell = ends.get(row)
+                    if cell is None:
+                        cell = ends[row] = (terms((row - 1) * step),
+                                            terms(row * step))
+                    (elo, slo), (ehi, shi) = cell
+                    flo = (elo * P + slo * Q + du - ma * (d + lo)
+                           if lo > 0.0 else phi0)
+                    fhi = ehi * P + shi * Q + du - ma * (d + hi)
                     if fhi == 0.0:
                         tau = hi
                     elif flo > 0.0 > fhi:
-                        tau = _newton(f, lo, hi, flo, fhi, tol)
+                        tau = _newton(self._phi(P, Q), lo, hi, flo, fhi, tol)
                     else:
                         scale = 2.0 * abs(du) + abs(ma) * (d + hi) + max(
-                            abs(ec * P) + abs(es * Q)
-                            for ec, es in map(terms, (lo, hi)))
+                            abs(ec * P) + abs(es * Q) for ec, es in cell)
                         tau = _end_within_noise(lo, hi, flo, fhi, scale)
                 except MissedSwitchingError as exc:
                     raise MissedSwitchingError(str(exc), cycle=k) from None
@@ -161,6 +178,8 @@ class _CycleEngine:
             x1 = ec * xd1 + es * nx1
             tns[k] = d + tau
             x_end[k] = x0, x1
+            if saturated and k >= stop:
+                return tns[:k + 1], x_end[:k + 1], sat[:k + 1]
         return tns, x_end, sat
 
     def _phi(self, P: float, Q: float):
@@ -187,8 +206,47 @@ class _CycleEngine:
         ``SCAN_MARGIN``, then, on a miss only, the rest.  A block is a row
         slice of the same table, evaluated with the same operations, so the
         first crossing row is the one a scan of the whole chunk finds.
+
+        When the block from row 0 finds the crossing at row ``r``, the
+        engine keeps a certificate for the rows below ``cut = r -
+        SCAN_MARGIN``: this cycle's ``P`` and ``Q``, the smallest value
+        over those rows and their largest column magnitudes.  A later
+        cycle whose ``(P, Q)`` lies close enough that those rows must still
+        be positive scans only the block from ``cut`` to the last crossing
+        row plus ``SCAN_MARGIN``.  A failed check, a miss in that block or
+        a block of fewer than two rows drops the certificate, and the scan
+        proceeds as above.
         """
-        w = np.array([P, Q, self.du, 1.0])
+        w = self._w
+        w[0] = P
+        w[1] = Q
+        cert = self._cert
+        if cert is not None:
+            cut, p_ref, q_ref, v_min, a0, a1, slack = cert
+            stop = self.hint + SCAN_MARGIN
+            # A row's exact value, t0 P + t1 Q + du + t3, is linear in
+            # (P, Q), and a four-term dot product rounds by less than
+            # 16 eps times the sum of its terms' magnitudes, in any order
+            # and with or without fused multiply-adds; the margin also
+            # covers the rounding of this test.  With a0, a1 and a3 the
+            # largest |t0|, |t1| and |t3| below cut, and
+            # e(P, Q) = 16 eps (|du| + a3 + |P| a0 + |Q| a1), every row
+            # below cut evaluates now to at least
+            #   v_min - e(P_ref, Q_ref) - |P - P_ref| a0 - |Q - Q_ref| a1
+            #   - e(P, Q),
+            # which the test makes positive (``slack`` holds the parts
+            # fixed at certification).  No row below cut can cross under
+            # either evaluation, so the block's first crossing is the
+            # chunk's.
+            if stop - cut >= 2 and v_min > (
+                    (abs(P - p_ref) + 16.0 * _EPS * abs(P)) * a0
+                    + (abs(Q - q_ref) + 16.0 * _EPS * abs(Q)) * a1 + slack):
+                below = self._table[0][cut:stop].dot(w) <= 0.0
+                row = int(below.argmax())
+                if below[row]:
+                    self.hint = 1 + cut + row
+                    return (self.hint - 1) * self.step, self.hint * self.step
+            self._cert = None
         split = self.hint + SCAN_MARGIN
         for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
             if i == len(self._table):
@@ -203,12 +261,28 @@ class _CycleEngine:
             # round differently, so the second block keeps two rows or more
             starts = (0, split) if i == 0 and split < len(table) - 1 else (0,)
             for start, stop in zip(starts, starts[1:] + (len(table),)):
-                below = table[start:stop].dot(w) <= 0.0
+                vals = table[start:stop].dot(w)
+                below = vals <= 0.0
                 row = int(below.argmax())
                 if below[row]:
                     self.hint = k0 + start + row
+                    if i == 0 and start == 0 and row > SCAN_MARGIN:
+                        self._certify(P, Q, row - SCAN_MARGIN, vals)
                     return (self.hint - 1) * self.step, self.hint * self.step
         raise MissedSwitchingError(_NO_CROSSING)
+
+    def _certify(self, P: float, Q: float, cut: int, vals: np.ndarray):
+        """Keep the certificate of chunk 0's rows below ``cut``, whose
+        values at this cycle's ``P`` and ``Q`` are ``vals[:cut]``."""
+        v_min = float(vals[:cut].min())
+        if v_min > 0.0:         # not NaN
+            if self._colmax is None:
+                self._colmax = np.maximum.accumulate(
+                    np.abs(self._table[0][:, [0, 1, 3]]))
+            a0, a1, a3 = self._colmax[cut - 1].tolist()
+            slack = 16.0 * _EPS * (2.0 * abs(self.du) + 2.0 * a3
+                                   + abs(P) * a0 + abs(Q) * a1)
+            self._cert = (cut, P, Q, v_min, a0, a1, slack)
 
 
 def _stage_terms(a: float, q: float):
@@ -308,14 +382,16 @@ def _start_state(m: ConverterModel, x0) -> np.ndarray:
     return x0
 
 
-def _run(eng: _CycleEngine, x0: np.ndarray, ncycles: int) -> Trace:
-    """The trace of ``ncycles`` cycles of ``eng`` from ``x0``.
+def _run(eng: _CycleEngine, x0: np.ndarray, ncycles: int,
+         stop_from: int | None = None) -> Trace:
+    """The trace of ``ncycles`` cycles of ``eng`` from ``x0``, or of fewer
+    when ``stop_from`` ends the run early (see ``_CycleEngine.run``).
 
     The feedback at each switching instant is formed once per run, as one
     stacked product: each row is ``Cvec @ x + du`` of that row alone (a
     plain matrix-vector product would round differently).
     """
-    tns, x_end, sat = eng.run(x0, ncycles)
+    tns, x_end, sat = eng.run(x0, ncycles, stop_from)
     y_switch = (eng.m.Cvec @ x_end[..., None])[..., 0] + eng.du
     return Trace(tns, x_end, y_switch, sat, x0, eng.u)
 
@@ -377,13 +453,17 @@ def estimate_multiplier(m: ConverterModel, ramp: RampSpec, u, T: float,
     cycles, and reads the multiplier off the ratio of successive state
     deviations projected on the final deviation direction.  All kicked
     runs share one engine.  Purely a simulation measurement; no Jacobian
-    is formed.
+    is formed.  Needs a finite ``rel_eps > 0``, ``ncycles >= 2`` and
+    ``fit >= 1``.
     """
+    if not (math.isfinite(rel_eps) and rel_eps > 0.0):
+        raise DomainError(f"rel_eps must be finite and > 0, got {rel_eps!r}")
+    ncycles = _integer("ncycles", ncycles, 2)
+    fit = _integer("fit", fit, 1)
     if x_star is None:
         from .sampled import steady_state_at
         x_star = steady_state_at(m, ramp.d, T, u).x0_0
     x_star = _start_state(m, x_star)
-    ncycles = _integer("ncycles", ncycles, 1)
     scale = max(float(np.max(np.abs(x_star))), 1e-30)
     eps = rel_eps * scale
     eng = _CycleEngine(m, ramp, u, T)
@@ -502,7 +582,9 @@ def _probe_side(setup, ladder, settle: int) -> str:
     Each rung continues the previous run from its last state, on the same
     engine, instead of starting over; a cycle depends only on its start
     state, so the result is the run a fresh simulation of the rung's
-    length would give.
+    length would give.  A saturated cycle in the judged later half of a
+    rung decides the probe as unstable, so the rung ends at the first one
+    (``stop_from``): the cycles after it could not change the side.
     """
     m, ramp, u, T, x = setup
     eng = _CycleEngine(m, ramp, u, T)
@@ -510,15 +592,16 @@ def _probe_side(setup, ladder, settle: int) -> str:
     tr = None
     for nc in ladder:
         done = 0 if tr is None else tr.ncycles
+        # judge longer runs on their later halves; near-boundary
+        # transients outlive any fixed settling allowance
+        eff = max(settle, nc // 2)
         try:
-            more = _run(eng, x, nc - done)
+            more = _run(eng, x, nc - done, max(eff - done, 0))
         except MissedSwitchingError:
             return "unstable"
         tr = more if tr is None else _joined(tr, more)
         x = tr.x_end[-1]
-        # judge longer runs on their later halves; near-boundary
-        # transients outlive any fixed settling allowance
-        eff = max(settle, nc // 2)
+        # true too when the run came back short
         if tr.saturated[eff:].any():
             return "unstable"
         cls = classify_orbit(tr, eff)
@@ -549,8 +632,10 @@ def onset_search(family, lo: float, hi: float, cycles: int = 3000,
     finally to an envelope trend test.  The ladder is ``cycles`` followed
     by every ``escalation`` rung longer than the run before it; each rung
     continues the previous one.  The endpoints must classify to opposite
-    sides.
+    sides.  ``iters`` bisections follow; with none, the search returns
+    the bracket's midpoint.
     """
+    iters = _integer("iters", iters, 0)
     ladder = [_integer("cycles", cycles, 1)]
     for rung in escalation:
         rung = _integer("escalation rung", rung, 1)

@@ -354,6 +354,21 @@ def test_frequency_sweep_rows_match_library(capsys, conf, command, prefix,
     assert rows[-1][1:] == ["nan", "nan", "nan"]
 
 
+@pytest.mark.parametrize("command", [c[0] for c in FREQ_SWEEPS])
+@pytest.mark.parametrize("grid, bad", [("0:1e6:3", "0.0"),
+                                       ("-1e6:1e6:3", "-1000000.0")])
+def test_frequency_sweeps_reject_non_positive_frequencies(capsys, conf,
+                                                          command, grid, bad):
+    # fs = 0 once divided by zero and ended in a traceback
+    rc, out, err = run_cli(capsys, [command, "--config", conf,
+                                    "--set", "ma=9500", "--nh", "40",
+                                    "--sweep", f"fs={grid}"])
+    assert rc == 2
+    assert (f"ConfigError: {command} needs switching frequencies fs > 0, "
+            f"got fs={bad}") in err
+    assert out == ""
+
+
 def test_formula_table_json(capsys, conf_current):
     rc, out, _ = run_cli(capsys, ["snb-boundary", "--config", conf_current,
                                   "--nh", "50", "--format", "json"])

@@ -34,11 +34,11 @@ from cotstab.errors import (
     MissedSwitchingError,
     UsageError,
 )
-from cotstab.bifurcation import pdb_boundary_exact
+from cotstab.bifurcation import pdb_boundary_exact, pdb_onset_duty
 from cotstab.linalg import expm
 from cotstab.sampled import consistent_steady_state, poles, steady_state_at
 from cotstab.simulate import (OTHER, PERIOD1, PERIOD2, _CycleEngine,
-                              _newton)
+                              _newton, _probe_side, _trend_side)
 
 from helpers import (CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES,
                      closed_form_q, operating)
@@ -349,6 +349,25 @@ def test_multiplier_error_shrinks_linearly_with_kick():
     assert e_fine / e_coarse <= 0.3
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(rel_eps=0.0), "rel_eps"),
+    (dict(rel_eps=-1e-5), "rel_eps"),
+    (dict(rel_eps=float("nan")), "rel_eps"),
+    (dict(rel_eps=float("inf")), "rel_eps"),
+    (dict(fit=0), "fit"),
+    (dict(fit=-2), "fit"),
+    (dict(fit=2.5), "fit"),
+    (dict(ncycles=1), "ncycles"),
+    (dict(ncycles=12.0), "ncycles"),
+])
+def test_estimate_multiplier_rejects_bad_inputs(kwargs, name):
+    # rel_eps = 0 once read a plausible multiplier off roundoff, and the
+    # others failed with a misleading or untyped error
+    m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
+    with pytest.raises(DomainError, match=name):
+        estimate_multiplier(m, ramp, u, FAST_T, **kwargs)
+
+
 def test_nominal_probe_state_formula():
     D = FAST_D / FAST_T
     x0 = nominal_probe_state(FAST, D, FAST_D)
@@ -412,8 +431,8 @@ def test_onset_ladder_only_lengthens_runs(monkeypatch):
     runs = []
     original = _CycleEngine.run
 
-    def recorded(eng, x0, ncycles):
-        out = original(eng, x0, ncycles)
+    def recorded(eng, x0, ncycles, stop_from=None):
+        out = original(eng, x0, ncycles, stop_from)
         runs.append((eng, ncycles, x0, out[1][-1]))
         return out
 
@@ -436,12 +455,91 @@ def test_onset_ladder_only_lengthens_runs(monkeypatch):
     (dict(cycles=0), "cycles"),
     (dict(escalation=(400, 2.5e3)), "escalation"),
     (dict(escalation=(-1,)), "escalation"),
+    (dict(iters=-1), "iters"),
+    (dict(iters=2.5), "iters"),
 ])
 def test_onset_search_validates_cycles_and_rungs(kwargs, name):
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
     args = dict(cycles=120, settle=30, escalation=())
     with pytest.raises(DomainError, match=name):
         onset_search(fam, 2000.0, 2500.0, **{**args, **kwargs})
+
+
+def _probe_side_in_full(setup, ladder, settle):
+    """Loop form of ``_probe_side``: each rung a fresh run of its full
+    length.  Returns the side and what decided it."""
+    m, ramp, u, T, x0 = setup
+    for nc in ladder:
+        try:
+            tr = simulate(m, ramp, x0, u, nc, T)
+        except MissedSwitchingError:
+            return "unstable", "missed switching"
+        eff = max(settle, nc // 2)
+        if tr.saturated[eff:].any():
+            return "unstable", "saturated"
+        cls = classify_orbit(tr, eff)
+        if cls == PERIOD1:
+            return "stable", cls
+        if cls == PERIOD2:
+            return "unstable", cls
+    return _trend_side(tr, eff), "trend"
+
+
+def _ramp_family():
+    return make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+
+
+def _duty_family():
+    return make_duty_family(FAST, Scheme.V_COTC, FAST_D, 2.0, 0.0)
+
+
+def _ramp_onset():
+    m = build_model(FAST, Scheme.V_COTC)
+    return pdb_boundary_exact(m, FAST.vs, FAST_D, FAST_T)
+
+
+def _duty_onset():
+    return pdb_onset_duty(FAST, Scheme.V_COTC, 0.0, FAST_D, 2.0)
+
+
+@pytest.mark.parametrize("family, value, decided_by", [
+    (_ramp_family, lambda: 2000.0, PERIOD1),
+    (_ramp_family, _ramp_onset, PERIOD2),
+    (_ramp_family, lambda: 600.0, "saturated"),
+    (_ramp_family, lambda: 960.0, "trend"),
+    (_ramp_family, lambda: 945.0, "trend"),
+    (_duty_family, lambda: 0.35, PERIOD1),
+    (_duty_family, _duty_onset, PERIOD2),
+    (_duty_family, lambda: _duty_onset() + 0.0095, "saturated"),
+    (_duty_family, lambda: _duty_onset() - 0.002, "trend"),
+    (_duty_family, lambda: _duty_onset() + 0.0005, "trend"),
+])
+def test_probe_side_matches_full_length_rungs(family, value, decided_by):
+    # the engine's probe ends a rung at the saturated cycle that decides
+    # it; every rung run in full must give the same side, whatever
+    # decided it (on the exact onsets the kick keeps alternating)
+    setup = family()(value())
+    ladder, settle = [400, 1600], 150
+    side, reason = _probe_side_in_full(setup, ladder, settle)
+    assert reason == decided_by
+    assert _probe_side(setup, ladder, settle) == side
+
+
+def test_unstable_probe_ends_at_its_deciding_cycle(monkeypatch):
+    # at the onset + 0.0095 the orbit first saturates in the judged half
+    # of the 1500-cycle rung at cycle 751; the probe stops there
+    ran = []
+    original = _CycleEngine.run
+
+    def counted(eng, x0, ncycles, stop_from=None):
+        out = original(eng, x0, ncycles, stop_from)
+        ran.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(_CycleEngine, "run", counted)
+    setup = _duty_family()(_duty_onset() + 0.0095)
+    assert _probe_side(setup, [1500, 12000], 300) == "unstable"
+    assert sum(ran) <= 800
 
 
 @st.composite

@@ -12,6 +12,12 @@ match bit for bit, including at a near-boundary point where any last-digit
 change would be amplified into a visibly different orbit, and at critical
 damping.
 
+The engine also carries a certificate from cycle to cycle that lets its
+scan skip table rows an earlier cycle proved positive.  On the same
+traces, every cycle's scan with the certificate the run carried must find
+the cell of the whole-chunk loop-form scan, and a state far from the
+certified one must be refused the certificate and still find its cell.
+
 The second reference shares no stage arithmetic with the engine: it
 propagates the state through the on stage in physical coordinates, takes
 its modal coordinates in the eigenvectors of the off stage and scans a
@@ -150,6 +156,22 @@ class _LoopEngine(_CycleEngine):
         x_next = np.array([ec * xd[0] + es * nx[0], ec * xd[1] + es * nx[1]])
         return _Cycle(x_next, d + tau,
                          float(self.m.Cvec @ x_next) + self.du, phi0 <= 0.0)
+
+
+class _CountingEngine(_CycleEngine):
+    """The engine, counting the scans its carried certificate served."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.served = 0
+
+    def _scan(self, P, Q):
+        cert = self._cert
+        cell = super()._scan(P, Q)
+        # a scan that drops the certificate may record a new one, never
+        # the same object
+        self.served += cert is not None and self._cert is cert
+        return cell
 
 
 class _FindRootEngine(_LoopEngine):
@@ -340,14 +362,16 @@ def _assert_refiner_matches_find_root(setup, ncycles):
     """Per cycle: the windowed scan's cell and the Newton instant.
 
     Every cycle of the engine's own trace is restarted from its start
-    state.  The windowed scan, with the hint the run carried and again
-    with a hint that forces a miss, must find the cell of the whole-chunk
-    loop-form scan; the Newton instant must lie within the refiner
-    tolerance of the root ``find_root`` finds in that cell.
+    state.  The windowed scan, with the hint and the certificate the run
+    carried and again with a hint that forces a miss, must find the cell
+    of the whole-chunk loop-form scan; the Newton instant must lie within
+    the refiner tolerance of the root ``find_root`` finds in that cell.
+    Returns the number of window misses, of scans the certificate served
+    and of scans.
     """
     m, ramp, u, T, x0 = setup
     tr = simulate(m, ramp, x0, u, ncycles, T)
-    eng = _CycleEngine(m, ramp, u, T)
+    eng = _CountingEngine(m, ramp, u, T)
     ref = _FindRootEngine(m, ramp, u, T)
     tol = REFINE_REL_TOL * T
     starts = np.vstack([x0, tr.x_end[:-1]])
@@ -360,8 +384,12 @@ def _assert_refiner_matches_find_root(setup, ncycles):
         window = eng.hint + SCAN_MARGIN
         assert eng._scan(P, Q) == cell, k
         misses += cell[1] > window * eng.step
+        # after the forced miss, the next cycle scans with what the run
+        # carried, as the run's own engine did
+        carried = eng.hint, eng._cert, eng.served
         eng.hint = 0
         assert eng._scan(P, Q) == cell, k
+        eng.hint, eng._cert, eng.served = carried
         lo, hi = cell
         phi0 = ref.phi_at(P, Q, 0.0)
         flo = ref.phi_at(P, Q, lo) if lo > 0.0 else phi0
@@ -373,12 +401,15 @@ def _assert_refiner_matches_find_root(setup, ncycles):
         assert abs(tau - ref.refine(P, Q, lo, hi, flo, fhi)) <= tol, k
         refined += 1
     assert refined >= ncycles // 2
-    return misses
+    return misses, eng.served, int(np.sum(~tr.saturated))
 
 
 def test_refiner_matches_find_root_near_boundary():
+    # the orbit barely moves from cycle to cycle, so the certificate of
+    # one cycle serves nearly every later one
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
-    _assert_refiner_matches_find_root(fam(1000.0), 3000)
+    _, served, scanned = _assert_refiner_matches_find_root(fam(1000.0), 3000)
+    assert served >= 0.9 * scanned
 
 
 def test_refiner_matches_find_root_on_duty_family():
@@ -390,4 +421,26 @@ def test_windowed_scan_misses_on_a_saturating_orbit():
     # well below the onset the orbit alternates saturated cycles with long
     # recovery cycles, whose crossings fall beyond the last cycle's window
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
-    assert _assert_refiner_matches_find_root(fam(600.0), 1500) > 0
+    assert _assert_refiner_matches_find_root(fam(600.0), 1500)[0] > 0
+
+
+def test_certificate_refuses_a_far_state():
+    # certified on the near-boundary orbit, whose crossing lies at row 600;
+    # with the output voltage 2% low the crossing moves below the certified
+    # rows, which the check must refuse, and 5% high it moves past the
+    # window, which the scan must leave to the whole chunk
+    m, ramp, u, T, x0 = make_ramp_family(FAST, Scheme.V_COTC, FAST_D,
+                                         FAST_T)(1000.0)
+    ref = _LoopEngine(m, ramp, u, T)
+    for scale, row in ((0.98, 417), (1.05, 835)):
+        eng = _CountingEngine(m, ramp, u, T)
+        x = eng.run(x0, 200)[1][-1]
+        cert = eng._cert
+        assert eng.hint == 600 and cert is not None
+        assert (row < cert[0]) is (scale < 1.0)
+        _, _, P, Q = ref.coefficients(x * [1.0, scale])
+        cell = ref.scan(P, Q)
+        assert cell[1] == row * eng.step
+        served = eng.served
+        assert eng._scan(P, Q) == cell
+        assert eng.served == served and eng._cert is not cert

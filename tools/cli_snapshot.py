@@ -19,13 +19,16 @@ The list covers every subcommand on the three schemes, at a given period
 and at a given duty, with no ramp, a stabilising ramp and a steep negative
 one; CSV and JSON output, ``--formula``, ``--sweep`` and ``--nh``; the
 fixed-period and fixed-output duty sweeps; both onset families at reduced
-cycle counts, and the ramp family at a first rung longer than the default
-escalation rung; a critically damped simulation (the ``q == 0`` branch of
-the simulator's closed form) and one on the fixed-output duty family; the
-built-in worked cases; the error cases of ``tests/test_cli.py``; and, for
-each command that keeps formula rows, ``--formula`` with every catalog id
-on every scheme, so each row filter and each "does not apply" error is
-covered.  It runs in well under a minute on a 2-core host.
+cycle counts, the ramp family at a first rung longer than the default
+escalation rung, and the duty family's full-fidelity search of the
+simulated-onset acceptance criterion on the default escalation ladder,
+whose unstable probes end at their deciding saturated cycle; a critically
+damped simulation (the ``q == 0`` branch of the simulator's closed form)
+and one on the fixed-output duty family; the built-in worked cases; the
+error cases of ``tests/test_cli.py``; and, for each command that keeps
+formula rows, ``--formula`` with every catalog id on every scheme, so each
+row filter and each "does not apply" error is covered.  That is 798
+invocations, which run in well under a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -162,6 +165,9 @@ def invocations(conf: dict) -> list[list[str]]:
          "--cycles", "400", "--set", "settle=150"],
         ["onset", "--config", fast, "--set", "vo=2.0", "--set", "ma=1500",
          "--sweep", "D=0.2:0.6:2", "--cycles", "400", "--set", "settle=150"],
+        ["onset", "--config", fast, "--set", "vo=2.0",
+         "--sweep", "D=0.30:0.45:2", "--cycles", "1500",
+         "--set", "settle=300"],
         ["examples"],
         ["examples", "--format", "json"],
         # error cases
