@@ -273,8 +273,11 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
     """Duty ratio where period doubling sets in along the fixed-output family.
 
     Scans the exact boundary minus the applied ramp slope over duty and
-    polishes the first sign change.  Returns None when the family never
-    crosses the applied slope in the range.
+    polishes the first sign change.  Only that first crossing, the lowest
+    duty of the range, is returned: the boundary need not be monotone in
+    duty, and a later crossing is found by a search from above the first.
+    Returns None when the family never crosses the applied slope in the
+    range.
     """
     boundary = _family_boundary(p, scheme, d, vo)
     ds = np.linspace(D_lo, D_hi, int(grid))

@@ -8,8 +8,17 @@ SIAM Rev. 45(1), 2003): with ``M = A t``, ``a = tr(M) / 2``,
 same with ``cos`` and ``sin`` of ``sqrt(-q)`` for ``q < 0``, and
 ``c = s = 1`` for ``q = 0``: real, and continuous through critical damping.
 ``expm_integral`` is ``t phi1(A t) B`` in the same form, with no inverse of
-``A``.  The exponentials and the solve take stacks and return bit for bit
-the values of the one-matrix calls.
+``A``.  The exponentials and the solve take stacks.  ``expm_integral``,
+and ``expm`` of up to ``_SCALAR_MAX`` matrices, go through a scalar kernel
+in Python floats that evaluates only the branch each matrix needs; larger
+``expm`` stacks through numpy's array loops.  The kernel repeats their
+operation order and calls numpy's ufuncs, never ``math``'s, whose last bits
+differ from numpy's on some arguments.  A slice of a stack then equals the
+one-matrix call bit for bit as long as numpy evaluates a ufunc on one
+element as it does in an array loop: a property of the numpy build and the
+CPU, which ``test_scalar_kernel_matches_stacked_path_bitwise`` checks.
+``solve_linear``'s guard on a 2x2 matrix is its condition number in closed
+form, with no SVD.
 """
 
 from __future__ import annotations
@@ -37,6 +46,12 @@ _EPS = float(np.finfo(float).eps)
 # M^20 / 21!; the first term left out is below 1e-21
 _SERIES_RADIUS = 1.0
 _INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(22)]
+
+# stacks of up to this many matrices take the scalar kernel of expm and
+# the Python-number loop of _cond2, larger ones the array loops, whose fixed
+# cost per call then weighs less than the loops' per matrix (on a 2-core
+# x86-64 host both pairs break even between 10 and 14 matrices)
+_SCALAR_MAX = 8
 
 
 def _as_square(a, name, size=None):
@@ -79,33 +94,55 @@ def _closed_form(m):
     return a, h, q, r, ec, es
 
 
-def _phi1(m):
-    """``h``, ``alpha`` and ``beta`` with ``phi1(M) = alpha I + beta N``.
+def _closed_form_1(m00, m01, m10, m11):
+    """``_closed_form`` of one matrix, in Python floats.
 
-    Three forms, each where it does not cancel: ``M^-1 (exp(M) - I)``;
-    near a singular ``M``, whose eigenvalues ``a +- sqrt q`` are then real
-    and apart, divided differences of ``(e^z - 1) / z`` over them; and for
-    small ``M`` the Taylor series.
+    Each value takes the stacked path's operations in its order, and the
+    transcendentals are numpy's ufuncs, whose results on a Python float
+    equal the array loops' (on the builds tested) where ``math``'s differ.  Only the branch of
+    ``q``'s sign is evaluated; the caller silences numpy's warnings.
     """
-    a, h, q, r, ec, es = _closed_form(m)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det = a * a - q
-        alpha = (a * (ec - 1.0) - q * es) / det
-        beta = (a * es - (ec - 1.0)) / det
-        near = 3.0 * q > a * a
-        fp, fm = (np.divide(np.expm1(z), z, out=np.ones_like(z),
-                            where=z != 0.0) for z in (a + r, a - r))
-        np.copyto(alpha, 0.5 * (fp + fm), where=near)
-        np.copyto(beta, 0.5 * (fp - fm) / r, where=near)
-    # Horner on alpha I + beta N with N @ N = q I, in Python floats: the
-    # package takes the driven integral of one matrix at a time
-    for i in np.flatnonzero(np.abs(a) + r <= _SERIES_RADIUS).tolist():
-        ai, qi = float(a[i]), float(q[i])
+    a, h = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    q = h * h + m01 * m10
+    r = float(np.sqrt(abs(q)))
+    ea = float(np.exp(a))
+    if q > 1.0:
+        ep, em = 0.5 * float(np.exp(a + r)), 0.5 * float(np.exp(a - r))
+        ec, es = ep + em, (ep - em) / r
+    elif q > 0.0:
+        ec, es = ea * float(np.cosh(r)), ea * float(np.sinh(r)) / r
+    elif q == 0.0:
+        ec = es = ea
+    else:
+        ec, es = ea * float(np.cos(r)), ea * float(np.sin(r)) / r
+    if not (math.isfinite(ec) and math.isfinite(es)):
+        raise NumericError("matrix exponential overflows")
+    return a, h, q, r, ec, es
+
+
+def _phi1_1(m00, m01, m10, m11):
+    """``h``, ``alpha`` and ``beta`` with ``phi1(M) = alpha I + beta N``,
+    in Python floats.
+
+    Only the one of three forms that does not cancel for ``M`` is
+    evaluated: for small ``M`` the Taylor series, by Horner on
+    ``alpha I + beta N`` with ``N @ N = q I``; near a singular ``M``,
+    whose eigenvalues ``a +- sqrt q`` are then real and apart, divided
+    differences of ``(e^z - 1) / z`` over them; else
+    ``M^-1 (exp(M) - I)``.
+    """
+    a, h, q, r, ec, es = _closed_form_1(m00, m01, m10, m11)
+    if abs(a) + r <= _SERIES_RADIUS:
         x, y = _INV_FACTORIALS[-1], 0.0
         for c in _INV_FACTORIALS[-2:0:-1]:
-            x, y = ai * x + qi * y + c, x + ai * y
-        alpha[i], beta[i] = x, y
-    return h, alpha, beta
+            x, y = a * x + q * y + c, x + a * y
+        return h, x, y
+    if 3.0 * q > a * a:
+        fp, fm = (float(np.expm1(z)) / z if z != 0.0 else 1.0
+                  for z in (a + r, a - r))
+        return h, 0.5 * (fp + fm), 0.5 * (fp - fm) / r
+    det = a * a - q
+    return h, (a * (ec - 1.0) - q * es) / det, (a * es - (ec - 1.0)) / det
 
 
 def _combine(m, h, c, s):
@@ -115,23 +152,42 @@ def _combine(m, h, c, s):
     return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
+def _stage(m, phi1):
+    """``exp(M)``, or ``phi1(M)`` if ``phi1``, of each matrix of ``m``: by
+    the scalar kernel, with ``_combine``'s arithmetic written out
+    (``c * 0.0`` keeps the sign of a zero), except ``exp`` of more than
+    ``_SCALAR_MAX`` matrices, which takes the stacked path."""
+    flat = m.reshape(-1, 2, 2)
+    if not phi1 and len(flat) > _SCALAR_MAX:
+        _, h, _, _, c, s = _closed_form(flat)
+        return _combine(flat, h, c, s).reshape(m.shape)
+    out = []
+    with np.errstate(all="ignore"):
+        for (m00, m01), (m10, m11) in flat.tolist():
+            if phi1:
+                h, c, s = _phi1_1(m00, m01, m10, m11)
+            else:
+                _, h, _, _, c, s = _closed_form_1(m00, m01, m10, m11)
+            out.append(((c * 1.0 + s * h, c * 0.0 + s * m01),
+                        (c * 0.0 + s * m10, c * 1.0 + s * -h)))
+    return np.array(out).reshape(m.shape)
+
+
 def expm(a, t=1.0):
     """Return ``exp(a*t)`` for a real 2x2 matrix ``a``.
 
     ``t`` may be any finite scalar.  ``a`` may also be a stack of shape
     ``(..., 2, 2)`` and ``t`` an array; the two broadcast over the stack
     dimensions, and every slice of the result is bit for bit the value of
-    the one-matrix call.  Raises :class:`DimensionError` for any other
+    the one-matrix call (on a numpy build whose ufuncs round one element
+    as they do an array; see the module docstring).  Raises :class:`DimensionError` for any other
     matrix size and :class:`NumericError` if the result overflows.
     """
     a = _as_square(a, "a", 2)
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise DomainError("t must be finite")
-    m = a * t[..., None, None]
-    flat = m.reshape(-1, 2, 2)
-    _, h, _, _, ec, es = _closed_form(flat)
-    return _combine(flat, h, ec, es).reshape(m.shape)
+    return _stage(a * t[..., None, None], phi1=False)
 
 
 def expm_integral(a, b, t):
@@ -152,9 +208,7 @@ def expm_integral(a, b, t):
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all() or (t < 0.0).any():
         raise DomainError("t must be finite and >= 0")
-    m = a * t[..., None, None]
-    flat = m.reshape(-1, 2, 2)
-    tp = t[..., None, None] * _combine(flat, *_phi1(flat)).reshape(m.shape)
+    tp = t[..., None, None] * _stage(a * t[..., None, None], phi1=True)
     # the product written out, so that every slice rounds as it would alone
     out = (tp[..., :, :1] * b2[..., None, 0, :]
            + tp[..., :, 1:] * b2[..., None, 1, :])
@@ -179,6 +233,41 @@ def eigenvalues(m):
         raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+def _cond2(m):
+    """Largest 2-norm condition number ``smax^2 / |det|`` of the 2x2
+    matrices of ``m``, real or complex.
+
+    ``smax^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2``, ``F = p + r`` the sum of
+    the eigenvalues of ``M^H M = [[p, w], [w*, r]]``; the root is formed
+    from ``(p - r)^2 + 4 |w|^2``, which does not cancel, with each matrix
+    scaled by its largest entry.  Up to ``_SCALAR_MAX`` matrices are
+    evaluated in Python numbers, larger stacks in array loops: for one
+    matrix the loop takes 3 us, the array path about 30 us.
+    """
+    flat = m.reshape(-1, 4)
+    if len(flat) <= _SCALAR_MAX:
+        conds = []
+        for e in flat.tolist():
+            scale = max(map(abs, e)) or 1.0
+            twice_smax2, det = _smax2_det(*(x / scale for x in e))
+            conds.append(twice_smax2 / (2.0 * det) if det > 0.0 else math.inf)
+        return max(conds)
+    scale = abs(flat).max(axis=1, keepdims=True)
+    flat = flat / np.where(scale > 0.0, scale, 1.0)
+    twice_smax2, det = _smax2_det(*flat.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(det > 0.0, twice_smax2 / (2.0 * det), np.inf)
+    return float(cond.max())
+
+
+def _smax2_det(m00, m01, m10, m11):
+    """``2 smax^2`` and ``|det|`` of one matrix, or of arrays of them."""
+    p, r = abs(m00) ** 2 + abs(m10) ** 2, abs(m01) ** 2 + abs(m11) ** 2
+    w = abs(m00.conjugate() * m01 + m10.conjugate() * m11)
+    det = abs(m00 * m11 - m01 * m10)
+    return p + r + ((p - r) ** 2 + 4.0 * w * w) ** 0.5, det
+
+
 def solve_linear(m, v):
     """Solve ``m @ x = v`` with a condition check.
 
@@ -198,9 +287,10 @@ def solve_linear(m, v):
     if not (vector or v.ndim == m.ndim) or v.shape[m.ndim - 2] != m.shape[-1]:
         raise DimensionError(
             f"v must have {m.shape[-1]} rows to match m, got shape {v.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(v.real))):
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
         raise DomainError("solve_linear arguments contain non-finite entries")
-    cond = float(np.max(np.linalg.cond(m)))
+    cond = (_cond2(m) if m.shape[-1] == 2
+            else float(np.max(np.linalg.cond(m))))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond ~ {cond:.3e})",

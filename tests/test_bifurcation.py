@@ -278,6 +278,22 @@ def test_onset_duty_reference():
     assert pdb_onset_duty(FAST, Scheme.V_COTC, 1e7, FAST_D, 2.0) is None
 
 
+def test_onset_duty_returns_the_first_of_two_crossings():
+    # the worked family's boundary falls from -2.76e5 V/s at D = 0.05 to
+    # about -4.0e5 near D = 0.06, then rises to 4.2e3 at full duty, so an
+    # applied slope of -3e5 V/s is crossed twice: the lower duty is returned
+    ma = -3e5
+    first = pdb_onset_duty(FAST, Scheme.V_COTC, ma, FAST_D, 2.0)
+    second = pdb_onset_duty(FAST, Scheme.V_COTC, ma, FAST_D, 2.0, 0.06)
+    assert first == pytest.approx(0.0510748, abs=1e-6)
+    assert second == pytest.approx(0.0723957, abs=1e-6)
+    for D in (first, second):
+        pd, T = family_point(FAST, FAST_D, 2.0, D)
+        slope = pdb_boundary_exact(build_model(pd, Scheme.V_COTC), pd.vs,
+                                   FAST_D, T)
+        assert slope == pytest.approx(ma, abs=1e-3)
+
+
 def test_range_max_pdb_ramp_reference():
     d_star, val = range_max_pdb_ramp(FAST, Scheme.V_COTC, FAST_D, 2.0,
                                      0.2, 1.0)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from cotstab import (BracketError, DimensionError, DomainError,
-                     NumericError, SingularMatrixError, eigenvalues, expm,
-                     expm_integral, find_root, solve_linear)
+                     NumericError, SingularMatrixError, build_model,
+                     eigenvalues, expm, expm_integral, find_root, solve_linear)
+from cotstab.linalg import _SCALAR_MAX, _SERIES_RADIUS, _cond2
+
+from helpers import SCHEMES, closed_form_q, random_buck
 
 RNG = np.random.default_rng(20260815)
 
@@ -107,6 +110,105 @@ def test_expm_integral_stack_equals_single_calls_bitwise():
     assert np.array_equal(vec[3], expm_integral(a[0], b[0, :, 0], ts[3]))
 
 
+def _rotated(rng, lam):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    return q @ np.diag(lam) @ q.T
+
+
+def _form(m):
+    """The form of phi1 that the closed form takes for the matrix m."""
+    a, q = 0.5 * (m[0, 0] + m[1, 1]), closed_form_q(m)
+    if abs(a) + math.sqrt(abs(q)) <= _SERIES_RADIUS:
+        return "series"
+    return "divided" if 3.0 * q > a * a else "inverse"
+
+
+def _branch_strata(rng):
+    """``(name, draw, holds)``: draws of ``M = A t`` over every branch of
+    both closed forms, and what each draw is checked to satisfy."""
+    def critical():         # q == 0 exactly: dyadic entries round nowhere
+        a = -float(rng.integers(1, 2 ** 20)) * 2.0 ** -18
+        h = float(rng.integers(-2 ** 20, 2 ** 20)) * 2.0 ** -20
+        s = 2.0 ** int(rng.integers(-8, 9))
+        return np.array([[a + h, h * s], [-h / s, a - h]])
+
+    def near(sign):         # |q| / a^2 ~ 1e-16 on one side of critical
+        a = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-2.0, 1.0)
+        xi = 10.0 ** rng.uniform(-1.0, 1.0)
+        return np.array([[a, a * xi], [sign * 1e-16 * a / xi, a]])
+
+    def singular():         # an integrator pole beside v.u
+        u, v = rng.standard_normal((2, 2))
+        return np.outer(u, v * -10.0 ** rng.uniform(-1.0, 2.0) / (v @ u))
+
+    def buck():
+        m = build_model(random_buck(rng), SCHEMES[rng.integers(len(SCHEMES))])
+        return m.A * float(10.0 ** rng.uniform(-6.3, -5.3))
+
+    q = closed_form_q
+    return [
+        ("exact critical damping", critical, lambda m: q(m) == 0.0),
+        ("q within rounding above 0", lambda: near(1.0),
+         lambda m: 0.0 < q(m) < 1e-15 * m[0, 0] ** 2),
+        ("q within rounding below 0", lambda: near(-1.0),
+         lambda m: -1e-15 * m[0, 0] ** 2 < q(m) < 0.0),
+        ("stiff, q > 1", lambda: _rotated(
+            rng, [-rng.uniform(0.1, 2.0), -10.0 ** rng.uniform(1.5, 3.0)]),
+         lambda m: q(m) > 1.0),
+        ("singular", singular, lambda m: abs(np.linalg.det(m)) < 1e-12),
+        ("nilpotent", lambda: np.triu(rng.standard_normal((2, 2)), 1)
+         * 10.0 ** rng.uniform(-2.0, 3.0), lambda m: q(m) == 0.0),
+        ("series", lambda: rng.standard_normal((2, 2))
+         * 10.0 ** rng.uniform(-4.0, -0.7), lambda m: _form(m) == "series"),
+        ("divided differences", lambda: _rotated(
+            rng, [-rng.uniform(0.0, 0.5), -rng.uniform(2.0, 50.0)]),
+         lambda m: _form(m) == "divided"),
+        ("divided differences, z = a + sqrt q = 0", lambda: np.diag(
+            [0.0, -rng.uniform(2.0, 50.0)]), lambda m: _form(m) == "divided"
+         and 0.5 * (m[0, 0] + m[1, 1]) + math.sqrt(q(m)) == 0.0),
+        ("inverse, real pair", lambda: _rotated(
+            rng, [-rng.uniform(2.0, 3.0), -rng.uniform(4.0, 6.0)]),
+         lambda m: _form(m) == "inverse" and q(m) > 0.0),
+        ("inverse, complex pair", lambda: np.array(
+            [[-3.0, 2.0], [-2.0, -3.0]]) * rng.uniform(0.5, 2.0),
+         lambda m: _form(m) == "inverse" and q(m) < 0.0),
+        ("buck stage", buck, lambda m: True),
+    ]
+
+
+def test_scalar_kernel_matches_stacked_path_bitwise():
+    # expm of up to _SCALAR_MAX matrices takes the scalar kernel, of one
+    # more the vectorized path: every slice of either, and the one-matrix
+    # call, agree bit for bit over every branch.  expm_integral takes the
+    # kernel at any size; its stacks are checked over every phi1 form.
+    rng = np.random.default_rng(20261019)
+    for name, draw, holds in _branch_strata(rng):
+        for _ in range(4):
+            m = np.stack([draw() for _ in range(_SCALAR_MAX + 1)])
+            assert all(holds(x) for x in m), name
+            b = rng.standard_normal((_SCALAR_MAX + 1, 2, 3))
+            for call in (lambda x, bx: expm(x),
+                         lambda x, bx: expm_integral(x, bx, 1.0),
+                         lambda x, bx: expm_integral(x, b[0, :, 0], 1.0)):
+                stacked = call(m, b)
+                small = call(m[:_SCALAR_MAX], b[:_SCALAR_MAX])
+                for k in range(len(m)):
+                    single = call(m[k], b[k])
+                    assert np.array_equal(stacked[k], single), name
+                    if k < _SCALAR_MAX:
+                        assert np.array_equal(small[k], single), name
+
+
+def test_scalar_kernel_keeps_the_overflow_check():
+    hot = np.array([[800.0, 0.0], [0.0, -1.0]])
+    for n in (1, _SCALAR_MAX, _SCALAR_MAX + 1):
+        stack = np.stack([np.eye(2)] * (n - 1) + [hot])
+        with pytest.raises(NumericError):
+            expm(stack)
+        with pytest.raises(NumericError):
+            expm_integral(stack, np.ones(2), 1.0)
+
+
 def test_expm_integral_matches_quadrature():
     a = random_state_matrix(RNG, scale=3e5)
     b = RNG.standard_normal(2)
@@ -189,6 +291,50 @@ def test_solve_linear_stack_equals_single_solves_bitwise():
         solve_linear(m, v[0])
 
 
+def test_solve_linear_2x2_stack_equals_single_solves_bitwise():
+    m = RNG.standard_normal((20, 2, 2)) + 3.0 * np.eye(2)
+    v = RNG.standard_normal((20, 2))
+    xs = solve_linear(m, v)
+    for k in range(20):
+        assert np.array_equal(xs[k], solve_linear(m[k], v[k]))
+
+
+def test_closed_form_condition_number_matches_svd():
+    rng = np.random.default_rng(61)
+    real = rng.standard_normal((200, 2, 2)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, (200, 1, 1))
+    for m in (real, real + 1j * rng.standard_normal((200, 2, 2))):
+        m = m[np.linalg.cond(m) < 1e4]              # well conditioned
+        ref = np.linalg.cond(m)
+        for x, c in zip(m, ref):
+            assert _cond2(x) == pytest.approx(c, rel=1e-8)
+        # the largest over a stack, in Python numbers and in array loops
+        for n in (2, _SCALAR_MAX, _SCALAR_MAX + 1, len(m)):
+            assert _cond2(m[:n]) == pytest.approx(ref[:n].max(), rel=1e-8)
+        stack = m[:12].reshape(4, 3, 2, 2)          # any stack shape
+        assert _cond2(stack) == pytest.approx(ref[:12].max(), rel=1e-8)
+    # scaled by its largest entry, a matrix far from 1 in size is still
+    # as well conditioned as it is
+    for scale in (1e-200, 1e200):
+        for n in (1, _SCALAR_MAX + 1):
+            eye = np.broadcast_to(np.eye(2) * scale, (n, 2, 2))
+            assert _cond2(eye) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_closed_form_guard_refuses_singular_2x2():
+    zero_row = np.array([[1.0, 2.0], [0.0, 0.0]])
+    small = RNG.standard_normal((5, 2, 2)) + 3.0 * np.eye(2)
+    small[3] = [[1.0, 2.0], [2.0, 4.0]]         # exactly singular slice
+    large = RNG.standard_normal((20, 2, 2)) + 3.0 * np.eye(2)
+    large[17] = np.ones((2, 2))
+    for m in (np.ones((2, 2)), zero_row, zero_row + 0j, np.zeros((2, 2)),
+              small, large):
+        with pytest.raises(SingularMatrixError) as info:
+            solve_linear(m, np.ones(m.shape[:-1]))
+        assert info.value.condition > 1e14 or math.isinf(
+            info.value.condition)
+
+
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrixError) as info:
         solve_linear(np.ones((2, 2)), np.ones(2))
@@ -200,6 +346,17 @@ def test_solve_linear_complex():
     v = np.array([1.0, 1.0])
     x = solve_linear(m, v)
     assert np.allclose(m @ x, v, rtol=1e-12)
+
+
+def test_solve_linear_rejects_non_finite_imaginary_parts():
+    # a NaN imaginary part once gave a silent NaN solution, an infinite one
+    # a SingularMatrixError: both are non-finite input
+    bad = complex(0.0, math.nan)
+    for m, v in ((np.array([[1.0, complex(0.0, math.inf)], [0.0, 1.0]]),
+                  np.ones(2)),
+                 (np.eye(2, dtype=complex), np.array([1.0, bad]))):
+        with pytest.raises(DomainError):
+            solve_linear(m, v)
 
 
 def test_find_root_polynomial():
