@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ HORIZON_PERIODS = 10        # give up after this many guess periods
 REFINE_REL_TOL = 1e-12      # switching instant tolerance, relative to guess
 SCAN_MARGIN = 32            # rows scanned past the last cycle's crossing first
 NEWTON_STEPS = 8            # Newton steps before the refiner only bisects
+_CERTIFICATES = 2           # scan certificates kept, one per orbit phase
 
 _EPS = float(np.finfo(float).eps)
 _NO_CROSSING = f"no ramp crossing within {HORIZON_PERIODS} guess periods"
@@ -47,6 +49,8 @@ _NO_CROSSING = f"no ramp crossing within {HORIZON_PERIODS} guess periods"
 PERIOD1 = "PERIOD1"
 PERIOD2 = "PERIOD2"
 OTHER = "OTHER"
+
+_Lengths = namedtuple("_Lengths", "Tn saturated")    # a probe's rungs so far
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,11 @@ class _CycleEngine:
     switching is ``e^(a tau) (c x_d + s N x_d)``.  A scan table row
     ``[e^(a tau) c, e^(a tau) s, 1, -ma (d + tau)]`` per grid point gives
     ``phi`` there from ``[P, Q, du, 1]``.  What an engine carries between
-    cycles, the last crossing row and a certificate that the rows below it
-    stay positive (see ``_scan``), only sets where the scan looks, never
-    what it finds.
+    cycles, the last crossing row and the certificates of its last two
+    full scans that their rows below the crossing stay positive, only sets
+    where the scan looks, never what it finds.  Two, as near the period-
+    doubling boundary the multiplier is close to -1: a cycle's ``(P, Q)``
+    lies close to the cycle two back, far from the last one.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -106,7 +112,7 @@ class _CycleEngine:
         self.terms = _stage_terms(self.a, self.q)
         self._table = []    # scan chunks, filled on demand
         self._colmax = None     # running max |column| of chunk 0, by row
-        self._cert = None       # certificate of chunk 0's leading rows
+        self._certs = []        # certificates, least recently used first
         self._ends = {}         # crossing row -> terms at its cell's ends
         self._w = np.array([0.0, 0.0, self.du, 1.0])    # [P, Q, du, 1]
 
@@ -166,7 +172,9 @@ class _CycleEngine:
                     if fhi == 0.0:
                         tau = hi
                     elif flo > 0.0 > fhi:
-                        tau = _newton(self._phi(P, Q), lo, hi, flo, fhi, tol)
+                        tau = _newton(terms, P, Q, self.a * P + Q,
+                                      self.q * P + self.a * Q, du, ma, d,
+                                      lo, hi, flo, fhi, tol)
                     else:
                         scale = 2.0 * abs(du) + abs(ma) * (d + hi) + max(
                             abs(ec * P) + abs(es * Q) for ec, es in cell)
@@ -177,76 +185,29 @@ class _CycleEngine:
             x0 = ec * xd0 + es * nx0
             x1 = ec * xd1 + es * nx1
             tns[k] = d + tau
-            x_end[k] = x0, x1
+            # two scalar stores: a tuple would be converted as a sequence
+            x_end[k, 0] = x0
+            x_end[k, 1] = x1
             if saturated and k >= stop:
                 return tns[:k + 1], x_end[:k + 1], sat[:k + 1]
         return tns, x_end, sat
 
-    def _phi(self, P: float, Q: float):
-        """This cycle's ``phi(tau)`` and its slope, as ``c' = q s`` and
-        ``s' = c``: ``e^(a tau) [P (a c + q s) + Q (a s + c)] - ma``."""
-        d = self.ramp.d
-        ma = self.ramp.ma
-        du = self.du
-        terms = self.terms
-        kc = self.a * P + Q
-        ks = self.q * P + self.a * Q
-
-        def phi(tau):
-            ec, es = terms(tau)
-            return (ec * P + es * Q + du - ma * (d + tau),
-                    ec * kc + es * ks - ma)
-        return phi
-
     def _scan(self, P: float, Q: float):
-        """Vectorized crossing scan; returns the bracketing interval.
+        """The cell ``[(k - 1) h, k h]`` of the first grid row ``k`` where
+        ``phi <= 0``: the cell a numpy scan of whole table chunks finds.
 
-        Table chunks are built on first use.  The first is scanned in two
-        blocks: rows up to the last cycle's crossing row plus
-        ``SCAN_MARGIN``, then, on a miss only, the rest.  A block is a row
-        slice of the same table, evaluated with the same operations, so the
-        first crossing row is the one a scan of the whole chunk finds.
-
-        When the block from row 0 finds the crossing at row ``r``, the
-        engine keeps a certificate for the rows below ``cut = r -
-        SCAN_MARGIN``: this cycle's ``P`` and ``Q``, the smallest value
-        over those rows and their largest column magnitudes.  A later
-        cycle whose ``(P, Q)`` lies close enough that those rows must still
-        be positive scans only the block from ``cut`` to the last crossing
-        row plus ``SCAN_MARGIN``.  A failed check, a miss in that block or
-        a block of fewer than two rows drops the certificate, and the scan
-        proceeds as above.
+        A certificate may decide the row on Python floats (``_walk``).
+        Otherwise the table is scanned in numpy, its chunks built on first
+        use; the first in two blocks, rows up to the last crossing row plus
+        ``SCAN_MARGIN`` and then, on a miss only, the rest.  A block is a
+        row slice of the same table, evaluated with the same operations, so
+        its first crossing row is the whole chunk's.  A crossing in chunk 0
+        above its first row records a certificate of the rows below it.
         """
+        if self._walk(P, Q):
+            return (self.hint - 1) * self.step, self.hint * self.step
         w = self._w
-        w[0] = P
-        w[1] = Q
-        cert = self._cert
-        if cert is not None:
-            cut, p_ref, q_ref, v_min, a0, a1, slack = cert
-            stop = self.hint + SCAN_MARGIN
-            # A row's exact value, t0 P + t1 Q + du + t3, is linear in
-            # (P, Q), and a four-term dot product rounds by less than
-            # 16 eps times the sum of its terms' magnitudes, in any order
-            # and with or without fused multiply-adds; the margin also
-            # covers the rounding of this test.  With a0, a1 and a3 the
-            # largest |t0|, |t1| and |t3| below cut, and
-            # e(P, Q) = 16 eps (|du| + a3 + |P| a0 + |Q| a1), every row
-            # below cut evaluates now to at least
-            #   v_min - e(P_ref, Q_ref) - |P - P_ref| a0 - |Q - Q_ref| a1
-            #   - e(P, Q),
-            # which the test makes positive (``slack`` holds the parts
-            # fixed at certification).  No row below cut can cross under
-            # either evaluation, so the block's first crossing is the
-            # chunk's.
-            if stop - cut >= 2 and v_min > (
-                    (abs(P - p_ref) + 16.0 * _EPS * abs(P)) * a0
-                    + (abs(Q - q_ref) + 16.0 * _EPS * abs(Q)) * a1 + slack):
-                below = self._table[0][cut:stop].dot(w) <= 0.0
-                row = int(below.argmax())
-                if below[row]:
-                    self.hint = 1 + cut + row
-                    return (self.hint - 1) * self.step, self.hint * self.step
-            self._cert = None
+        w[:2] = P, Q
         split = self.hint + SCAN_MARGIN
         for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
             if i == len(self._table):
@@ -256,33 +217,86 @@ class _CycleEngine:
                 self._table.append(np.column_stack(
                     [ec, es * taus, np.ones_like(taus),
                      -self.ramp.ma * (self.ramp.d + taus)]))
+                if i == 0:
+                    self._colmax = np.maximum.accumulate(
+                        np.abs(self._table[0][:, [0, 1, 3]]))
             table = self._table[i]
             # numpy forms a one-row product by another kernel, which may
             # round differently, so the second block keeps two rows or more
             starts = (0, split) if i == 0 and split < len(table) - 1 else (0,)
+            v_min = math.inf    # smallest value of the blocks before
             for start, stop in zip(starts, starts[1:] + (len(table),)):
                 vals = table[start:stop].dot(w)
                 below = vals <= 0.0
                 row = int(below.argmax())
                 if below[row]:
                     self.hint = k0 + start + row
-                    if i == 0 and start == 0 and row > SCAN_MARGIN:
-                        self._certify(P, Q, row - SCAN_MARGIN, vals)
+                    if i == 0 and start + row > 0:
+                        self._certify(P, Q, start + row,
+                                      float(vals[:row].min(initial=v_min)))
                     return (self.hint - 1) * self.step, self.hint * self.step
+                v_min = float(vals.min(initial=v_min))
         raise MissedSwitchingError(_NO_CROSSING)
 
-    def _certify(self, P: float, Q: float, cut: int, vals: np.ndarray):
-        """Keep the certificate of chunk 0's rows below ``cut``, whose
-        values at this cycle's ``P`` and ``Q`` are ``vals[:cut]``."""
-        v_min = float(vals[:cut].min())
+    def _walk(self, P: float, Q: float) -> int:
+        """The crossing row a certificate decides, kept as the hint, or 0
+        for a full scan: the first whose check passes walks the
+        ``SCAN_MARGIN`` rows from its ``cut`` up on Python floats."""
+        certs = self._certs
+        for cert in certs:
+            cut, p_ref, q_ref, v_min, a0, a1, slack, rows, b0, b1, b3 = cert
+            # A row's exact value, t0 P + t1 Q + du + t3, is linear in
+            # (P, Q), and a four-term dot product rounds by less than
+            # 16 eps times the sum of its terms' magnitudes, in any order
+            # and with or without fused multiply-adds; the margin covers
+            # the rounding of this test too.  With a0, a1 and a3 the
+            # largest |t0|, |t1| and |t3| below cut, each of those rows
+            # evaluates now to at least
+            #   v_min - e(P_ref, Q_ref) - |P - P_ref| a0 - |Q - Q_ref| a1
+            #   - e(P, Q),  e(P, Q) = 16 eps (|du| + a3 + |P| a0 + |Q| a1),
+            # which the test makes positive (``slack`` holds the parts
+            # fixed at certification): none can cross under any evaluation.
+            if v_min > ((abs(P - p_ref) + 16.0 * _EPS * abs(P)) * a0
+                        + (abs(Q - q_ref) + 16.0 * _EPS * abs(Q)) * a1
+                        + slack):
+                # With b0, b1 and b3 the largest |t0|, |t1| and |t3| up to
+                # the window's end, the sum below and numpy's dot lie within
+                # e / 2 of the exact value: a row beyond e has one sign under
+                # both, one within it takes numpy's from a two-row block.
+                du = self.du
+                e = 32.0 * _EPS * (abs(P) * b0 + abs(Q) * b1 + abs(du) + b3)
+                table = self._table[0]
+                if rows is None:
+                    rows = cert[7] = table[cut:cut + SCAN_MARGIN].tolist()
+                for k, (t0, t1, _, t3) in enumerate(rows, cut + 1):
+                    v = t0 * P + t1 * Q + du + t3
+                    if v > e:
+                        continue
+                    if not v < -e:
+                        self._w[:2] = P, Q
+                        if k == len(table) or not (
+                                table[k - 1:k + 1].dot(self._w)[0] <= 0.0):
+                            continue
+                    certs.remove(cert)
+                    certs.append(cert)
+                    self.hint = k
+                    return k
+                return 0
+        return 0
+
+    def _certify(self, P: float, Q: float, cut: int, v_min: float):
+        """Keep a certificate of chunk 0's rows below ``cut``, whose smallest
+        value at this cycle's ``P`` and ``Q`` is ``v_min``, in place of the
+        least recently used one; its window rows become Python floats on
+        its first walk."""
         if v_min > 0.0:         # not NaN
-            if self._colmax is None:
-                self._colmax = np.maximum.accumulate(
-                    np.abs(self._table[0][:, [0, 1, 3]]))
             a0, a1, a3 = self._colmax[cut - 1].tolist()
+            b0, b1, b3 = self._colmax[
+                min(cut + SCAN_MARGIN, len(self._colmax)) - 1].tolist()
             slack = 16.0 * _EPS * (2.0 * abs(self.du) + 2.0 * a3
                                    + abs(P) * a0 + abs(Q) * a1)
-            self._cert = (cut, P, Q, v_min, a0, a1, slack)
+            self._certs = self._certs[1 - _CERTIFICATES:] + [
+                [cut, P, Q, v_min, a0, a1, slack, None, b0, b1, b3]]
 
 
 def _stage_terms(a: float, q: float):
@@ -324,17 +338,19 @@ def _end_within_noise(lo: float, hi: float, flo: float, fhi: float,
         f"phi({lo:.3e}) = {flo:.3e}, phi({hi:.3e}) = {fhi:.3e}")
 
 
-def _newton(f, lo: float, hi: float, flo: float, fhi: float,
+def _newton(terms, P: float, Q: float, kc: float, ks: float, du: float,
+            ma: float, d: float, lo: float, hi: float, flo: float, fhi: float,
             tol: float) -> float:
-    """Root of ``f`` in ``[lo, hi]``, given ``f(lo) > 0 > f(hi)``.
+    """Root of ``phi`` in ``[lo, hi]``, given ``phi(lo) > 0 > phi(hi)``.
 
-    ``f`` returns the residual and its derivative.  Safeguarded Newton: it
-    starts at the secant point of the bracket, shrinks the bracket on the
-    sign of every residual, and bisects whenever a step would leave it.
-    After ``NEWTON_STEPS`` Newton steps it only bisects, so it always
-    converges.  It stops once a step is no longer than ``tol`` or the
-    bracket reaches floating-point resolution.  The result depends only on
-    the arguments.
+    With ``ec, es = terms(tau)``, ``phi = ec P + es Q + du - ma (d + tau)``
+    and its slope is ``ec kc + es ks - ma`` (``c' = q s`` and ``s' = c``).
+    Safeguarded Newton: it starts at the secant point of the bracket,
+    shrinks the bracket on the sign of every residual, and bisects whenever
+    a step would leave it.  After ``NEWTON_STEPS`` Newton steps it only
+    bisects, so it always converges.  It stops once a step is no longer
+    than ``tol`` or the bracket reaches floating-point resolution.  The
+    result depends only on the arguments.
     """
     a, b = lo, hi
     x = (a * fhi - b * flo) / (fhi - flo)
@@ -342,7 +358,8 @@ def _newton(f, lo: float, hi: float, flo: float, fhi: float,
         x = 0.5 * (a + b)
     steps = 0
     for _ in range(NEWTON_STEPS + 200):
-        fx, dfx = f(x)
+        ec, es = terms(x)
+        fx = ec * P + es * Q + du - ma * (d + x)
         if not math.isfinite(fx):
             raise NumericError(f"residual is not finite at {x!r}: {fx!r}")
         if fx == 0.0:
@@ -352,9 +369,9 @@ def _newton(f, lo: float, hi: float, flo: float, fhi: float,
         else:
             b = x
         nxt = 0.5 * (a + b)
-        if steps < NEWTON_STEPS and dfx != 0.0:
-            newton = x - fx / dfx
-            if a < newton < b:
+        if steps < NEWTON_STEPS:
+            dfx = ec * kc + es * ks - ma
+            if dfx != 0.0 and a < (newton := x - fx / dfx) < b:
                 nxt = newton
                 steps += 1
         if abs(nxt - x) <= tol or b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
@@ -382,20 +399,6 @@ def _start_state(m: ConverterModel, x0) -> np.ndarray:
     return x0
 
 
-def _run(eng: _CycleEngine, x0: np.ndarray, ncycles: int,
-         stop_from: int | None = None) -> Trace:
-    """The trace of ``ncycles`` cycles of ``eng`` from ``x0``, or of fewer
-    when ``stop_from`` ends the run early (see ``_CycleEngine.run``).
-
-    The feedback at each switching instant is formed once per run, as one
-    stacked product: each row is ``Cvec @ x + du`` of that row alone (a
-    plain matrix-vector product would round differently).
-    """
-    tns, x_end, sat = eng.run(x0, ncycles, stop_from)
-    y_switch = (eng.m.Cvec @ x_end[..., None])[..., 0] + eng.du
-    return Trace(tns, x_end, y_switch, sat, x0, eng.u)
-
-
 def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
              T_guess: float | None = None) -> Trace:
     """Run ``ncycles`` switching cycles from the given state.
@@ -411,7 +414,11 @@ def simulate(m: ConverterModel, ramp: RampSpec, x0, u, ncycles: int,
     if T_guess is None:
         T_guess = 2.0 * ramp.d
     x0 = _start_state(m, x0)
-    return _run(_CycleEngine(m, ramp, u, T_guess), x0, ncycles)
+    eng = _CycleEngine(m, ramp, u, T_guess)
+    tns, x_end, sat = eng.run(x0, ncycles)
+    # stacked, so each row rounds as ``Cvec @ x + du`` of that row alone
+    y_switch = (m.Cvec @ x_end[..., None])[..., 0] + eng.du
+    return Trace(tns, x_end, y_switch, sat, x0, eng.u)
 
 
 def classify_orbit(trace: Trace, settle: int = 500) -> str:
@@ -420,12 +427,13 @@ def classify_orbit(trace: Trace, settle: int = 500) -> str:
     Judged on the cycle-length sequence after ``settle`` cycles.  PERIOD1
     means the lengths have collapsed to one value, PERIOD2 to a clean
     two-cycle alternation.  Saturated cycles in the tail disqualify both.
+    Reads only ``Tn`` and ``saturated``.
     """
     settle = _integer("settle", settle, 0)
-    if trace.ncycles <= settle + 32:
+    if len(trace.Tn) <= settle + 32:
         raise UsageError(
             f"need more than {settle + 32} cycles to classify with "
-            f"settle={settle}, got {trace.ncycles}")
+            f"settle={settle}, got {len(trace.Tn)}")
     tail = trace.Tn[settle:]
     if trace.saturated[settle:].any():
         return OTHER
@@ -589,18 +597,19 @@ def _probe_side(setup, ladder, settle: int) -> str:
     m, ramp, u, T, x = setup
     eng = _CycleEngine(m, ramp, u, T)
     x = _start_state(m, x)
-    tr = None
+    tr = _Lengths(np.empty(0), np.empty(0, dtype=bool))
     for nc in ladder:
-        done = 0 if tr is None else tr.ncycles
+        done = len(tr.Tn)
         # judge longer runs on their later halves; near-boundary
         # transients outlive any fixed settling allowance
         eff = max(settle, nc // 2)
         try:
-            more = _run(eng, x, nc - done, max(eff - done, 0))
+            tns, x_end, sat = eng.run(x, nc - done, max(eff - done, 0))
         except MissedSwitchingError:
             return "unstable"
-        tr = more if tr is None else _joined(tr, more)
-        x = tr.x_end[-1]
+        tr = _Lengths(np.concatenate([tr.Tn, tns]),
+                      np.concatenate([tr.saturated, sat]))
+        x = x_end[-1]
         # true too when the run came back short
         if tr.saturated[eff:].any():
             return "unstable"
@@ -610,15 +619,6 @@ def _probe_side(setup, ladder, settle: int) -> str:
         if cls == PERIOD2:
             return "unstable"
     return _trend_side(tr, eff)
-
-
-def _joined(head: Trace, tail: Trace) -> Trace:
-    """One trace of ``head`` followed by ``tail``, its continuation."""
-    return Trace(np.concatenate([head.Tn, tail.Tn]),
-                 np.concatenate([head.x_end, tail.x_end]),
-                 np.concatenate([head.y_switch, tail.y_switch]),
-                 np.concatenate([head.saturated, tail.saturated]),
-                 head.x0, head.u)
 
 
 def onset_search(family, lo: float, hi: float, cycles: int = 3000,

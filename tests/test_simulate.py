@@ -241,7 +241,9 @@ def test_estimate_multiplier_runs_every_axis_on_one_engine(monkeypatch):
 
 def test_newton_refiner_bisects_when_a_step_leaves_the_bracket():
     # Newton on atan from far out overshoots the whole bracket; the
-    # safeguard must bisect and still converge to the root
+    # safeguard must bisect and still converge to the root.  With P = 1,
+    # Q = 0, kc = 0, ks = 1 and du = ma = d = 0 the refiner's residual is
+    # the first of f's pair and its slope the second, exactly
     evals = []
 
     def f(x):
@@ -249,7 +251,8 @@ def test_newton_refiner_bisects_when_a_step_leaves_the_bracket():
         return -math.atan(x - 0.3), -1.0 / (1.0 + (x - 0.3) ** 2)
 
     lo, hi = -50.0, 10.0
-    root = _newton(f, lo, hi, f(lo)[0], f(hi)[0], 1e-13)
+    root = _newton(f, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, lo, hi, f(lo)[0],
+                   f(hi)[0], 1e-13)
     assert root == pytest.approx(0.3, abs=1e-13)
     assert all(lo < x < hi for x in evals[2:])
     assert len(evals) < 40

@@ -12,20 +12,24 @@ match bit for bit, including at a near-boundary point where any last-digit
 change would be amplified into a visibly different orbit, and at critical
 damping.
 
-The engine also carries a certificate from cycle to cycle that lets its
-scan skip table rows an earlier cycle proved positive.  On the same
-traces, every cycle's scan with the certificate the run carried must find
-the cell of the whole-chunk loop-form scan, and a state far from the
-certified one must be refused the certificate and still find its cell.
+The engine also carries the certificates of its last two full scans,
+which let its scan skip table rows an earlier cycle proved positive and
+walk the rows above them on Python floats, with a rounding guard.  On the
+same traces, every cycle's scan with the certificates the run carried must
+find the cell of the whole-chunk loop-form scan, as must a scan whose row
+lies within a few ulp of zero and one at a NaN state, and a state far from
+the certified ones must be refused the certificates and still find its
+cell.  Near the period-doubling onset the certificates must serve nearly
+every scan.
 
 The second reference shares no stage arithmetic with the engine: it
 propagates the state through the on stage in physical coordinates, takes
 its modal coordinates in the eigenvectors of the off stage and scans a
 complex table, as an earlier engine did.  It rounds differently, so on
 orbits that do not diverge the traces must agree within a stated
-tolerance and classify alike.  A third reference refines the loop form
-with ``find_root``, and the Newton instants must lie within the refiner
-tolerance of its roots.
+tolerance and classify alike; it refines with ``find_root``.  A third
+reference refines the loop form with ``find_root``, and the Newton
+instants must lie within the refiner tolerance of its roots.
 """
 
 import cmath
@@ -35,8 +39,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cotstab import (BuckParams, Scheme, Trace, make_duty_family,
-                     make_ramp_family, simulate)
+from cotstab import (BuckParams, Scheme, Trace, build_model,
+                     make_duty_family, make_ramp_family, simulate)
+from cotstab.bifurcation import pdb_boundary_exact
+from cotstab.errors import MissedSwitchingError
 from cotstab.linalg import _closed_form, find_root
 from cotstab.simulate import (HORIZON_PERIODS, OTHER, PERIOD1,
                               REFINE_REL_TOL, SCAN_DIVISIONS, SCAN_MARGIN,
@@ -97,18 +103,16 @@ class _LoopEngine(_CycleEngine):
         return (xd, nx, c[0] * xd[0] + c[1] * xd[1],
                 c[0] * nx[0] + c[1] * nx[1])
 
-    def phi_and_slope(self, P, Q, tau):
-        a, q, _ = self.closed_form()
-        ec, es = self.stage(tau)
-        return (ec * P + es * Q + self.du - self.ramp.ma * (self.ramp.d + tau),
-                ec * (a * P + Q) + es * (q * P + a * Q) - self.ramp.ma)
-
     def phi_at(self, P, Q, tau):
-        return self.phi_and_slope(P, Q, tau)[0]
+        ec, es = self.stage(tau)
+        return ec * P + es * Q + self.du - self.ramp.ma * (self.ramp.d + tau)
 
     def refine(self, P, Q, lo, hi, flo, fhi):
-        return _newton(lambda t: self.phi_and_slope(P, Q, t), lo, hi, flo,
-                       fhi, REFINE_REL_TOL * self.T_guess)
+        """The refiner on this form's own ``stage``."""
+        a, q, _ = self.closed_form()
+        return _newton(self.stage, P, Q, a * P + Q, q * P + a * Q, self.du,
+                       self.ramp.ma, self.ramp.d, lo, hi, flo, fhi,
+                       REFINE_REL_TOL * self.T_guess)
 
     def scan(self, P, Q):
         """Whole-chunk scan, each chunk's table built afresh."""
@@ -159,19 +163,16 @@ class _LoopEngine(_CycleEngine):
 
 
 class _CountingEngine(_CycleEngine):
-    """The engine, counting the scans its carried certificate served."""
+    """The engine, counting the scans its carried certificates served."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.served = 0
 
-    def _scan(self, P, Q):
-        cert = self._cert
-        cell = super()._scan(P, Q)
-        # a scan that drops the certificate may record a new one, never
-        # the same object
-        self.served += cert is not None and self._cert is cert
-        return cell
+    def _walk(self, P, Q):
+        row = super()._walk(P, Q)
+        self.served += row > 0
+        return row
 
 
 class _FindRootEngine(_LoopEngine):
@@ -197,23 +198,16 @@ class _PhysicalEngine(_CycleEngine):
     def _modal(self, x_d):
         return self.vinv @ x_d
 
-    def phi_and_slope(self, x_d, tau):
+    def phi_at(self, x_d, tau):
         z = self._modal(x_d)
         acc = 0.0
-        dacc = 0.0
         for i in range(len(self.lam)):
-            e = cmath.exp(self.lam[i] * tau)
-            acc += (self.cv[i] * z[i] * e).real
-            dacc += (self.cv[i] * z[i] * self.lam[i] * e).real
-        return (acc + self.du - self.ramp.ma * (self.ramp.d + tau),
-                dacc - self.ramp.ma)
-
-    def phi_at(self, x_d, tau):
-        return self.phi_and_slope(x_d, tau)[0]
+            acc += (self.cv[i] * z[i] * cmath.exp(self.lam[i] * tau)).real
+        return acc + self.du - self.ramp.ma * (self.ramp.d + tau)
 
     def refine(self, x_d, lo, hi, flo, fhi):
-        return _newton(lambda t: self.phi_and_slope(x_d, t), lo, hi, flo, fhi,
-                       REFINE_REL_TOL * self.T_guess)
+        return find_root(lambda t: self.phi_at(x_d, t), lo, hi,
+                         tol=REFINE_REL_TOL * self.T_guess)
 
     def scan(self, x_d):
         d = self.ramp.d
@@ -362,12 +356,12 @@ def _assert_refiner_matches_find_root(setup, ncycles):
     """Per cycle: the windowed scan's cell and the Newton instant.
 
     Every cycle of the engine's own trace is restarted from its start
-    state.  The windowed scan, with the hint and the certificate the run
-    carried and again with a hint that forces a miss, must find the cell
-    of the whole-chunk loop-form scan; the Newton instant must lie within
-    the refiner tolerance of the root ``find_root`` finds in that cell.
-    Returns the number of window misses, of scans the certificate served
-    and of scans.
+    state.  The windowed scan, with the hint and the certificates the run
+    carried and again with none and a hint that forces the first block to
+    miss, must find the cell of the whole-chunk loop-form scan; the Newton
+    instant must lie within the refiner tolerance of the root
+    ``find_root`` finds in that cell.  Returns the number of window
+    misses, of scans the certificates served and of scans.
     """
     m, ramp, u, T, x0 = setup
     tr = simulate(m, ramp, x0, u, ncycles, T)
@@ -386,17 +380,18 @@ def _assert_refiner_matches_find_root(setup, ncycles):
         misses += cell[1] > window * eng.step
         # after the forced miss, the next cycle scans with what the run
         # carried, as the run's own engine did
-        carried = eng.hint, eng._cert, eng.served
-        eng.hint = 0
+        carried = eng.hint, list(eng._certs), eng.served
+        eng.hint, eng._certs = 0, []
         assert eng._scan(P, Q) == cell, k
-        eng.hint, eng._cert, eng.served = carried
+        eng.hint, eng._certs, eng.served = carried
         lo, hi = cell
         phi0 = ref.phi_at(P, Q, 0.0)
         flo = ref.phi_at(P, Q, lo) if lo > 0.0 else phi0
         fhi = ref.phi_at(P, Q, hi)
         if not flo > 0.0 > fhi:
             continue
-        tau = _newton(eng._phi(P, Q), lo, hi, flo, fhi, tol)
+        tau = _newton(eng.terms, P, Q, eng.a * P + Q, eng.q * P + eng.a * Q,
+                      eng.du, ramp.ma, ramp.d, lo, hi, flo, fhi, tol)
         assert tr.Tn[k] == ramp.d + tau
         assert abs(tau - ref.refine(P, Q, lo, hi, flo, fhi)) <= tol, k
         refined += 1
@@ -405,8 +400,8 @@ def _assert_refiner_matches_find_root(setup, ncycles):
 
 
 def test_refiner_matches_find_root_near_boundary():
-    # the orbit barely moves from cycle to cycle, so the certificate of
-    # one cycle serves nearly every later one
+    # the orbit barely moves from cycle to cycle, so the certificates of
+    # two cycles serve nearly every later one
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
     _, served, scanned = _assert_refiner_matches_find_root(fam(1000.0), 3000)
     assert served >= 0.9 * scanned
@@ -428,19 +423,93 @@ def test_certificate_refuses_a_far_state():
     # certified on the near-boundary orbit, whose crossing lies at row 600;
     # with the output voltage 2% low the crossing moves below the certified
     # rows, which the check must refuse, and 5% high it moves past the
-    # window, which the scan must leave to the whole chunk
+    # walked window, which the scan must leave to the whole chunk; either
+    # full scan records a new certificate
     m, ramp, u, T, x0 = make_ramp_family(FAST, Scheme.V_COTC, FAST_D,
                                          FAST_T)(1000.0)
     ref = _LoopEngine(m, ramp, u, T)
     for scale, row in ((0.98, 417), (1.05, 835)):
         eng = _CountingEngine(m, ramp, u, T)
         x = eng.run(x0, 200)[1][-1]
-        cert = eng._cert
-        assert eng.hint == 600 and cert is not None
-        assert (row < cert[0]) is (scale < 1.0)
+        certs = list(eng._certs)
+        assert eng.hint == 600 and len(certs) == 2
+        assert all((row < cert[0]) is (scale < 1.0) for cert in certs)
         _, _, P, Q = ref.coefficients(x * [1.0, scale])
         cell = ref.scan(P, Q)
         assert cell[1] == row * eng.step
         served = eng.served
         assert eng._scan(P, Q) == cell
-        assert eng.served == served and eng._cert is not cert
+        assert eng.served == served
+        assert all(eng._certs[-1] is not cert for cert in certs)
+
+
+def _near_boundary_engine():
+    """A counting engine that ran 200 cycles of the near-boundary orbit,
+    its loop form, and the hint and certificates it carries."""
+    m, ramp, u, T, x0 = make_ramp_family(FAST, Scheme.V_COTC, FAST_D,
+                                         FAST_T)(1000.0)
+    eng = _CountingEngine(m, ramp, u, T)
+    eng.run(x0, 200)
+    return eng, _LoopEngine(m, ramp, u, T), eng.hint, list(eng._certs)
+
+
+def test_walk_leaves_rows_near_zero_to_numpy():
+    # A full scan at a state whose crossing row r lies just below zero
+    # certifies the rows below r.  States that put row r within a few ulp
+    # of zero, on both sides, pass that certificate's check, and its walk
+    # starts at row r, where the Python sum and numpy's dot may disagree in
+    # sign; the walk serves each scan with numpy's value of that row.  Every
+    # scan must find the whole-chunk loop-form cell
+    eng, ref, hint, certs = _near_boundary_engine()
+    table = eng._table[0]
+    du = eng.du
+    walked = signs = disagreed = 0
+    for r in range(600, 604):
+        t0, t1, _, t3 = table[r].tolist()
+        for n in range(4):
+            P = certs[-1][1] * (1.0 + n * 1e-7)
+            q_zero = -(t0 * P + du + t3) / t1
+            q = q_zero * (1.0 - math.copysign(1e-9, t1 * q_zero))
+            eng.hint, eng._certs = hint, []
+            assert eng._scan(P, q) == ref.scan(P, q)
+            certified = list(eng._certs)
+            assert eng.hint == r + 1 and certified[-1][0] == r
+            q = q_zero
+            for _ in range(4):
+                q = math.nextafter(q, -math.inf)
+            for _ in range(9):
+                eng._certs, eng.served = list(certified), 0
+                assert eng._scan(P, q) == ref.scan(P, q), (r, n, q)
+                value = float(table.dot([P, q, du, 1.0])[r])
+                assert abs(value) <= 64.0 * np.finfo(float).eps * abs(t1 * q)
+                walked += eng.served
+                signs |= 1 << (value > 0.0)
+                disagreed += (t0 * P + t1 * q + du + t3 > 0.0) != (value > 0.0)
+                q = math.nextafter(q, math.inf)
+    assert walked == 4 * 4 * 9 and signs == 3
+    if not disagreed:
+        pytest.skip("numpy's dot rounded as the Python sum in every case")
+
+
+def test_walk_refuses_a_nan_state():
+    # a NaN P fails every certificate check; the whole-chunk scan then finds
+    # no crossing, as the loop form does
+    eng, ref, hint, certs = _near_boundary_engine()
+    Q = certs[-1][2]
+    with pytest.raises(AssertionError, match="no crossing"):
+        ref.scan(math.nan, Q)
+    eng.served = 0
+    with pytest.raises(MissedSwitchingError):
+        eng._scan(math.nan, Q)
+    assert eng.served == 0
+
+
+@pytest.mark.parametrize("factor", [0.992, 1.008])
+def test_certificates_serve_probes_near_the_onset(factor):
+    # within 1% of Eq22 the multiplier is close to -1: each cycle's state
+    # lies close to the one two back, so two certificates serve the scans
+    m = build_model(FAST, Scheme.V_COTC)
+    ma = factor * pdb_boundary_exact(m, FAST.vs, FAST_D, FAST_T)
+    fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
+    _, served, scanned = _assert_refiner_matches_find_root(fam(ma), 3000)
+    assert served >= 0.9 * scanned
