@@ -77,14 +77,16 @@ class _CycleEngine:
     its start state through the on stage to ``x_d``; with
     ``P = Cvec x_d`` and ``Q = Cvec N x_d`` the switching residual is
     ``phi = e^(a tau) (P c + Q s) + du - ma (d + tau)``, and the state after
-    switching is ``e^(a tau) (c x_d + s N x_d)``.  A scan table row
-    ``[e^(a tau) c, e^(a tau) s, 1, -ma (d + tau)]`` per grid point gives
-    ``phi`` there from ``[P, Q, du, 1]``.  What an engine carries between
-    cycles, the last crossing row and the certificates of its last two
-    full scans that their rows below the crossing stay positive, only sets
-    where the scan looks, never what it finds.  Two, as near the period-
-    doubling boundary the multiplier is close to -1: a cycle's ``(P, Q)``
-    lies close to the cycle two back, far from the last one.
+    switching is ``e^(a tau) (c x_d + s N x_d)``.  The scan table holds
+    ``t0 = e^(a tau) c``, ``t1 = e^(a tau) s`` and ``t3 = -ma (d + tau)``
+    per grid point, and every row is evaluated elementwise as
+    ``((t0 P + t1 Q) + du) + t3``, in numpy and in Python floats alike, so
+    both round each row to the same bits.  What an engine carries between
+    cycles, the certificates of its last two full scans that their rows
+    below the crossing stay positive, only sets where the scan looks,
+    never what it finds.  Two, as near the period-doubling boundary the
+    multiplier is close to -1: a cycle's ``(P, Q)`` lies close to the
+    cycle two back, far from the last one.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -96,6 +98,8 @@ class _CycleEngine:
         self.m = m
         self.ramp = ramp
         self.u = np.asarray(u, dtype=float)
+        if not np.isfinite(self.u).all():
+            raise DomainError(f"u must be finite, got {self.u.tolist()!r}")
         self.T_guess = float(T_guess)
         d = ramp.d
         self.p1 = expm(m.A, d)
@@ -111,10 +115,9 @@ class _CycleEngine:
         self.n = ((h, a01), (a10, -h))
         self.terms = _stage_terms(self.a, self.q)
         self._table = []    # scan chunks, filled on demand
-        self._colmax = None     # running max |column| of chunk 0, by row
+        self._colmax = None     # running max |t0|, |t1|, |t3| of chunk 0
         self._certs = []        # certificates, least recently used first
         self._ends = {}         # crossing row -> terms at its cell's ends
-        self._w = np.array([0.0, 0.0, self.du, 1.0])    # [P, Q, du, 1]
 
     def run(self, x: np.ndarray, ncycles: int, stop_from: int | None = None):
         """``ncycles`` cycles from ``x``: ``Tn``, ``x_end``, ``saturated``.
@@ -194,93 +197,67 @@ class _CycleEngine:
 
     def _scan(self, P: float, Q: float):
         """The cell ``[(k - 1) h, k h]`` of the first grid row ``k`` where
-        ``phi <= 0``: the cell a numpy scan of whole table chunks finds.
+        ``phi <= 0``: the cell a scan of whole table chunks finds.
 
         A certificate may decide the row on Python floats (``_walk``).
-        Otherwise the table is scanned in numpy, its chunks built on first
-        use; the first in two blocks, rows up to the last crossing row plus
-        ``SCAN_MARGIN`` and then, on a miss only, the rest.  A block is a
-        row slice of the same table, evaluated with the same operations, so
-        its first crossing row is the whole chunk's.  A crossing in chunk 0
-        above its first row records a certificate of the rows below it.
+        Otherwise the table is scanned in numpy, one chunk at a time, its
+        chunks built on first use.  A crossing in chunk 0 above its first
+        row records a certificate of the rows below it.
         """
         if self._walk(P, Q):
             return (self.hint - 1) * self.step, self.hint * self.step
-        w = self._w
-        w[:2] = P, Q
-        split = self.hint + SCAN_MARGIN
         for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
             if i == len(self._table):
                 taus = np.arange(k0, min(k0 + 2 * SCAN_DIVISIONS,
                                          self.kmax + 1)) * self.step
                 ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
-                self._table.append(np.column_stack(
-                    [ec, es * taus, np.ones_like(taus),
-                     -self.ramp.ma * (self.ramp.d + taus)]))
+                self._table.append(np.array(
+                    [ec, es * taus, -self.ramp.ma * (self.ramp.d + taus)]))
                 if i == 0:
                     self._colmax = np.maximum.accumulate(
-                        np.abs(self._table[0][:, [0, 1, 3]]))
-            table = self._table[i]
-            # numpy forms a one-row product by another kernel, which may
-            # round differently, so the second block keeps two rows or more
-            starts = (0, split) if i == 0 and split < len(table) - 1 else (0,)
-            v_min = math.inf    # smallest value of the blocks before
-            for start, stop in zip(starts, starts[1:] + (len(table),)):
-                vals = table[start:stop].dot(w)
-                below = vals <= 0.0
-                row = int(below.argmax())
-                if below[row]:
-                    self.hint = k0 + start + row
-                    if i == 0 and start + row > 0:
-                        self._certify(P, Q, start + row,
-                                      float(vals[:row].min(initial=v_min)))
-                    return (self.hint - 1) * self.step, self.hint * self.step
-                v_min = float(vals.min(initial=v_min))
+                        np.abs(self._table[0]), axis=1)
+            t0, t1, t3 = self._table[i]
+            vals = t0 * P + t1 * Q + self.du + t3
+            below = vals <= 0.0
+            row = int(below.argmax())
+            if below[row]:
+                self.hint = k0 + row
+                if i == 0 and row > 0:
+                    self._certify(P, Q, row, float(vals[:row].min()))
+                return (self.hint - 1) * self.step, self.hint * self.step
         raise MissedSwitchingError(_NO_CROSSING)
 
     def _walk(self, P: float, Q: float) -> int:
         """The crossing row a certificate decides, kept as the hint, or 0
         for a full scan: the first whose check passes walks the
-        ``SCAN_MARGIN`` rows from its ``cut`` up on Python floats."""
+        ``SCAN_MARGIN`` rows from its ``cut`` up on Python floats, with the
+        full scan's operations in its order."""
         certs = self._certs
         for cert in certs:
-            cut, p_ref, q_ref, v_min, a0, a1, slack, rows, b0, b1, b3 = cert
+            cut, p_ref, q_ref, v_min, a0, a1, slack, rows = cert
             # A row's exact value, t0 P + t1 Q + du + t3, is linear in
-            # (P, Q), and a four-term dot product rounds by less than
-            # 16 eps times the sum of its terms' magnitudes, in any order
-            # and with or without fused multiply-adds; the margin covers
+            # (P, Q), and the scan's sum of four terms rounds by less than
+            # 16 eps times the sum of their magnitudes; the margin covers
             # the rounding of this test too.  With a0, a1 and a3 the
             # largest |t0|, |t1| and |t3| below cut, each of those rows
             # evaluates now to at least
             #   v_min - e(P_ref, Q_ref) - |P - P_ref| a0 - |Q - Q_ref| a1
             #   - e(P, Q),  e(P, Q) = 16 eps (|du| + a3 + |P| a0 + |Q| a1),
             # which the test makes positive (``slack`` holds the parts
-            # fixed at certification): none can cross under any evaluation.
+            # fixed at certification): none can cross.
             if v_min > ((abs(P - p_ref) + 16.0 * _EPS * abs(P)) * a0
                         + (abs(Q - q_ref) + 16.0 * _EPS * abs(Q)) * a1
                         + slack):
-                # With b0, b1 and b3 the largest |t0|, |t1| and |t3| up to
-                # the window's end, the sum below and numpy's dot lie within
-                # e / 2 of the exact value: a row beyond e has one sign under
-                # both, one within it takes numpy's from a two-row block.
                 du = self.du
-                e = 32.0 * _EPS * (abs(P) * b0 + abs(Q) * b1 + abs(du) + b3)
-                table = self._table[0]
                 if rows is None:
-                    rows = cert[7] = table[cut:cut + SCAN_MARGIN].tolist()
-                for k, (t0, t1, _, t3) in enumerate(rows, cut + 1):
-                    v = t0 * P + t1 * Q + du + t3
-                    if v > e:
-                        continue
-                    if not v < -e:
-                        self._w[:2] = P, Q
-                        if k == len(table) or not (
-                                table[k - 1:k + 1].dot(self._w)[0] <= 0.0):
-                            continue
-                    certs.remove(cert)
-                    certs.append(cert)
-                    self.hint = k
-                    return k
+                    rows = cert[7] = self._table[0][
+                        :, cut:cut + SCAN_MARGIN].T.tolist()
+                for k, (t0, t1, t3) in enumerate(rows, cut + 1):
+                    if t0 * P + t1 * Q + du + t3 <= 0.0:
+                        certs.remove(cert)
+                        certs.append(cert)
+                        self.hint = k
+                        return k
                 return 0
         return 0
 
@@ -290,13 +267,11 @@ class _CycleEngine:
         least recently used one; its window rows become Python floats on
         its first walk."""
         if v_min > 0.0:         # not NaN
-            a0, a1, a3 = self._colmax[cut - 1].tolist()
-            b0, b1, b3 = self._colmax[
-                min(cut + SCAN_MARGIN, len(self._colmax)) - 1].tolist()
+            a0, a1, a3 = self._colmax[:, cut - 1].tolist()
             slack = 16.0 * _EPS * (2.0 * abs(self.du) + 2.0 * a3
                                    + abs(P) * a0 + abs(Q) * a1)
             self._certs = self._certs[1 - _CERTIFICATES:] + [
-                [cut, P, Q, v_min, a0, a1, slack, None, b0, b1, b3]]
+                [cut, P, Q, v_min, a0, a1, slack, None]]
 
 
 def _stage_terms(a: float, q: float):
@@ -396,6 +371,8 @@ def _start_state(m: ConverterModel, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (m.n,):
         raise DomainError(f"x0 must have shape ({m.n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise DomainError(f"x0 must be finite, got {x0.tolist()!r}")
     return x0
 
 

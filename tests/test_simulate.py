@@ -115,6 +115,35 @@ def test_simulate_input_validation():
             simulate(m, ramp, np.zeros(2), u, 10, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_state_is_a_domain_error(bad):
+    # such a state once built and scanned every table chunk, then reported
+    # a missed switching
+    m, ramp, u, ss = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 1000.0)
+    x0 = ss.x0_0.copy()
+    x0[0] = bad
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        simulate(m, ramp, x0, u, 10, FAST_T)
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        estimate_multiplier(m, ramp, u, FAST_T, x_star=x0)
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        _probe_side((m, ramp, u, FAST_T, x0), [120], 30)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_a_domain_error(bad):
+    # such an input once warned inside the on-stage map
+    m, ramp, u, ss = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 1000.0)
+    u = u.copy()
+    u[-1] = bad
+    with pytest.raises(DomainError, match="u must be finite"):
+        simulate(m, ramp, ss.x0_0, u, 10, FAST_T)
+    with pytest.raises(DomainError, match="u must be finite"):
+        estimate_multiplier(m, ramp, u, FAST_T, x_star=ss.x0_0)
+    with pytest.raises(DomainError, match="u must be finite"):
+        _probe_side((m, ramp, u, FAST_T, ss.x0_0), [120], 30)
+
+
 def test_critical_damping_runs_on_the_one_path():
     # R = sqrt(L/C)/2 with no ESR gives the off-stage a double eigenvalue
     # (q == 0, where c = s = 1), and a hair more load resistance splits

@@ -2,25 +2,25 @@
 
 ``_CycleEngine`` runs every cycle on the real closed form of the off
 stage.  It forms the on-stage map, the closed form's scalars and the scan
-table once per engine, scans only the table rows up to the last cycle's
-crossing unless that misses, and writes the trace once per run.  None of
-this may change arithmetic, so the first reference below keeps the
-per-cycle formulas in loop form (a whole-chunk scan, with the closed
-form's scalars, the table chunk and every coefficient evaluated afresh at
-each use, and the same safeguarded Newton refiner) and the traces must
-match bit for bit, including at a near-boundary point where any last-digit
-change would be amplified into a visibly different orbit, and at critical
-damping.
+table once per engine, and writes the trace once per run.  None of this
+may change arithmetic, so the first reference below keeps the per-cycle
+formulas in loop form (a whole-chunk scan summed elementwise, with the
+closed form's scalars, the chunk's terms and every coefficient evaluated
+afresh at each use, and the same safeguarded Newton refiner) and the
+traces must match bit for bit, including at a near-boundary point where
+any last-digit change would be amplified into a visibly different orbit,
+at critical damping, and on an orbit whose crossing settles on a grid
+row, whose value is then rounding noise.
 
 The engine also carries the certificates of its last two full scans,
 which let its scan skip table rows an earlier cycle proved positive and
-walk the rows above them on Python floats, with a rounding guard.  On the
-same traces, every cycle's scan with the certificates the run carried must
-find the cell of the whole-chunk loop-form scan, as must a scan whose row
-lies within a few ulp of zero and one at a NaN state, and a state far from
-the certified ones must be refused the certificates and still find its
-cell.  Near the period-doubling onset the certificates must serve nearly
-every scan.
+walk the rows above them on Python floats.  On the same traces, every
+cycle's scan with the certificates the run carried must find the cell of
+the whole-chunk loop-form scan, as must a scan whose row lies within a
+few ulp of zero and one at a NaN state, and a state far from the
+certified ones must be refused the certificates and still find its cell.
+Near the period-doubling onset the certificates must serve nearly every
+scan.
 
 The second reference shares no stage arithmetic with the engine: it
 propagates the state through the on stage in physical coordinates, takes
@@ -39,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cotstab import (BuckParams, Scheme, Trace, build_model,
-                     make_duty_family, make_ramp_family, simulate)
+from cotstab import (BuckParams, RampSpec, Scheme, Trace, build_model,
+                     consistent_steady_state, make_duty_family,
+                     make_ramp_family, nominal_probe_state, simulate)
 from cotstab.bifurcation import pdb_boundary_exact
 from cotstab.errors import MissedSwitchingError
 from cotstab.linalg import _closed_form, find_root
@@ -114,19 +115,22 @@ class _LoopEngine(_CycleEngine):
                        self.ramp.ma, self.ramp.d, lo, hi, flo, fhi,
                        REFINE_REL_TOL * self.T_guess)
 
+    def phis(self, P, Q, ks):
+        """``phi`` at the grid rows ``ks``, its terms formed afresh and
+        summed elementwise."""
+        taus = ks * self.step
+        ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
+        return (ec * P + es * taus * Q + self.du
+                - self.ramp.ma * (self.ramp.d + taus))
+
     def scan(self, P, Q):
-        """Whole-chunk scan, each chunk's table built afresh."""
-        w = np.array([P, Q, self.du, 1.0])
+        """Whole-chunk scan."""
         chunk = 2 * SCAN_DIVISIONS
         k0 = 1
         kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))
         while k0 <= kmax:
             ks = np.arange(k0, min(k0 + chunk, kmax + 1))
-            taus = ks * self.step
-            ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
-            table = np.column_stack([ec, es * taus, np.ones_like(taus),
-                                     -self.ramp.ma * (self.ramp.d + taus)])
-            hits = np.nonzero(table.dot(w) <= 0.0)[0]
+            hits = np.nonzero(self.phis(P, Q, ks) <= 0.0)[0]
             if hits.size:
                 k = ks[hits[0]]
                 return (k - 1) * self.step, k * self.step
@@ -326,6 +330,17 @@ def test_overdamped_orbit_matches_loop_form():
     assert classify_orbit(tr, settle=300) == PERIOD1
 
 
+def test_grid_aligned_orbit_matches_loop_form():
+    # the guess period is the design period, a whole number of grid steps,
+    # so the settled crossing lies on a grid row whose value is rounding
+    # noise: the scan must take that row's sign as the loop form does
+    m = build_model(FAST, Scheme.V_COTC)
+    ramp = RampSpec(ma=9500.0, d=FAST_D)
+    ss = consistent_steady_state(m, ramp, FAST_T, FAST.vs)
+    x0 = nominal_probe_state(FAST, ss.D, ss.d)
+    _assert_matches_loop_form((m, ramp, ss.u, ss.T, x0), 60)
+
+
 @pytest.mark.parametrize("family, value, ncycles, settle", [
     (lambda: make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T), 2000.0,
      600, 300),
@@ -353,15 +368,15 @@ def test_closed_form_engine_agrees_with_physical_modal_form(family, value,
 
 
 def _assert_refiner_matches_find_root(setup, ncycles):
-    """Per cycle: the windowed scan's cell and the Newton instant.
+    """Per cycle: the scan's cell and the Newton instant.
 
     Every cycle of the engine's own trace is restarted from its start
-    state.  The windowed scan, with the hint and the certificates the run
-    carried and again with none and a hint that forces the first block to
-    miss, must find the cell of the whole-chunk loop-form scan; the Newton
-    instant must lie within the refiner tolerance of the root
-    ``find_root`` finds in that cell.  Returns the number of window
-    misses, of scans the certificates served and of scans.
+    state.  The engine's scan, with the certificates the run carried and
+    again with none, must find the cell of the whole-chunk loop-form scan;
+    the Newton instant must lie within the refiner tolerance of the root
+    ``find_root`` finds in that cell.  Returns the number of crossings
+    more than ``SCAN_MARGIN`` rows past the last one, of scans the
+    certificates served and of scans.
     """
     m, ramp, u, T, x0 = setup
     tr = simulate(m, ramp, x0, u, ncycles, T)
@@ -378,10 +393,10 @@ def _assert_refiner_matches_find_root(setup, ncycles):
         window = eng.hint + SCAN_MARGIN
         assert eng._scan(P, Q) == cell, k
         misses += cell[1] > window * eng.step
-        # after the forced miss, the next cycle scans with what the run
-        # carried, as the run's own engine did
+        # after the forced full scan, the next cycle scans with what the
+        # run carried, as the run's own engine did
         carried = eng.hint, list(eng._certs), eng.served
-        eng.hint, eng._certs = 0, []
+        eng._certs = []
         assert eng._scan(P, Q) == cell, k
         eng.hint, eng._certs, eng.served = carried
         lo, hi = cell
@@ -453,19 +468,20 @@ def _near_boundary_engine():
     return eng, _LoopEngine(m, ramp, u, T), eng.hint, list(eng._certs)
 
 
-def test_walk_leaves_rows_near_zero_to_numpy():
+def test_walk_decides_rows_near_zero():
     # A full scan at a state whose crossing row r lies just below zero
     # certifies the rows below r.  States that put row r within a few ulp
     # of zero, on both sides, pass that certificate's check, and its walk
-    # starts at row r, where the Python sum and numpy's dot may disagree in
-    # sign; the walk serves each scan with numpy's value of that row.  Every
-    # scan must find the whole-chunk loop-form cell
+    # starts at row r, whose sign it decides on Python floats by the full
+    # scan's own operations.  The walk must serve every scan and find the
+    # whole-chunk loop-form cell
     eng, ref, hint, certs = _near_boundary_engine()
     table = eng._table[0]
+    chunk = np.arange(1, table.shape[1] + 1)
     du = eng.du
-    walked = signs = disagreed = 0
+    walked = signs = 0
     for r in range(600, 604):
-        t0, t1, _, t3 = table[r].tolist()
+        t0, t1, t3 = table[:, r].tolist()
         for n in range(4):
             P = certs[-1][1] * (1.0 + n * 1e-7)
             q_zero = -(t0 * P + du + t3) / t1
@@ -480,15 +496,12 @@ def test_walk_leaves_rows_near_zero_to_numpy():
             for _ in range(9):
                 eng._certs, eng.served = list(certified), 0
                 assert eng._scan(P, q) == ref.scan(P, q), (r, n, q)
-                value = float(table.dot([P, q, du, 1.0])[r])
+                value = float(ref.phis(P, q, chunk)[r])
                 assert abs(value) <= 64.0 * np.finfo(float).eps * abs(t1 * q)
                 walked += eng.served
                 signs |= 1 << (value > 0.0)
-                disagreed += (t0 * P + t1 * q + du + t3 > 0.0) != (value > 0.0)
                 q = math.nextafter(q, math.inf)
     assert walked == 4 * 4 * 9 and signs == 3
-    if not disagreed:
-        pytest.skip("numpy's dot rounded as the Python sum in every case")
 
 
 def test_walk_refuses_a_nan_state():
