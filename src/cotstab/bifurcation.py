@@ -71,7 +71,10 @@ CATALOG = {
 # exact and series routes
 FORMULA_IDS = frozenset().union(
     *CATALOG.values(),
-    {"Eq15", "Eq17", "Eq18", "Eq19", "Eq22", "Eq24", "Eq26", "Eq53"})
+    {"Eq15", "Eq17", "Eq19", "Eq22", "Eq24", "Eq26", "Eq53"})
+
+DUTY_GRID = 400     # duty points scanned along the fixed-output family
+ON_TIME_GRID = 200  # on-time points scanned by exact_max_on_time
 
 
 def applicable_formulas(kind: str, scheme: Scheme) -> tuple[str, ...]:
@@ -225,8 +228,10 @@ def min_ramp_formula(p: BuckParams, scheme: Scheme, d: float, T: float,
 
 def min_ramp_normalized(p: BuckParams, d: float, T: float,
                         formula: str) -> float:
-    """Minimum ramp slope over the ripple-slope scale, closed forms."""
+    """Minimum ramp slope over the ESR ripple-slope scale, closed forms."""
     _check_formula("min_ramp_normalized", formula)
+    if p.Rc == 0.0:
+        raise DomainError("no ESR (Rc = 0): the ripple-slope scale is 0")
     D = d / T
     rho = p.rho
     if formula == "Eq36":
@@ -268,19 +273,18 @@ def _family_boundary(p: BuckParams, scheme: Scheme, d: float, vo: float):
 
 
 def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
-                   vo: float, D_lo: float = 0.05, D_hi: float = 0.999,
-                   grid: int = 400):
+                   vo: float, D_lo: float = 0.05, D_hi: float = 0.999):
     """Duty ratio where period doubling sets in along the fixed-output family.
 
-    Scans the exact boundary minus the applied ramp slope over duty and
-    polishes the first sign change.  Only that first crossing, the lowest
-    duty of the range, is returned: the boundary need not be monotone in
-    duty, and a later crossing is found by a search from above the first.
-    Returns None when the family never crosses the applied slope in the
-    range.
+    Scans the exact boundary minus the applied ramp slope over
+    ``DUTY_GRID`` duties and polishes the first sign change.  Only that
+    first crossing, the lowest duty of the range, is returned: the boundary
+    need not be monotone in duty, and a later crossing is found by a search
+    from above the first.  Returns None when the family never crosses the
+    applied slope in the range.
     """
     boundary = _family_boundary(p, scheme, d, vo)
-    ds = np.linspace(D_lo, D_hi, int(grid))
+    ds = np.linspace(D_lo, D_hi, DUTY_GRID)
     vals = boundary(ds) - ma
     for i in range(len(ds) - 1):
         if vals[i] == 0.0:
@@ -292,15 +296,15 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
 
 
 def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
-                       D_lo: float, D_hi: float, grid: int = 400) -> tuple[float, float]:
+                       D_lo: float, D_hi: float) -> tuple[float, float]:
     """Largest exact period-doubling threshold over a duty range.
 
-    A ramp at least this steep stabilizes the whole operating range.  Grid
-    scan followed by golden-section refinement to 1e-6 relative in duty.
-    Returns (duty at the maximum, threshold value).
+    A ramp at least this steep stabilizes the whole operating range.  Scan
+    of ``DUTY_GRID`` duties followed by golden-section refinement to 1e-6
+    relative in duty.  Returns (duty at the maximum, threshold value).
     """
     value = _family_boundary(p, scheme, d, vo)
-    ds = np.linspace(D_lo, D_hi, int(grid))
+    ds = np.linspace(D_lo, D_hi, DUTY_GRID)
     vals = value(ds)
     k = int(np.argmax(vals))
     lo = ds[max(k - 1, 0)]
@@ -369,11 +373,11 @@ def max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
 
 
 def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
-                      d_lo: float, d_hi: float, grid: int = 200) -> float:
+                      d_lo: float, d_hi: float) -> float:
     """On-time at which the exact period-doubling boundary is crossed.
 
-    Sweeps the on-time at constant duty (period scales with it) and locates
-    where the exact boundary equals the applied ramp slope.
+    Sweeps ``ON_TIME_GRID`` on-times at constant duty (period scales with
+    it) and locates where the exact boundary equals the applied ramp slope.
     """
     _check_duty(D)
     m = build_model(p, scheme)
@@ -381,7 +385,7 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     def residual(d):
         return pdb_boundary_exact(m, p.vs, d, d / D) - ma
 
-    ds = np.linspace(d_lo, d_hi, int(grid))
+    ds = np.linspace(d_lo, d_hi, ON_TIME_GRID)
     vals = residual(ds)
     for i in range(len(ds) - 1):
         if vals[i] * vals[i + 1] <= 0.0:

@@ -391,9 +391,15 @@ def _pdb_boundary(args, cfg: dict) -> Table:
     for formula in applicable_formulas("min_ramp", scheme):
         rows.append((formula, "closed_form", min_ramp_formula(
             p, scheme, d, T, formula), "V/s"))
+    # without ESR there is no ripple slope to normalise by: rows left out
     for formula in applicable_formulas("min_ramp_normalized", scheme):
-        rows.append((formula, "closed_form_normalized", min_ramp_normalized(
-            p, d, T, formula), "ratio_to_ripple_slope"))
+        try:
+            value = min_ramp_normalized(p, d, T, formula)
+        except CotstabError as exc:
+            LOG.debug("%s failed: %s", formula, exc)
+            continue
+        rows.append((formula, "closed_form_normalized", value,
+                     "ratio_to_ripple_slope"))
     rows.append(("-", "harmonic_balance", hb_pdb_splot(p, scheme, d, T, nh),
                  "V/s"))
     return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "PDB",

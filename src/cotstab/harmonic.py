@@ -16,7 +16,6 @@ it.  No stage exponential is used anywhere on this route.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 
@@ -27,12 +26,8 @@ from .models import BuckParams, Scheme
 
 __all__ = [
     "square_wave_coeff",
-    "period2_coeff",
-    "gv",
-    "gi",
     "scheme_gain",
     "scheme_gain_derivative",
-    "loop_gain",
     "y0_series",
     "hb_pdb_splot",
     "l1_plot",
@@ -98,29 +93,12 @@ def square_wave_coeff(n: int, vs: float, d: float, T: float) -> complex:
     return complex(_square_wave(n, vs, d, T))
 
 
-def period2_coeff(n: int, vs: float, d: float, T: float,
-                  delta: float = 0.0) -> complex:
-    """Fourier coefficient of the diode voltage over two cycles.
-
-    Describes a subharmonic orbit: two on-pulses of the same width, the
-    second displaced by ``delta`` from its nominal position one cycle
-    later.  The base period is 2 T, so even coefficients at delta = 0
-    reduce to the one-cycle coefficients and odd ones vanish.
-    """
-    _check_series(None, d, T)
-    if n == 0:
-        return complex(vs * d / T)
-    ws = 2.0 * math.pi / T
-    pulse = vs / (2j * math.pi * n) * (1.0 - cmath.exp(-1j * n * ws * d / 2.0))
-    comb = 1.0 + (-1.0) ** n * cmath.exp(1j * n * ws * delta / 2.0)
-    return pulse * comb
-
-
 def _gain(s, p: BuckParams, weights, derivative: bool = False):
-    """Weighted filter gain wv gv(s) + wi gi(s), elementwise over ``s``.
+    """Weighted filter gain wv Gv(s) + wi Gi(s), elementwise over ``s``.
 
-    The one place the power-stage filter is written: numerators a1 s + a0
-    of the voltage and current paths over the shared denominator
+    Gv maps the diode voltage to the output voltage, Gi to the inductor
+    current.  The one place the power-stage filter is written: numerators
+    a1 s + a0 of the voltage and current paths over the shared denominator
     b2 s^2 + b1 s + 1, each path divided before it is weighted.  With
     ``derivative`` the pair (G, dG/ds) is returned.
     """
@@ -144,16 +122,6 @@ def _cmul(a, b):
     (numpy's vector loop may fuse multiply-adds and move the last bit)."""
     return ((a.real * b.real - a.imag * b.imag)
             + 1j * (a.real * b.imag + a.imag * b.real))
-
-
-def gv(s: complex, p: BuckParams) -> complex:
-    """Diode voltage to output voltage transfer function."""
-    return complex(_gain(s, p, (1.0, 0.0)))
-
-
-def gi(s: complex, p: BuckParams) -> complex:
-    """Diode voltage to inductor current transfer function."""
-    return complex(_gain(s, p, (0.0, 1.0)))
 
 
 def _loop_weights(scheme: Scheme, p: BuckParams):
@@ -188,12 +156,6 @@ def _normalized(val: complex, p: BuckParams, ma: float, T: float) -> complex:
             "the loop gain is unbounded without a ramp; use the unscaled "
             "series forms instead")
     return val * p.vs / (ma * T)
-
-
-def loop_gain(s: complex, p: BuckParams, scheme: Scheme, ma: float,
-              T: float) -> complex:
-    """Sampled-loop transfer function scaled by source and ramp height."""
-    return _normalized(scheme_gain(s, p, scheme), p, ma, T)
 
 
 def y0_series(t, p: BuckParams, scheme: Scheme, vc: float, d: float,

@@ -135,8 +135,8 @@ class ConverterModel:
 
     On stage (duration ``d``): ``xdot = A x + B u``; off stage (duration
     ``T - d``): ``xdot = A x``.  The modulator compares
-    ``y = Cvec x + Dvec u`` against the ramp; ``E`` maps the state to the
-    output voltage; ``scheme`` is the feedback arrangement ``Cvec`` realises.
+    ``y = Cvec x + Dvec u`` against the ramp; ``scheme`` is the feedback
+    arrangement ``Cvec`` realises.
     :func:`build_model` builds it from the parameters.
     """
 
@@ -144,12 +144,11 @@ class ConverterModel:
     B: np.ndarray
     Cvec: np.ndarray
     Dvec: np.ndarray
-    E: np.ndarray
     scheme: Scheme = field(compare=False)
 
     def __post_init__(self):
         for name, shape in (("A", (2, 2)), ("B", (2, 2)), ("Cvec", (2,)),
-                            ("Dvec", (2,)), ("E", (2,))):
+                            ("Dvec", (2,))):
             object.__setattr__(self, name,
                                _check_matrix(name, getattr(self, name), shape))
         if np.any(self.B[:, 1] != 0.0):
@@ -181,16 +180,16 @@ def build_model(p: BuckParams, scheme: Scheme) -> ConverterModel:
                         [1.0 / p.C, -1.0 / (p.R * p.C)]])
     b = np.array([[1.0 / p.L, 0.0],
                   [0.0, 0.0]])
-    e = rho * np.array([p.Rc, 1.0])
+    e = rho * np.array([p.Rc, 1.0])     # state to output voltage
     current = np.array([p.Ri, 0.0])
     if scheme is Scheme.V_COTC:
-        c = e.copy()
+        c = e
     elif scheme is Scheme.C_COTC:
         c = current
     else:
         c = e + current
     dvec = np.array([0.0, -1.0])
-    return ConverterModel(A=a, B=b, Cvec=c, Dvec=dvec, E=e, scheme=scheme)
+    return ConverterModel(A=a, B=b, Cvec=c, Dvec=dvec, scheme=scheme)
 
 
 def slope_normalizer(p: BuckParams, D, scheme: Scheme) -> float:

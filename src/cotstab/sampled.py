@@ -5,9 +5,8 @@ off stage that ends when the feedback signal meets the compensating ramp.
 Cycle-to-cycle, the state obeys an exact map built from matrix
 exponentials; a periodic orbit is a fixed point of that map.  This module
 computes the orbit, the Jacobian of the map around it (whose eigenvalues
-are the sampled-data poles), and the discrete-time transfer functions from
-the two inputs (source voltage, control reference) to the output voltage.
-No averaging is involved anywhere.
+are the sampled-data poles), and the periods whose steady cycle meets a
+given ramp.  No averaging is involved anywhere.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSwitchingError,
-    DomainError,
-    PoleEvaluationError,
-    SingularMatrixError,
-)
+from .errors import DegenerateSwitchingError, DomainError, SingularMatrixError
 from .linalg import eigenvalues, expm, expm_integral, solve_linear
 from .models import ConverterModel, RampSpec
 
@@ -36,10 +30,10 @@ __all__ = [
     "solve_period",
     "linearize",
     "poles",
-    "control_to_output",
-    "audio_susceptibility",
     "orbit_sample",
 ]
+
+PERIOD_GRID = 2000  # points of solve_period's residual scan
 
 
 @dataclass(frozen=True)
@@ -186,15 +180,16 @@ def period_residual(m: ConverterModel, ramp: RampSpec, u, T):
 
 
 def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
-                 T_hi: float, grid: int = 2000):
+                 T_hi: float):
     """All periods in [T_lo, T_hi] whose steady cycle meets the ramp.
 
-    Scans the boundary residual on a uniform grid, in one stacked
-    evaluation, and polishes each sign change with the bracketing root
-    finder.  Near-tangent double roots are also reported when the residual
-    dips to zero without changing sign.  Multiple roots indicate proximity
-    to a saddle-node point.  Returns a list of (T, SteadyState) pairs in
-    ascending T; empty when no cycle closes in the bracket.
+    Scans the boundary residual on a uniform grid of ``PERIOD_GRID``
+    points, in one stacked evaluation, and polishes each sign change with
+    the bracketing root finder.  Near-tangent double roots are also
+    reported when the residual dips to zero without changing sign.
+    Multiple roots indicate proximity to a saddle-node point.  Returns a
+    list of (T, SteadyState) pairs in ascending T; empty when no cycle
+    closes in the bracket.
     """
     from .linalg import find_root
 
@@ -202,7 +197,7 @@ def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
         raise DomainError(
             f"bracket must satisfy d < T_lo < T_hi, got d={ramp.d!r}, "
             f"T_lo={T_lo!r}, T_hi={T_hi!r}")
-    ts = np.linspace(T_lo, T_hi, int(grid))
+    ts = np.linspace(T_lo, T_hi, PERIOD_GRID)
     res = period_residual(m, ramp, u, ts)
     scale = float(np.max(np.abs(res))) or 1.0
     roots = []
@@ -236,14 +231,11 @@ def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
 class LinearizedMap:
     """Small-signal cycle-to-cycle dynamics around a periodic orbit.
 
-    ``Phi`` maps a state perturbation across one cycle; ``Gamma`` maps the
-    held input perturbation (columns: source, control reference); ``Evec``
-    maps the state to the output voltage.
+    ``Phi`` maps a state perturbation across one cycle; its eigenvalues
+    are the sampled-data poles.
     """
 
     Phi: np.ndarray
-    Gamma: np.ndarray
-    Evec: np.ndarray
 
     def poles(self):
         """Eigenvalues of Phi, sorted by real part then imaginary part."""
@@ -253,14 +245,13 @@ class LinearizedMap:
 
 
 def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
-    """Jacobian and input sensitivities of the cycle map at the orbit.
+    """Jacobian of the cycle map at the orbit.
 
     Differentiates the constrained map (state propagation plus the
     ramp-crossing condition that sets each period) at the fixed point.
     Requires the crossing to be transversal: the feedback slope at the
     cycle boundary must differ from the ramp slope.
     """
-    p1, p2, j1b1 = ss.ops.p1, ss.ops.p2, ss.ops.j1b1
     v = ss.xdot0_minus
     cv = float(m.Cvec @ v)
     denom = cv - ma
@@ -269,40 +260,13 @@ def linearize(m: ConverterModel, ss: SteadyState, ma: float) -> LinearizedMap:
             "ramp slope equals the feedback slope at the switching instant; "
             "the switching instant is not locally well defined")
     proj = np.eye(m.n) - np.outer(v, m.Cvec) / denom
-    phi = proj @ (p2 @ p1)
-    gamma = proj @ (p2 @ j1b1) - np.outer(v, m.Dvec) / denom
-    return LinearizedMap(Phi=phi, Gamma=gamma, Evec=m.E)
+    return LinearizedMap(Phi=proj @ (ss.ops.p2 @ ss.ops.p1))
 
 
 def poles(m: ConverterModel, ramp: RampSpec, u, T: float):
     """Sampled-data poles at the operating point (ramp.d, T)."""
     ss = steady_state_at(m, ramp.d, T, u)
     return linearize(m, ss, ramp.ma).poles()
-
-
-def _resolvent_apply(lin: LinearizedMap, z: complex, vec) -> complex:
-    eigs = eigenvalues(lin.Phi)
-    if np.min(np.abs(eigs - z)) <= 1e-12 * max(1.0, abs(z)):
-        raise PoleEvaluationError(
-            f"z = {z!r} coincides with a pole of the linearized map")
-    n = lin.Phi.shape[0]
-    sol = solve_linear(z * np.eye(n) - lin.Phi.astype(complex), vec)
-    return complex(lin.Evec @ sol)
-
-
-def control_to_output(lin: LinearizedMap, z) -> complex:
-    """Reference-to-output transfer function of the sampled dynamics at z.
-
-    Evaluated through a linear solve of the resolvent; z may be any complex
-    number off the pole set.  The effective frequency response uses
-    z = exp(j w T) and is meaningful up to half the switching frequency.
-    """
-    return _resolvent_apply(lin, complex(z), lin.Gamma[:, 1].astype(complex))
-
-
-def audio_susceptibility(lin: LinearizedMap, z) -> complex:
-    """Source-to-output transfer function of the sampled dynamics at z."""
-    return _resolvent_apply(lin, complex(z), lin.Gamma[:, 0].astype(complex))
 
 
 def orbit_sample(m: ConverterModel, ss: SteadyState, t: float):

@@ -42,6 +42,7 @@ REFINE_REL_TOL = 1e-12      # switching instant tolerance, relative to guess
 SCAN_MARGIN = 32            # rows scanned past the last cycle's crossing first
 NEWTON_STEPS = 8            # Newton steps before the refiner only bisects
 _CERTIFICATES = 2           # scan certificates kept, one per orbit phase
+KICK = 1e-5                 # relative output-voltage kick of a probe start
 
 _EPS = float(np.finfo(float).eps)
 _NO_CROSSING = f"no ramp crossing within {HORIZON_PERIODS} guess periods"
@@ -477,9 +478,8 @@ def estimate_multiplier(m: ConverterModel, ramp: RampSpec, u, T: float,
     return best
 
 
-def nominal_probe_state(p: BuckParams, D: float, d: float,
-                        kick: float = 1e-5) -> np.ndarray:
-    """Average-model starting state with a small output-voltage kick.
+def nominal_probe_state(p: BuckParams, D: float, d: float) -> np.ndarray:
+    """Average-model starting state with a small output-voltage ``KICK``.
 
     The cycle starts at the current valley, so the average inductor
     current is corrected by half the on-time ripple rise.  The kick must
@@ -491,23 +491,22 @@ def nominal_probe_state(p: BuckParams, D: float, d: float,
         raise DomainError(f"duty must lie in (0, 1), got {D!r}")
     ripple = p.vs * (1.0 - D) * d / p.L
     return np.array([D * p.vs / p.R - 0.5 * ripple,
-                     D * p.vs * (1.0 + kick)])
+                     D * p.vs * (1.0 + KICK)])
 
 
-def _kicked_orbit_start(ss: SteadyState, kick: float) -> np.ndarray:
-    """Exact cycle-start state with a relative kick on the last component.
+def _kicked_orbit_start(ss: SteadyState) -> np.ndarray:
+    """Exact cycle-start state with a relative ``KICK`` on the last component.
 
     Probing stability demands starting on the periodic orbit itself: any
     baseline offset acts as a large kick and, near a subcritical boundary,
     throws the probe onto the coexisting large-signal attractor.
     """
     x0 = ss.x0_0.copy()
-    x0[-1] *= 1.0 + kick
+    x0[-1] *= 1.0 + KICK
     return x0
 
 
-def make_ramp_family(p: BuckParams, scheme: Scheme, d: float, T: float,
-                     kick: float = 1e-5):
+def make_ramp_family(p: BuckParams, scheme: Scheme, d: float, T: float):
     """Simulation setups indexed by ramp slope, at a fixed operating point.
 
     The control reference is re-placed for every slope so the underlying
@@ -518,13 +517,13 @@ def make_ramp_family(p: BuckParams, scheme: Scheme, d: float, T: float,
     def family(ma: float):
         ramp = RampSpec(ma=ma, d=d)
         ss = consistent_steady_state(m, ramp, T, p.vs)
-        return m, ramp, ss.u, T, _kicked_orbit_start(ss, kick)
+        return m, ramp, ss.u, T, _kicked_orbit_start(ss)
 
     return family
 
 
 def make_duty_family(p: BuckParams, scheme: Scheme, d: float, vo: float,
-                     ma: float, kick: float = 1e-5):
+                     ma: float):
     """Simulation setups indexed by duty, holding on-time and output fixed.
 
     The period and source voltage follow from the duty ratio; the control
@@ -539,7 +538,7 @@ def make_duty_family(p: BuckParams, scheme: Scheme, d: float, vo: float,
         pd = p.with_(vs=vo / D)
         m = build_model(pd, scheme)
         ss = consistent_steady_state(m, ramp, T, pd.vs)
-        return m, ramp, ss.u, T, _kicked_orbit_start(ss, kick)
+        return m, ramp, ss.u, T, _kicked_orbit_start(ss)
 
     return family
 

@@ -27,14 +27,15 @@ def fast_point(ma=0.0):
 
 
 def test_formula_catalog_is_frozen():
-    assert len(FORMULA_IDS) == 33
+    assert len(FORMULA_IDS) == 32
+    assert "Eq18" not in FORMULA_IDS  # nothing produces it
     assert {"Eq22", "Eq24", "Eq53", "Eq47", "Eq37"} <= FORMULA_IDS
     assert "Eq23" not in FORMULA_IDS  # gaps in the numbering are intentional
 
 
 def test_formula_ids_are_the_catalog_and_the_exact_routes():
-    exact_and_series = {"Eq15", "Eq17", "Eq18", "Eq19", "Eq22", "Eq24",
-                        "Eq26", "Eq53"}
+    exact_and_series = {"Eq15", "Eq17", "Eq19", "Eq22", "Eq24", "Eq26",
+                        "Eq53"}
     assert FORMULA_IDS == set().union(*CATALOG.values()) | exact_and_series
 
 
@@ -252,6 +253,13 @@ def test_normalized_min_ramp_scales_by_ripple_slope():
     assert n37 * sf == pytest.approx(
         min_ramp_formula(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq34"),
         rel=1e-12)
+
+
+@pytest.mark.parametrize("formula", ["Eq36", "Eq37"])
+def test_normalized_min_ramp_needs_an_esr(formula):
+    # the ripple-slope scale Rc vs D / L is 0 without ESR: no ratio to it
+    with pytest.raises(DomainError, match="ESR"):
+        min_ramp_normalized(FAST.with_(Rc=0.0), FAST_D, FAST_T, formula)
 
 
 def test_current_feedback_needs_no_ramp():

@@ -168,6 +168,21 @@ def test_pdb_boundary_rows_match_library(capsys, conf):
     assert float(forms["-"][2]) == pytest.approx(exact, rel=1e-3)
 
 
+def test_pdb_boundary_without_esr_leaves_out_the_normalized_rows(
+        capsys, tmp_path):
+    # no Rc line: the default 0 leaves no ripple slope for Eq36 and Eq37
+    path = tmp_path / "no-esr.conf"
+    path.write_text(BASE.replace("Rc = 0.02\n", ""))
+    rc, out, _ = run_cli(capsys, ["pdb-boundary", "--config", str(path)])
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    forms = by_formula(rows)
+    m = build_model(FAST.with_(Rc=0.0), Scheme.V_COTC)
+    assert float(forms["Eq22"][2]) == pytest.approx(
+        pdb_boundary_exact(m, FAST.vs, FAST_D, FAST_T), rel=1e-12)
+    assert "Eq36" not in forms and "Eq37" not in forms
+
+
 def test_formula_filter_selects_and_rejects(capsys, conf):
     rc, out, _ = run_cli(capsys, ["pdb-boundary", "--config", conf,
                                   "--formula", "Eq22"])

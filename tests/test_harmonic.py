@@ -8,9 +8,8 @@ import pytest
 
 from cotstab import (DomainError, InfiniteLoopGainError, Scheme, build_model,
                      orbit_sample, pdb_boundary_exact, snb_boundary_exact)
-from cotstab.harmonic import (convergence_points, gi, gv, h_plot, hb_pdb_splot,
-                              hb_snb_condition, l1_plot, l2_plot, loop_gain,
-                              period2_coeff, scheme_gain,
+from cotstab.harmonic import (convergence_points, h_plot, hb_pdb_splot,
+                              hb_snb_condition, l1_plot, l2_plot, scheme_gain,
                               scheme_gain_derivative, series_identities_check,
                               square_wave_coeff, y0_series)
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
@@ -19,7 +18,9 @@ WS = 2.0 * math.pi / FAST_T
 
 
 def test_filter_gains_match_their_definitions():
-    # recompute the two transfer functions from scratch at random points
+    # recompute the two transfer functions from scratch at random points:
+    # the voltage-feedback gain is minus the voltage path, and with a unit
+    # sense gain the current-feedback gain is minus the current path
     rng = np.random.default_rng(7301)
     p = FAST
     den_c2 = p.L * p.C * (1.0 + p.Rc / p.R)
@@ -27,15 +28,14 @@ def test_filter_gains_match_their_definitions():
     for _ in range(10):
         s = complex(rng.uniform(-1e6, 1e6), rng.uniform(-1e7, 1e7))
         den = den_c2 * s * s + den_c1 * s + 1.0
-        assert gv(s, p) == pytest.approx((s * p.Rc * p.C + 1.0) / den,
-                                         rel=1e-12)
-        assert gi(s, p) == pytest.approx(
-            ((1.0 + p.Rc / p.R) * p.C * s + 1.0 / p.R) / den, rel=1e-12)
+        assert -scheme_gain(s, p, Scheme.V_COTC) == pytest.approx(
+            (s * p.Rc * p.C + 1.0) / den, rel=1e-12)
+        assert -scheme_gain(s, p.with_(Ri=1.0), Scheme.C_COTC) == \
+            pytest.approx(((1.0 + p.Rc / p.R) * p.C * s + 1.0 / p.R) / den,
+                          rel=1e-12)
 
 
 def test_gain_dc_values():
-    assert gv(0.0, FAST) == pytest.approx(1.0)
-    assert gi(0.0, FAST) == pytest.approx(1.0 / FAST.R)
     # feedback gains are minus the sensed combination
     assert scheme_gain(0.0, FAST, Scheme.V_COTC) == pytest.approx(-1.0)
     assert scheme_gain(0.0, CURRENT, Scheme.C_COTC) == \
@@ -56,16 +56,6 @@ def test_gain_derivative_matches_finite_differences():
             assert exact == pytest.approx(numeric, rel=1e-5)
 
 
-def test_loop_gain_is_the_scaled_scheme_gain():
-    s = 0.5j * WS
-    ma = 943.4
-    for p, scheme in ((FAST, Scheme.V_COTC), (CURRENT, Scheme.C_COTC)):
-        assert loop_gain(s, p, scheme, ma, FAST_T) == pytest.approx(
-            scheme_gain(s, p, scheme) * p.vs / (ma * FAST_T), rel=1e-15)
-    with pytest.raises(InfiniteLoopGainError):
-        loop_gain(s, FAST, Scheme.V_COTC, 0.0, FAST_T)
-
-
 def test_square_wave_coefficients():
     c0 = square_wave_coeff(0, FAST.vs, FAST_D, FAST_T)
     assert c0 == pytest.approx(FAST.vs * FAST_D / FAST_T)
@@ -79,16 +69,6 @@ def test_square_wave_coefficients():
             total += cn.conjugate() * cmath.exp(-2j * math.pi * n * t / FAST_T)
         assert abs(total.imag) < 1e-9
         assert total.real == pytest.approx(expected, abs=5e-3)
-
-
-def test_period2_coefficients_collapse_at_zero_shift():
-    # no displacement: odd coefficients vanish, even ones are one-cycle
-    for k in (1, 2, 5):
-        odd = period2_coeff(2 * k - 1, FAST.vs, FAST_D, FAST_T, 0.0)
-        even = period2_coeff(2 * k, FAST.vs, FAST_D, FAST_T, 0.0)
-        assert abs(odd) < 1e-15
-        assert even == pytest.approx(
-            square_wave_coeff(k, FAST.vs, FAST_D, FAST_T), rel=1e-12)
 
 
 def test_convergence_points_are_quarter_half_full():
@@ -231,7 +211,7 @@ def test_series_accept_the_zero_off_time_corner():
                                       np.int64(40)))
 
 
-@pytest.mark.parametrize("coeff", [square_wave_coeff, period2_coeff])
+@pytest.mark.parametrize("coeff", [square_wave_coeff])
 @pytest.mark.parametrize("d, T", [(FAST_D, 0.0), (4e-6, FAST_T), (0.0, FAST_T),
                                   (-1e-6, FAST_T), (FAST_D, math.nan),
                                   (FAST_D, -FAST_T)])
@@ -242,7 +222,7 @@ def test_fourier_coefficients_reject_bad_timing(coeff, d, T):
             coeff(n, FAST.vs, d, T)
 
 
-@pytest.mark.parametrize("coeff", [square_wave_coeff, period2_coeff])
+@pytest.mark.parametrize("coeff", [square_wave_coeff])
 def test_fourier_coefficients_take_any_harmonic_index(coeff):
     for n in (0, 1, -1, 7, np.int64(-4)):
         assert cmath.isfinite(coeff(n, FAST.vs, FAST_D, FAST_T))

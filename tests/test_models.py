@@ -70,7 +70,6 @@ def test_feedback_rows_by_scheme():
     assert np.allclose(mr.Cvec, [rho * p.Rc + p.Ri, rho], rtol=1e-14)
     for m in (mv, mc, mr):
         assert np.array_equal(m.Dvec, [0.0, -1.0])
-        assert np.allclose(m.E, [rho * p.Rc, rho], rtol=1e-14)
 
 
 def test_current_schemes_require_ri():
@@ -86,7 +85,7 @@ def test_model_records_its_scheme():
         assert build_model(CURRENT, scheme.name).scheme is scheme
     m = build_model(FAST, Scheme.V_COTC)
     with pytest.raises(TypeError, match="scheme"):
-        ConverterModel(A=m.A, B=m.B, Cvec=m.Cvec, Dvec=m.Dvec, E=m.E)
+        ConverterModel(A=m.A, B=m.B, Cvec=m.Cvec, Dvec=m.Dvec)
 
 
 def test_model_rejects_a_control_reference_in_the_drive():
@@ -96,8 +95,7 @@ def test_model_rejects_a_control_reference_in_the_drive():
     b = m.B.copy()
     b[1, 1] = 1e-9
     with pytest.raises(DomainError, match="vc"):
-        ConverterModel(A=m.A, B=b, Cvec=m.Cvec, Dvec=m.Dvec, E=m.E,
-                       scheme=m.scheme)
+        ConverterModel(A=m.A, B=b, Cvec=m.Cvec, Dvec=m.Dvec, scheme=m.scheme)
 
 
 def test_slope_normalizer_is_ripple_slope_scale():

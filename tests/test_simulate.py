@@ -26,7 +26,6 @@ from cotstab import (
     make_ramp_family,
     nominal_probe_state,
     onset_search,
-    simulate,
 )
 from cotstab.errors import (
     BracketError,
@@ -38,7 +37,7 @@ from cotstab.bifurcation import pdb_boundary_exact, pdb_onset_duty
 from cotstab.linalg import expm
 from cotstab.sampled import consistent_steady_state, poles, steady_state_at
 from cotstab.simulate import (OTHER, PERIOD1, PERIOD2, _CycleEngine,
-                              _newton, _probe_side, _trend_side)
+                              _newton, _probe_side, _trend_side, simulate)
 
 from helpers import (CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES,
                      closed_form_q, operating)
@@ -51,6 +50,21 @@ def _synthetic_trace(tns, saturated=None):
         saturated = np.zeros(n, dtype=bool)
     return Trace(tns, np.zeros((n, 2)), np.zeros(n), saturated,
                  np.zeros(2), np.zeros(2))
+
+
+def test_package_name_simulate_is_the_module():
+    # the package re-exports functions only; its submodule names stay
+    # modules, so cotstab.simulate never shadows cotstab.simulate.simulate
+    import types
+
+    import cotstab
+    from cotstab.simulate import simulate as function
+
+    assert not [name for name in cotstab.__all__
+                if isinstance(getattr(cotstab, name), types.ModuleType)]
+    assert cotstab.simulate is sys.modules["cotstab.simulate"]
+    assert cotstab.simulate.simulate is function
+    assert isinstance(function, types.FunctionType)
 
 
 def test_one_cycle_run_holds_fixed_point():

@@ -41,13 +41,13 @@ import pytest
 
 from cotstab import (BuckParams, RampSpec, Scheme, Trace, build_model,
                      consistent_steady_state, make_duty_family,
-                     make_ramp_family, nominal_probe_state, simulate)
+                     make_ramp_family, nominal_probe_state)
 from cotstab.bifurcation import pdb_boundary_exact
 from cotstab.errors import MissedSwitchingError
 from cotstab.linalg import _closed_form, find_root
 from cotstab.simulate import (HORIZON_PERIODS, OTHER, PERIOD1,
                               REFINE_REL_TOL, SCAN_DIVISIONS, SCAN_MARGIN,
-                              _CycleEngine, _newton, classify_orbit)
+                              _CycleEngine, _newton, classify_orbit, simulate)
 
 from helpers import FAST, FAST_D, FAST_T, closed_form_q
 

@@ -6,10 +6,14 @@ Usage::
 
 Every invocation runs in-process through ``cotstab.cli.main``, with the
 package found on ``PYTHONPATH``; its argv, exit code, stdout and stderr go
-to ``OUTDIR/NNN.txt``.  The config files it reads are written to
-``OUTDIR/configs`` and named relative to ``OUTDIR``, so that two snapshots
-differ only where the program's output does.  To check that a change
-alters no output, snapshot both trees with this same script and compare::
+to ``OUTDIR/<hash>.txt``, where ``<hash>`` is the first 12 hex digits of
+the SHA-1 of the file's first line, the argv.  A file's name thus depends
+on its invocation alone, and an invocation added to or removed from the
+list shows up in ``diff -r`` as one "Only in" line.  The config files it
+reads are written to ``OUTDIR/configs`` and named relative to ``OUTDIR``,
+so that two snapshots differ only where the program's output does.  To
+check that a change alters no output, snapshot both trees with this same
+script and compare::
 
     PYTHONPATH=old/src python tools/cli_snapshot.py /tmp/before
     PYTHONPATH=new/src python tools/cli_snapshot.py /tmp/after
@@ -27,13 +31,14 @@ damped simulation (the ``q == 0`` branch of the simulator's closed form)
 and one on the fixed-output duty family; the built-in worked cases; the
 error cases of ``tests/test_cli.py``; and, for each command that keeps
 formula rows, ``--formula`` with every catalog id on every scheme, so each
-row filter and each "does not apply" error is covered.  That is 798
+row filter and each "does not apply" error is covered.  That is 783
 invocations, which run in well under a minute on a 2-core host.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -235,10 +240,12 @@ def snapshot(outdir: str) -> int:
     os.environ["COTC_LOG"] = "error"
     cli._setup_logging()
     runs = invocations(_configs())
-    for i, argv in enumerate(runs):
+    for argv in runs:
         code, out, err = _run(argv)
-        with open(f"{i:03d}.txt", "w") as fh:
-            fh.write(f"argv: {' '.join(argv)}\nexit: {code}\n"
+        head = f"argv: {' '.join(argv)}"
+        name = hashlib.sha1(head.encode()).hexdigest()[:12]
+        with open(f"{name}.txt", "w") as fh:
+            fh.write(f"{head}\nexit: {code}\n"
                      f"--- stdout\n{out}--- stderr\n{err}")
     return len(runs)
 
