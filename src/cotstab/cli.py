@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,16 +26,11 @@ from .bifurcation import (FORMULA_IDS, applicable_formulas, closed_form_pole,
                           min_sense_resistance, pdb_boundary_approx,
                           pdb_boundary_exact, s_approx, s_exact,
                           snb_boundary_approx, snb_boundary_exact, sweep)
-from .cases import run_cases
 from .errors import (ConfigError, CotstabError, DimensionError, DomainError,
                      InfiniteLoopGainError, UsageError)
-from .harmonic import (convergence_points, h_plot, hb_pdb_splot, hb_snb_condition,
-                       l1_plot, l2_plot)
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
 from .sampled import (SteadyState, consistent_steady_state, linearize,
                       steady_state_at)
-from .simulate import (classify_orbit, make_duty_family, make_ramp_family,
-                       nominal_probe_state, onset_search, simulate)
 from .tables import Table, write_table
 
 __all__ = ["main", "load_config"]
@@ -52,11 +46,12 @@ EXIT_REGRESSION = 4
 _USER_ERRORS = (ConfigError, UsageError, DomainError, DimensionError,
                 InfiniteLoopGainError)
 
-_FLOAT_KEYS = frozenset({"vs", "vc", "R", "L", "C", "Rc", "Ri", "d", "T", "D",
-                         "ma", "vo", "iL0", "vC0"})
-_INT_KEYS = frozenset({"Nh", "ncycles", "settle"})
-_RANGE_KEYS = frozenset({"D_range", "lambda_range", "fs_range"})
-_ALL_KEYS = frozenset({"scheme"}) | _FLOAT_KEYS | _INT_KEYS | _RANGE_KEYS
+# every config key and its kind, in the order the help lists them
+_KEYS = {"scheme": "scheme",
+         **dict.fromkeys(("vs", "vc", "R", "L", "C", "Rc", "Ri", "d", "T", "D",
+                          "ma", "vo", "iL0", "vC0"), "float"),
+         **dict.fromkeys(("Nh", "ncycles", "settle"), "int"),
+         **dict.fromkeys(("D_range", "lambda_range", "fs_range"), "range")}
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +74,15 @@ def _parse_range(text: str, what: str) -> tuple[float, float, int]:
 
 
 def _convert(key: str, text: str):
-    if key == "scheme":
+    kind = _KEYS[key]
+    if kind == "scheme":
         try:
             return Scheme.parse(text)
         except UsageError as exc:
             raise ConfigError(str(exc)) from None
-    if key in _RANGE_KEYS:
+    if kind == "range":
         return _parse_range(text, key)
-    if key in _INT_KEYS:
+    if kind == "int":
         try:
             value = int(text)
         except ValueError:
@@ -128,7 +124,7 @@ def load_config(path: str | None, sets=()) -> dict:
                     f"{path}:{lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             raw[key] = value
     for item in sets:
@@ -136,7 +132,7 @@ def load_config(path: str | None, sets=()) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"--set: unknown config key {key!r}")
         raw[key] = value
     cfg = {key: _convert(key, value) for key, value in raw.items()}
@@ -145,10 +141,11 @@ def load_config(path: str | None, sets=()) -> dict:
     return cfg
 
 
-def _need(cfg: dict, keys, what: str):
+def _need(cfg: dict, keys, what: str) -> list:
     missing = [k for k in keys if k not in cfg]
     if missing:
         raise ConfigError(f"{what} needs config key(s): {', '.join(missing)}")
+    return [cfg[k] for k in keys]
 
 
 def _params(cfg: dict, what: str) -> BuckParams:
@@ -158,9 +155,8 @@ def _params(cfg: dict, what: str) -> BuckParams:
                       vs=cfg["vs"])
 
 
-def _scheme(cfg: dict, what: str) -> Scheme:
-    _need(cfg, ("scheme",), what)
-    return cfg["scheme"]
+def _plant(cfg: dict, what: str) -> tuple[BuckParams, Scheme]:
+    return _params(cfg, what), _need(cfg, ("scheme",), what)[0]
 
 
 def _timing(cfg: dict, what: str, off_stage: bool = False) -> tuple[float, float]:
@@ -169,8 +165,7 @@ def _timing(cfg: dict, what: str, off_stage: bool = False) -> tuple[float, float
     The boundary formulas stay defined at d = T (no off time), while a
     periodic orbit, and so every operating-point command, needs d < T.
     """
-    _need(cfg, ("d",), what)
-    d = cfg["d"]
+    [d] = _need(cfg, ("d",), what)
     if "T" in cfg:
         T = cfg["T"]
     elif "D" in cfg:
@@ -197,8 +192,7 @@ class _Op:
 
 def _operating(cfg: dict, what: str) -> _Op:
     """The configured cycle, at the given vc or else the consistent one."""
-    p = _params(cfg, what)
-    scheme = _scheme(cfg, what)
+    p, scheme = _plant(cfg, what)
     m = build_model(p, scheme)
     d, T = _timing(cfg, what, off_stage=True)
     ramp = RampSpec(ma=cfg.get("ma", 0.0), d=d)
@@ -320,11 +314,9 @@ def _poles(args, cfg: dict) -> Table:
 
 def _splot_mode(cfg: dict, what: str):
     """Duty-sweep mode, fixed output (vo) or fixed period (T), and metadata."""
-    p = _params(cfg, what)
-    scheme = _scheme(cfg, what)
+    p, scheme = _plant(cfg, what)
     m = build_model(p, scheme)
-    _need(cfg, ("d",), what)
-    d = cfg["d"]
+    [d] = _need(cfg, ("d",), what)
     if "vo" in cfg:
         mode = ("family", cfg["vo"])
         return p, scheme, m, d, mode, {"vo_volts": cfg["vo"], "d_seconds": d}
@@ -376,6 +368,7 @@ def _pole_locus(args, cfg: dict) -> Table:
 
 
 def _pdb_boundary(args, cfg: dict) -> Table:
+    from .harmonic import hb_pdb_splot
     op = _operating(cfg, args.command)
     nh = _count(args, "nh", cfg, "Nh", 2000)
     p, scheme, m, ss = op.p, op.scheme, op.m, op.ss
@@ -407,6 +400,7 @@ def _pdb_boundary(args, cfg: dict) -> Table:
 
 
 def _snb_boundary(args, cfg: dict) -> Table:
+    from .harmonic import hb_snb_condition
     op = _operating(cfg, args.command)
     nh = _count(args, "nh", cfg, "Nh", 2000)
     p, m, ss = op.p, op.m, op.ss
@@ -425,10 +419,8 @@ def _snb_boundary(args, cfg: dict) -> Table:
 
 
 def _max_on_time(args, cfg: dict) -> Table:
-    p = _params(cfg, args.command)
-    scheme = _scheme(cfg, args.command)
-    _need(cfg, ("D",), args.command)
-    D = cfg["D"]
+    p, scheme = _plant(cfg, args.command)
+    [D] = _need(cfg, ("D",), args.command)
     ma = cfg.get("ma", 0.0)
     if args.sweep:
         _, d_lo, d_hi, _ = _parse_sweep(args.sweep, ("d",))
@@ -478,6 +470,7 @@ def _min_ri(args, cfg: dict) -> Table:
 
 
 def _hb_splot(args, cfg: dict) -> Table:
+    from .harmonic import convergence_points, hb_pdb_splot
     p, scheme, m, d, mode, mode_meta = _splot_mode(cfg, args.command)
     nh = _count(args, "nh", cfg, "Nh", 2000)
     depths = convergence_points(nh)
@@ -497,18 +490,16 @@ def _hb_splot(args, cfg: dict) -> Table:
     return _sweep_rows(Table(columns, metadata=meta), grid, point)
 
 
-def _freq_sweep(prefix: str, boundary_text: str, series, boundary, args,
-                cfg: dict, needs_ramp: bool = False) -> Table:
+def _freq_sweep(args, cfg: dict, prefix: str, boundary_text: str, series,
+                boundary, needs_ramp: bool = False) -> Table:
     """A subharmonic sum against switching frequency.
 
-    ``series(omega_s, p, scheme, ma, d, nh)`` is the sum, ``boundary(T, ma,
+    ``series(omega_s, p, scheme, d, nh)`` is the sum, ``boundary(T, ma,
     vs)`` the value its real part crosses at the stability boundary, and
     ``needs_ramp`` marks a sum normalized by the ramp amplitude.
     """
-    p = _params(cfg, args.command)
-    scheme = _scheme(cfg, args.command)
-    _need(cfg, ("d",), args.command)
-    d = cfg["d"]
+    p, scheme = _plant(cfg, args.command)
+    [d] = _need(cfg, ("d",), args.command)
     ma = cfg.get("ma", 0.0)
     nh = _count(args, "nh", cfg, "Nh", 2000)
     if args.sweep or "fs_range" in cfg:
@@ -535,13 +526,34 @@ def _freq_sweep(prefix: str, boundary_text: str, series, boundary, args,
         T = 1.0 / fs
         if T <= d:
             return math.nan, math.nan, math.nan
-        val = series(2.0 * math.pi * fs, p, scheme, ma, d, nh)
+        val = series(2.0 * math.pi * fs, p, scheme, d, nh)
         return val.real, val.imag, boundary(T, ma, p.vs)
 
     return _sweep_rows(table, grid, point)
 
 
+def _l1(args, cfg: dict) -> Table:
+    from .harmonic import l1_plot
+    ma = cfg.get("ma", 0.0)
+    return _freq_sweep(args, cfg, "L1", "real part = 2",
+                       lambda w, p, s, d, nh: l1_plot(w, p, s, ma, d, nh),
+                       lambda T, ma, vs: 2.0, needs_ramp=True)
+
+
+def _l2(args, cfg: dict) -> Table:
+    from .harmonic import l2_plot
+    return _freq_sweep(args, cfg, "L2", "real part = 2*T*ma/vs", l2_plot,
+                       lambda T, ma, vs: 2.0 * T * ma / vs)
+
+
+def _hplot(args, cfg: dict) -> Table:
+    from .harmonic import h_plot
+    return _freq_sweep(args, cfg, "H", "real part = T*ma/vs", h_plot,
+                       lambda T, ma, vs: T * ma / vs)
+
+
 def _simulate(args, cfg: dict) -> Table:
+    from .simulate import classify_orbit, nominal_probe_state, simulate
     op = _operating(cfg, args.command)
     ncycles = _count(args, "cycles", cfg, "ncycles", 2000)
     settle = cfg.get("settle", 500)
@@ -553,16 +565,11 @@ def _simulate(args, cfg: dict) -> Table:
     else:
         x0 = nominal_probe_state(op.p, op.ss.D, op.ss.d)
     trace = simulate(op.m, op.ramp, x0, op.ss.u, ncycles, T_guess=op.ss.T)
-    meta = _op_metadata(op)
-    meta["ncycles"] = ncycles
-    meta["settle"] = settle
-    meta["iL0_amps"] = float(x0[0])
-    meta["vC0_volts"] = float(x0[1])
-    meta["saturated_cycles"] = int(trace.saturated.sum())
-    if ncycles > settle + 32:
-        meta["classification"] = classify_orbit(trace, settle)
-    else:
-        meta["classification"] = "UNCLASSIFIED"
+    meta = {**_op_metadata(op), "ncycles": ncycles, "settle": settle,
+            "iL0_amps": float(x0[0]), "vC0_volts": float(x0[1]),
+            "saturated_cycles": int(trace.saturated.sum()),
+            "classification": (classify_orbit(trace, settle)
+                               if ncycles > settle + 32 else "UNCLASSIFIED")}
     table = Table(["cycle", "Tn_seconds", "iL_amps", "vC_volts",
                    "y_switch_volts", "saturated"], metadata=meta)
     for k in range(trace.ncycles):
@@ -573,14 +580,13 @@ def _simulate(args, cfg: dict) -> Table:
 
 
 def _onset(args, cfg: dict) -> Table:
+    from .simulate import make_duty_family, make_ramp_family, onset_search
     if not args.sweep:
         raise ConfigError("onset needs --sweep ma=lo:hi:n or --sweep D=lo:hi:n "
                           "(n is ignored; the bracket is bisected)")
     key, lo, hi, _ = _parse_sweep(args.sweep, ("ma", "D"))
-    p = _params(cfg, args.command)
-    scheme = _scheme(cfg, args.command)
-    _need(cfg, ("d",), args.command)
-    d = cfg["d"]
+    p, scheme = _plant(cfg, args.command)
+    [d] = _need(cfg, ("d",), args.command)
     cycles = _count(args, "cycles", cfg, "ncycles", 3000)
     settle = cfg.get("settle", 500)
     if key == "ma":
@@ -602,6 +608,7 @@ def _onset(args, cfg: dict) -> Table:
 
 
 def _examples(args, cfg: dict) -> tuple[Table, int]:
+    from .cases import run_cases
     results = run_cases()
     table = Table(["case", "check", "value", "expected", "tolerance", "status"],
                   metadata={})
@@ -610,8 +617,7 @@ def _examples(args, cfg: dict) -> tuple[Table, int]:
             table.add(result.name, check.label, check.got, check.expected,
                       check.atol, "PASS" if check.passed else "FAIL")
     npass = sum(1 for r in results if r.passed)
-    table.metadata["cases_total"] = len(results)
-    table.metadata["cases_passed"] = npass
+    table.metadata.update(cases_total=len(results), cases_passed=npass)
     return table, EXIT_OK if npass == len(results) else EXIT_REGRESSION
 
 
@@ -640,19 +646,11 @@ _COMMANDS = {
     "hb-splot": ("period-doubling threshold from the harmonic series",
                  ("sweep", "nh"), _hb_splot),
     "l1": ("normalized subharmonic sum against switching frequency",
-           ("sweep", "nh"),
-           partial(_freq_sweep, "L1", "real part = 2", l1_plot,
-                   lambda T, ma, vs: 2.0, needs_ramp=True)),
+           ("sweep", "nh"), _l1),
     "l2": ("two-sided subharmonic sum against switching frequency",
-           ("sweep", "nh"),
-           partial(_freq_sweep, "L2", "real part = 2*T*ma/vs",
-                   lambda w, p, scheme, ma, d, nh: l2_plot(w, p, scheme, d, nh),
-                   lambda T, ma, vs: 2.0 * T * ma / vs)),
+           ("sweep", "nh"), _l2),
     "hplot": ("one-sided subharmonic sum against switching frequency",
-              ("sweep", "nh"),
-              partial(_freq_sweep, "H", "real part = T*ma/vs",
-                      lambda w, p, scheme, ma, d, nh: h_plot(w, p, scheme, d, nh),
-                      lambda T, ma, vs: T * ma / vs)),
+              ("sweep", "nh"), _hplot),
     "simulate": ("cycle-by-cycle time-domain trace",
                  ("cycles",), _simulate),
     "onset": ("simulated instability onset by bisection",
@@ -677,9 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cotstab",
         description="Stability boundaries of constant on-time buck converters.",
         epilog="Config files are flat key=value lines with # comments; "
-               "values in SI units. Keys: scheme vs vc R L C Rc Ri d T D ma "
-               "vo iL0 vC0 Nh ncycles settle D_range lambda_range "
-               "fs_range (ranges as lo:hi:n). Give exactly one of T or D.")
+               f"values in SI units. Keys: {' '.join(_KEYS)} (ranges as "
+               "lo:hi:n). Give exactly one of T or D.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

@@ -69,3 +69,7 @@ class InfiniteLoopGainError(CotstabError, ValueError):
 
 class ConfigError(CotstabError, ValueError):
     """Bad CLI configuration: unknown key, bad literal, missing field."""
+
+
+__all__ = [name for name, value in globals().items()
+           if isinstance(value, type) and issubclass(value, CotstabError)]

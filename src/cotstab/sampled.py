@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSwitchingError, DomainError, SingularMatrixError
-from .linalg import eigenvalues, expm, expm_integral, solve_linear
+from .linalg import eigenvalues, expm, expm_integral, find_root, solve_linear
 from .models import ConverterModel, RampSpec
 
 __all__ = [
@@ -191,8 +191,6 @@ def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
     list of (T, SteadyState) pairs in ascending T; empty when no cycle
     closes in the bracket.
     """
-    from .linalg import find_root
-
     if not ramp.d < T_lo < T_hi:
         raise DomainError(
             f"bracket must satisfy d < T_lo < T_hi, got d={ramp.d!r}, "

@@ -23,7 +23,7 @@ from .errors import (BracketError, DomainError, MissedSwitchingError,
                      NumericError, UsageError)
 from .linalg import _closed_form, expm, expm_integral
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
-from .sampled import SteadyState, consistent_steady_state
+from .sampled import SteadyState, consistent_steady_state, steady_state_at
 
 __all__ = [
     "Trace",
@@ -447,7 +447,6 @@ def estimate_multiplier(m: ConverterModel, ramp: RampSpec, u, T: float,
     ncycles = _integer("ncycles", ncycles, 2)
     fit = _integer("fit", fit, 1)
     if x_star is None:
-        from .sampled import steady_state_at
         x_star = steady_state_at(m, ramp.d, T, u).x0_0
     x_star = _start_state(m, x_star)
     scale = max(float(np.max(np.abs(x_star))), 1e-30)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = ["Table", "format_value", "render_csv", "render_json", "write_table"]
 
@@ -48,11 +49,15 @@ def render_csv(table: Table) -> str:
 
 
 def render_json(table: Table) -> str:
+    # JSON has no NaN or infinity, so a non-finite float is written null
+    def value(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
     payload = {
-        "metadata": table.metadata,
-        "rows": [dict(zip(table.columns, row)) for row in table.rows],
+        "metadata": {k: value(v) for k, v in table.metadata.items()},
+        "rows": [dict(zip(table.columns, map(value, row)))
+                 for row in table.rows],
     }
-    return json.dumps(payload, indent=2, default=str) + "\n"
+    return json.dumps(payload, indent=2, default=str, allow_nan=False) + "\n"
 
 
 def write_table(table: Table, fmt: str = "csv", path: str | None = None) -> str:
@@ -64,6 +69,9 @@ def write_table(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     else:
         raise DomainError(f"format must be csv or json, got {fmt!r}")
     if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write table to {path!r}: {exc}") from None
     return text

@@ -6,6 +6,7 @@ which side moved.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,9 +28,12 @@ from cotstab.bifurcation import (
     snb_boundary_approx,
     snb_boundary_exact,
 )
-from cotstab.cli import main
+from cotstab import cli
+from cotstab.cli import load_config, main
+from cotstab.errors import ConfigError
 from cotstab.harmonic import h_plot, hb_snb_condition, l1_plot, l2_plot
 from cotstab.sampled import consistent_vc, poles
+from cotstab.tables import Table, render_json
 
 from helpers import CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, operating
 
@@ -426,6 +430,44 @@ def test_out_writes_file(capsys, conf, tmp_path):
     assert any(r[0] == "Eq22" for r in rows)
 
 
+def test_out_to_unwritable_path_is_config_error(capsys, conf, tmp_path):
+    dest = tmp_path / "missing" / "poles.csv"
+    rc, out, err = run_cli(capsys, ["poles", "--config", conf,
+                                    "--out", str(dest)])
+    assert rc == 2
+    assert out == ""
+    assert f"ConfigError: cannot write table to {str(dest)!r}" in err
+    assert not dest.exists()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["pole-locus", "--sweep", "lambda=0:2:5"],
+     "ramp_slope_series_volts_per_second"),
+    (["poles"], "real"),
+])
+def test_json_writes_non_finite_values_as_null(capsys, conf, argv, column):
+    # the series form has a pole at lambda = 1; the continuous-time Eq43
+    # row has no z-plane columns
+    rc, out, _ = run_cli(capsys, [*argv, "--config", conf, "--format", "json"])
+    assert rc == 0
+    rows = _strict_json(out)["rows"]
+    assert any(row[column] is None for row in rows)
+    assert all(row[column] is None or math.isfinite(row[column])
+               for row in rows)
+
+
+def test_render_json_writes_null_in_rows_and_metadata():
+    table = Table(["x", "y"], [(math.inf, 1.0)], {"m": math.nan, "n": 2.0})
+    assert _strict_json(render_json(table)) == {
+        "metadata": {"m": None, "n": 2.0}, "rows": [{"x": None, "y": 1.0}]}
+
+
 def test_saturated_run_completes(capsys, conf):
     rc, out, _ = run_cli(capsys, ["simulate", "--config", conf,
                                   "--set", "vc=100", "--cycles", "40"])
@@ -628,6 +670,46 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+# One interpreter, one command after the other: each step records which
+# cotstab submodules are loaded by then.
+LOAD_ORDER = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("cotstab."))
+
+steps = {}
+import cotstab
+steps["import"] = loaded()
+from cotstab import cli
+conf = sys.argv[1]
+for name, argv in [
+        ("poles", ["poles", "--config", conf]),
+        ("pdb-boundary", ["pdb-boundary", "--config", conf, "--nh", "50"]),
+        ("simulate", ["simulate", "--config", conf, "--cycles", "40"])]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, name
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_its_route(conf):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", LOAD_ORDER, conf], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    steps = {name: set(mods) for name, mods in json.loads(out).items()}
+    assert steps["import"] == set()
+    assert not steps["poles"] & {"cotstab.simulate", "cotstab.harmonic",
+                                 "cotstab.cases"}
+    assert "cotstab.harmonic" in steps["pdb-boundary"]
+    assert not steps["pdb-boundary"] & {"cotstab.simulate", "cotstab.cases"}
+    assert "cotstab.simulate" in steps["simulate"]
+    assert "cotstab.cases" not in steps["simulate"]
+
+
 def test_argparse_surface():
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
@@ -635,6 +717,19 @@ def test_argparse_surface():
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-command"])
     assert exc_info.value.code == 2
+
+
+def test_help_names_every_config_key(capsys):
+    sample = {"scheme": "V_COTC", "float": "1.0", "int": "3",
+              "range": "0:1:3"}
+    for key, kind in cli._KEYS.items():
+        assert key in load_config(None, [f"{key}={sample[kind]}"])
+    with pytest.raises(ConfigError):
+        load_config(None, ["Vs=5.0"])
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    epilog = capsys.readouterr().out.split("Keys:", 1)[1]
+    assert set(cli._KEYS) <= set(epilog.replace("(", " ").split())
 
 
 OPTIONAL_FLAGS = {

@@ -53,8 +53,9 @@ def _synthetic_trace(tns, saturated=None):
 
 
 def test_package_name_simulate_is_the_module():
-    # the package re-exports functions only; its submodule names stay
-    # modules, so cotstab.simulate never shadows cotstab.simulate.simulate
+    # the package offers the submodules' functions and classes; its
+    # submodule names stay modules, so cotstab.simulate never shadows
+    # cotstab.simulate.simulate
     import types
 
     import cotstab
