@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import (CotstabError, DomainError, NumericError,
-                     PoleEvaluationError, UsageError)
+from .errors import CotstabError, DomainError, PoleEvaluationError, UsageError
 from .linalg import eigenvalues, expm, find_root, solve_linear
 from .models import BuckParams, ConverterModel, Scheme, build_model
 from .sampled import SteadyState, linearize, steady_state_at
@@ -272,6 +271,20 @@ def _family_boundary(p: BuckParams, scheme: Scheme, d: float, vo: float):
     return boundary
 
 
+def _first_root(residual, xs):
+    """First root of ``residual`` on the grid ``xs``, polished; or None.
+
+    ``residual`` takes the whole grid at once.  The first cell whose end
+    values straddle or touch zero is handed to the bracketing root finder,
+    which returns a grid zero as it stands.
+    """
+    vals = residual(xs)
+    for i in range(len(xs) - 1):
+        if vals[i] * vals[i + 1] <= 0.0:
+            return float(find_root(residual, xs[i], xs[i + 1]))
+    return None
+
+
 def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
                    vo: float, D_lo: float = 0.05, D_hi: float = 0.999):
     """Duty ratio where period doubling sets in along the fixed-output family.
@@ -284,15 +297,8 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
     applied slope in the range.
     """
     boundary = _family_boundary(p, scheme, d, vo)
-    ds = np.linspace(D_lo, D_hi, DUTY_GRID)
-    vals = boundary(ds) - ma
-    for i in range(len(ds) - 1):
-        if vals[i] == 0.0:
-            return float(ds[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return float(find_root(lambda D: boundary(D) - ma,
-                                   ds[i], ds[i + 1]))
-    return None
+    return _first_root(lambda D: boundary(D) - ma,
+                       np.linspace(D_lo, D_hi, DUTY_GRID))
 
 
 def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
@@ -385,13 +391,11 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     def residual(d):
         return pdb_boundary_exact(m, p.vs, d, d / D) - ma
 
-    ds = np.linspace(d_lo, d_hi, ON_TIME_GRID)
-    vals = residual(ds)
-    for i in range(len(ds) - 1):
-        if vals[i] * vals[i + 1] <= 0.0:
-            return float(find_root(residual, ds[i], ds[i + 1]))
-    raise DomainError("the period-doubling boundary is not crossed inside "
-                      "the on-time bracket")
+    root = _first_root(residual, np.linspace(d_lo, d_hi, ON_TIME_GRID))
+    if root is None:
+        raise DomainError("the period-doubling boundary is not crossed "
+                          "inside the on-time bracket")
+    return root
 
 
 def min_sense_resistance(p: BuckParams, d: float, T: float,
@@ -541,29 +545,23 @@ def critical_ramp_eig(m: ConverterModel, d: float, T: float, u, target: float,
                       ma_lo: float, ma_hi: float) -> float:
     """Ramp slope that places a cycle-map eigenvalue at the real target.
 
-    Independent search route: sweeps the applied slope and tracks the
-    relevant real eigenvalue of the full Jacobian, rather than evaluating
-    the boundary formulas.  Used to cross-validate them.  Where the tracked
-    pair is complex the residual continues with its real part, so a
-    bracket may reach into that region; a root found there places no real
-    eigenvalue and raises :class:`NumericError`.
+    Independent search route: a bracketed root search over the applied
+    slope on the full Jacobian, rather than an evaluation of the boundary
+    formulas.  Used to cross-validate them.  The residual is
+    ``(cv - ma) * det(target I - Phi(ma))``, with ``cv`` the feedback
+    slope at the switching instant.  Phi is the stage product plus a
+    rank-one term in ``1 / (cv - ma)``, so by the matrix determinant lemma
+    the residual is affine in ``ma``: it changes sign once, where a real
+    eigenvalue reaches the target, and has no pole at ``ma = cv``.
     """
     ss = steady_state_at(m, d, T, u)
+    cv = float(m.Cvec @ ss.xdot0_minus)
 
-    def residual(ma, complex_pair=True):
-        eigs = eigenvalues(linearize(m, ss, ma).Phi)
-        real = eigs[np.abs(eigs.imag) < 1e-8 * (1.0 + np.abs(eigs.real))].real
-        if real.size == 0:
-            if not complex_pair:
-                return math.nan
-            real = eigs.real
-        return float(real[np.argmin(np.abs(real - target))] - target)
+    def residual(ma):
+        (f00, f01), (f10, f11) = linearize(m, ss, ma).Phi.tolist()
+        return (cv - ma) * ((target - f00) * (target - f11) - f01 * f10)
 
-    root = find_root(residual, ma_lo, ma_hi)
-    if math.isnan(residual(root, complex_pair=False)):
-        raise NumericError(f"no real eigenvalue at the root ma = {root!r}: "
-                           "the tracked pair is complex there")
-    return root
+    return find_root(residual, ma_lo, ma_hi)
 
 
 def sweep(func, lo: float, hi: float, n: int):

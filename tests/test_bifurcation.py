@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cotstab import (CATALOG, FORMULA_IDS, BuckParams, DomainError,
-                     NumericError, PoleEvaluationError, Scheme, UsageError,
+from cotstab import (CATALOG, FORMULA_IDS, BracketError, BuckParams,
+                     DomainError, PoleEvaluationError, Scheme, UsageError,
                      applicable_formulas, build_model, closed_form_pole,
                      critical_ramp_eig, ct_pole_formula, equivalent_ct_pole,
                      exact_max_on_time, exact_min_ri, family_point, linearize,
@@ -221,10 +221,56 @@ def test_critical_ramp_eig_brackets_may_reach_a_complex_pair():
 
 def test_critical_ramp_eig_rejects_a_root_inside_a_complex_pair():
     # the pair's real part passes -1.5 while the pair is complex: no real
-    # eigenvalue sits at -1.5 there, so the search raises
+    # eigenvalue reaches -1.5 in the bracket, so the residual keeps one
+    # sign and the search raises
     m, d, T, u, _ = _complex_edge_point()
-    with pytest.raises(NumericError, match="complex"):
+    with pytest.raises(BracketError):
         critical_ramp_eig(m, d, T, u, -1.5, -48571.3, -47644.0)
+
+
+# current-feedback draws of perfbench's design workload with their exact
+# period-doubling boundaries.  On the first three the eigenvalue tracked
+# through a complex stretch gave one sign at both bracket ends.  The
+# brackets of the second and the last four hold the feedback slope at the
+# switching instant, the pole of a bare determinant residual.  Each row:
+# BuckParams(R, L, C, Rc, Ri, vs), d, T, boundary.
+_EIG_SEARCH_DRAWS = [
+    ((0.20856425803409784, 5.128330998330951e-07, 1.0168335155506523e-05,
+      0.0012829209968868477, 0.02959906377504961, 17.019400550437496),
+     1.398715010094225e-06, 4.778583228887386e-06, -244054.7511579562),
+    ((0.23996343487609922, 6.298879442510921e-07, 1.013945810564828e-05,
+      0.006136438998670994, 0.12285930994592495, 18.886998239605937),
+     1.536809673796833e-06, 4.951023771539608e-06, -939534.1185052817),
+    ((0.2891057146822759, 5.077416377720906e-07, 1.1186275469143355e-05,
+      0.0010172214794156031, 0.03670292290083538, 15.96563478934136),
+     1.9034888733962986e-06, 4.885883705355189e-06, -439846.4434798449),
+    ((0.4295696455480689, 5.128057775265554e-07, 1.1127945512825373e-05,
+      0.013430107978369842, 0.09996564431037934, 4.518566632245471),
+     1.3303024987838396e-06, 4.159787425100168e-06, -233887.9025566587),
+    ((1.0063152996228684, 5.165026482309594e-07, 1.3394980656554036e-05,
+      0.0019945638166953927, 0.013397421775250471, 16.547566784338947),
+     2.351167999512558e-06, 4.9525945813588484e-06, -185631.57875751096),
+    ((8.45909356801918, 5.4016372972676e-07, 1.1172787344842741e-05,
+      0.005883449785568342, 0.07299743986267081, 7.252004718900318),
+     1.0405173559928041e-06, 4.152236270538479e-06, -204964.206734647),
+    ((7.184126953553623, 5.066524791844126e-07, 1.3975644684369525e-05,
+      0.021442366596037044, 0.036836193840762345, 19.66651105887656),
+     1.0393536620796831e-06, 4.226309838240913e-06, -278511.7340021041),
+]
+
+
+@pytest.mark.parametrize("values, d, T, boundary", _EIG_SEARCH_DRAWS,
+                         ids=["s105r167", "s14r747", "s25r292", "s14r309",
+                              "s14r381", "s25r135", "s25r1287"])
+def test_critical_ramp_eig_finds_the_boundary_on_design_draws(values, d, T,
+                                                              boundary):
+    p = BuckParams(*values)
+    m, _, u, _ = operating(p, Scheme.C_COTC, d, T, 0.0)
+    pdb = pdb_boundary_exact(m, p.vs, d, T)
+    assert pdb == pytest.approx(boundary, rel=1e-9)
+    found = critical_ramp_eig(m, d, T, u, -1.0, pdb - 0.1 * abs(pdb),
+                              pdb + 0.005 * abs(pdb))
+    assert found == pytest.approx(pdb, rel=1e-12)
 
 
 def test_min_ramp_closed_forms():
