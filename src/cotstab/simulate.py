@@ -3,11 +3,11 @@
 This is the oracle side of the package: it never touches the linearized
 map or the boundary formulas.  Each cycle applies the on-stage for the
 fixed on-time, then switches at the first instant the feedback signal
-meets the restarting ramp, found by a table scan and a safeguarded Newton
-on the off stage's closed form (``_CycleEngine``).  A trace is bit-identical
-to a loop form of the same formulas, and since each cycle depends only on
-its start state, a run continued from its last state is bit-identical to
-one longer run.
+meets the restarting ramp, found by a table search that each cycle
+proves and a safeguarded Newton on the off stage's closed form
+(``_CycleEngine``).  A trace is bit-identical to a loop form of the same
+formulas, and since each cycle depends only on its start state, a run
+continued from its last state is bit-identical to one longer run.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ __all__ = [
 SCAN_DIVISIONS = 1000       # crossing scan resolution per guess period
 HORIZON_PERIODS = 10        # give up after this many guess periods
 REFINE_REL_TOL = 1e-12      # switching instant tolerance, relative to guess
-SCAN_MARGIN = 32            # rows scanned past the last cycle's crossing first
 NEWTON_STEPS = 8            # Newton steps before the refiner only bisects
-_CERTIFICATES = 2           # scan certificates kept, one per orbit phase
 KICK = 1e-5                 # relative output-voltage kick of a probe start
 
 _EPS = float(np.finfo(float).eps)
@@ -82,12 +80,10 @@ class _CycleEngine:
     ``t0 = e^(a tau) c``, ``t1 = e^(a tau) s`` and ``t3 = -ma (d + tau)``
     per grid point, and every row is evaluated elementwise as
     ``((t0 P + t1 Q) + du) + t3``, in numpy and in Python floats alike, so
-    both round each row to the same bits.  What an engine carries between
-    cycles, the certificates of its last two full scans that their rows
-    below the crossing stay positive, only sets where the scan looks,
-    never what it finds.  Two, as near the period-doubling boundary the
-    multiplier is close to -1: a cycle's ``(P, Q)`` lies close to the
-    cycle two back, far from the last one.
+    both round each row to the same bits.  An engine carries two row
+    numbers between cycles, the crossing rows of its last two scans; the
+    search starts at the older, as near the period-doubling boundary the
+    multiplier is close to -1, and neither sets what a scan finds.
     """
 
     def __init__(self, m: ConverterModel, ramp: RampSpec, u, T_guess: float):
@@ -108,7 +104,8 @@ class _CycleEngine:
         self.du = float(m.Dvec @ self.u)
         self.step = self.T_guess / SCAN_DIVISIONS
         self.kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))
-        self.hint = SCAN_DIVISIONS      # crossing row of the last cycle
+        self.hint = SCAN_DIVISIONS      # crossing row of the last scan
+        self.back = SCAN_DIVISIONS      # and of the scan before it
         (a00, a01), (a10, a11) = m.A.tolist()
         self.a = 0.5 * (a00 + a11)
         h = 0.5 * (a00 - a11)
@@ -116,8 +113,7 @@ class _CycleEngine:
         self.n = ((h, a01), (a10, -h))
         self.terms = _stage_terms(self.a, self.q)
         self._table = []    # scan chunks, filled on demand
-        self._colmax = None     # running max |t0|, |t1|, |t3| of chunk 0
-        self._certs = []        # certificates, least recently used first
+        self._rows = self._shape = None     # chunk 0 for _search
         self._ends = {}         # crossing row -> terms at its cell's ends
 
     def run(self, x: np.ndarray, ncycles: int, stop_from: int | None = None):
@@ -159,7 +155,7 @@ class _CycleEngine:
                 tau = 0.0
             else:
                 try:
-                    lo, hi = self._scan(P, Q)
+                    lo, hi = self._scan(P, Q, phi0)
                     # judge the bracket with the refiner's own evaluator:
                     # the scan and the scalar path may disagree by a few
                     # ulp around an exact zero.  The cell's ends are grid
@@ -196,83 +192,87 @@ class _CycleEngine:
                 return tns[:k + 1], x_end[:k + 1], sat[:k + 1]
         return tns, x_end, sat
 
-    def _scan(self, P: float, Q: float):
+    def _scan(self, P: float, Q: float, phi0: float):
         """The cell ``[(k - 1) h, k h]`` of the first grid row ``k`` where
-        ``phi <= 0``: the cell a scan of whole table chunks finds.
-
-        A certificate may decide the row on Python floats (``_walk``).
-        Otherwise the table is scanned in numpy, one chunk at a time, its
-        chunks built on first use.  A crossing in chunk 0 above its first
-        row records a certificate of the rows below it.
-        """
-        if self._walk(P, Q):
-            return (self.hint - 1) * self.step, self.hint * self.step
-        for i, k0 in enumerate(range(1, self.kmax + 1, 2 * SCAN_DIVISIONS)):
+        ``phi <= 0``: the cell a scan of whole table chunks finds, found by
+        ``_search`` or by scanning the chunks in numpy, built on first use."""
+        k = self._search(P, Q, phi0) if self._rows else 0
+        i = 0
+        while not k:
+            k0 = 1 + 2 * SCAN_DIVISIONS * i
+            if k0 > self.kmax:
+                raise MissedSwitchingError(_NO_CROSSING)
             if i == len(self._table):
                 taus = np.arange(k0, min(k0 + 2 * SCAN_DIVISIONS,
                                          self.kmax + 1)) * self.step
                 ec, es = _closed_form(self.m.A * taus[:, None, None])[4:]
                 self._table.append(np.array(
                     [ec, es * taus, -self.ramp.ma * (self.ramp.d + taus)]))
-                if i == 0:
-                    self._colmax = np.maximum.accumulate(
-                        np.abs(self._table[0]), axis=1)
+            if self._rows is None:
+                # chunk 0 led by row 0, (1, 0, -ma d), which evaluates to
+                # phi0 bit for bit, and its columns' bounds for _search
+                rows = np.insert(self._table[0], 0, axis=1, values=(
+                    1.0, 0.0, -self.ramp.ma * self.ramp.d))
+                (s0, s1, (_, s3)), (c0, c1, (_, c3)) = (
+                    np.stack([dv.min(axis=1), dv.max(axis=1)], 1).tolist()
+                    for dv in (np.diff(rows), np.diff(rows, 2)))
+                m0, m1, m3 = np.abs(rows).max(axis=1).tolist()
+                self._rows = rows.tolist()
+                self._shape = m0, m1, abs(self.du) + m3, s0, s1, s3, c0, c1, c3
             t0, t1, t3 = self._table[i]
-            vals = t0 * P + t1 * Q + self.du + t3
-            below = vals <= 0.0
+            below = t0 * P + t1 * Q + self.du + t3 <= 0.0
             row = int(below.argmax())
             if below[row]:
-                self.hint = k0 + row
-                if i == 0 and row > 0:
-                    self._certify(P, Q, row, float(vals[:row].min()))
-                return (self.hint - 1) * self.step, self.hint * self.step
-        raise MissedSwitchingError(_NO_CROSSING)
+                k = k0 + row
+            i += 1
+        self.back, self.hint = self.hint, k
+        return (k - 1) * self.step, k * self.step
 
-    def _walk(self, P: float, Q: float) -> int:
-        """The crossing row a certificate decides, kept as the hint, or 0
-        for a full scan: the first whose check passes walks the
-        ``SCAN_MARGIN`` rows from its ``cut`` up on Python floats, with the
-        full scan's operations in its order."""
-        certs = self._certs
-        for cert in certs:
-            cut, p_ref, q_ref, v_min, a0, a1, slack, rows = cert
-            # A row's exact value, t0 P + t1 Q + du + t3, is linear in
-            # (P, Q), and the scan's sum of four terms rounds by less than
-            # 16 eps times the sum of their magnitudes; the margin covers
-            # the rounding of this test too.  With a0, a1 and a3 the
-            # largest |t0|, |t1| and |t3| below cut, each of those rows
-            # evaluates now to at least
-            #   v_min - e(P_ref, Q_ref) - |P - P_ref| a0 - |Q - Q_ref| a1
-            #   - e(P, Q),  e(P, Q) = 16 eps (|du| + a3 + |P| a0 + |Q| a1),
-            # which the test makes positive (``slack`` holds the parts
-            # fixed at certification): none can cross.
-            if v_min > ((abs(P - p_ref) + 16.0 * _EPS * abs(P)) * a0
-                        + (abs(Q - q_ref) + 16.0 * _EPS * abs(Q)) * a1
-                        + slack):
-                du = self.du
-                if rows is None:
-                    rows = cert[7] = self._table[0][
-                        :, cut:cut + SCAN_MARGIN].T.tolist()
-                for k, (t0, t1, t3) in enumerate(rows, cut + 1):
-                    if t0 * P + t1 * Q + du + t3 <= 0.0:
-                        certs.remove(cert)
-                        certs.append(cert)
-                        self.hint = k
-                        return k
-                return 0
-        return 0
+    def _search(self, P: float, Q: float, phi0: float) -> int:
+        """The first row of chunk 0 where ``phi <= 0``, or 0 for a scan.
 
-    def _certify(self, P: float, Q: float, cut: int, v_min: float):
-        """Keep a certificate of chunk 0's rows below ``cut``, whose smallest
-        value at this cycle's ``P`` and ``Q`` is ``v_min``, in place of the
-        least recently used one; its window rows become Python floats on
-        its first walk."""
-        if v_min > 0.0:         # not NaN
-            a0, a1, a3 = self._colmax[:, cut - 1].tolist()
-            slack = 16.0 * _EPS * (2.0 * abs(self.du) + 2.0 * a3
-                                   + abs(P) * a0 + abs(Q) * a1)
-            self._certs = self._certs[1 - _CERTIFICATES:] + [
-                [cut, P, Q, v_min, a0, a1, slack, None]]
+        Row ``k`` is exactly ``V_k = t0 P + t1 Q + du + t3`` and evaluates
+        within ``e = 16 eps (|P| max|t0| + |Q| max|t1| + |du| + max|t3|)``
+        of it.  ``V`` is linear in ``(P, Q)``: the columns' least or largest
+        differences, picked by the signs of ``P`` and ``Q``, bound ``max dV``
+        and ``max d2V``.  A bound below ``-2 e`` (a margin for its rounding)
+        proves ``V`` falling or concave, so ``V_j >= min(V_0, V_a)`` for
+        ``j <= a``: with ``phi0`` and row ``a`` above ``2 e``, no row up to
+        ``a`` evaluates ``<= 0``.  A gallop from the crossing row of two
+        cycles back and a bisection find rows ``a`` > 0 and ``a + 1`` <= 0,
+        then a walk down passes the rows within ``2 e``.  Gives up on an
+        unproven shape, ``phi0 <= 2 e`` (or NaN), or no crossing.
+        """
+        m0, m1, fixed, s0, s1, s3, c0, c1, c3 = self._shape
+        e2 = 32.0 * _EPS * ((P if P >= 0.0 else -P) * m0
+                            + (Q if Q >= 0.0 else -Q) * m1 + fixed)
+        if not phi0 > e2 or (
+                s0[P >= 0.0] * P + s1[Q >= 0.0] * Q + s3 >= -e2
+                and c0[P >= 0.0] * P + c1[Q >= 0.0] * Q + c3 >= -e2):
+            return 0
+        t0, t1, t3 = self._rows
+        du = self.du
+        top = len(t0) - 1
+        # row lo > 0 >= row hi; hi = top + 1 stands for the later chunks
+        lo, vlo, hi, step = 0, phi0, top + 1, 1
+        k = self.back if self.back < top else top
+        while hi - lo > 1:
+            v = t0[k] * P + t1[k] * Q + du + t3[k]
+            if v > 0.0:
+                lo, vlo = k, v
+                k += step
+            else:
+                hi = k
+                k -= step
+            step += step
+            if not lo < k < hi:
+                k = (lo + hi) // 2
+        while vlo <= e2:
+            lo -= 1
+            vlo = t0[lo] * P + t1[lo] * Q + du + t3[lo]
+            if not vlo > 0.0:
+                hi = lo
+        return hi if hi <= top else 0
 
 
 def _stage_terms(a: float, q: float):

@@ -12,15 +12,16 @@ any last-digit change would be amplified into a visibly different orbit,
 at critical damping, and on an orbit whose crossing settles on a grid
 row, whose value is then rounding noise.
 
-The engine also carries the certificates of its last two full scans,
-which let its scan skip table rows an earlier cycle proved positive and
-walk the rows above them on Python floats.  On the same traces, every
-cycle's scan with the certificates the run carried must find the cell of
-the whole-chunk loop-form scan, as must a scan whose row lies within a
-few ulp of zero and one at a NaN state, and a state far from the
-certified ones must be refused the certificates and still find its cell.
-Near the period-doubling onset the certificates must serve nearly every
-scan.
+The engine's scan first searches the table's first chunk on Python
+floats, by a gallop from the crossing row of two cycles back, once a
+bound made from the cycle's own state proves that chunk's rows fall or
+bend down.  On the same traces, every cycle's scan must find the cell of
+the whole-chunk loop-form scan, from the row the run carried and from
+rows far from it, as must a scan whose row lies within a few ulp of zero,
+a state far from the orbit, a NaN state, and states whose chunk crosses
+zero twice, started past the second crossing.  The search must decide
+nearly every scan near the period-doubling onset and on a saturating
+orbit, and an orbit whose shape no bound proves must take the numpy scan.
 
 The second reference shares no stage arithmetic with the engine: it
 propagates the state through the on stage in physical coordinates, takes
@@ -46,8 +47,8 @@ from cotstab.bifurcation import pdb_boundary_exact
 from cotstab.errors import MissedSwitchingError
 from cotstab.linalg import _closed_form, find_root
 from cotstab.simulate import (HORIZON_PERIODS, OTHER, PERIOD1,
-                              REFINE_REL_TOL, SCAN_DIVISIONS, SCAN_MARGIN,
-                              _CycleEngine, _newton, classify_orbit, simulate)
+                              REFINE_REL_TOL, SCAN_DIVISIONS, _CycleEngine,
+                              _newton, classify_orbit, simulate)
 
 from helpers import FAST, FAST_D, FAST_T, closed_form_q
 
@@ -167,14 +168,14 @@ class _LoopEngine(_CycleEngine):
 
 
 class _CountingEngine(_CycleEngine):
-    """The engine, counting the scans its carried certificates served."""
+    """The engine, counting the scans its search decided."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.served = 0
 
-    def _walk(self, P, Q):
-        row = super()._walk(P, Q)
+    def _search(self, P, Q, phi0):
+        row = super()._search(P, Q, phi0)
         self.served += row > 0
         return row
 
@@ -371,12 +372,11 @@ def _assert_refiner_matches_find_root(setup, ncycles):
     """Per cycle: the scan's cell and the Newton instant.
 
     Every cycle of the engine's own trace is restarted from its start
-    state.  The engine's scan, with the certificates the run carried and
-    again with none, must find the cell of the whole-chunk loop-form scan;
-    the Newton instant must lie within the refiner tolerance of the root
-    ``find_root`` finds in that cell.  Returns the number of crossings
-    more than ``SCAN_MARGIN`` rows past the last one, of scans the
-    certificates served and of scans.
+    state.  The engine's scan, from the row the run carried and again from
+    the first and the last row of the table's first chunk, must find the
+    cell of the whole-chunk loop-form scan; the Newton instant must lie
+    within the refiner tolerance of the root ``find_root`` finds in that
+    cell.  Returns the number of scans the search decided and of scans.
     """
     m, ramp, u, T, x0 = setup
     tr = simulate(m, ramp, x0, u, ncycles, T)
@@ -384,23 +384,22 @@ def _assert_refiner_matches_find_root(setup, ncycles):
     ref = _FindRootEngine(m, ramp, u, T)
     tol = REFINE_REL_TOL * T
     starts = np.vstack([x0, tr.x_end[:-1]])
-    refined = misses = 0
+    refined = 0
     for k, x in enumerate(starts):
         if tr.saturated[k]:
             continue
         _, _, P, Q = ref.coefficients(x)
+        phi0 = P + eng.du - ramp.ma * ramp.d
         cell = ref.scan(P, Q)
-        window = eng.hint + SCAN_MARGIN
-        assert eng._scan(P, Q) == cell, k
-        misses += cell[1] > window * eng.step
-        # after the forced full scan, the next cycle scans with what the
-        # run carried, as the run's own engine did
-        carried = eng.hint, list(eng._certs), eng.served
-        eng._certs = []
-        assert eng._scan(P, Q) == cell, k
-        eng.hint, eng._certs, eng.served = carried
+        assert eng._scan(P, Q, phi0) == cell, k
+        # from far rows too; each time restore what the run carried, so
+        # that the next cycle scans as the run's own engine did
+        carried = eng.back, eng.hint, eng.served
+        for far in (1, 2 * SCAN_DIVISIONS):
+            eng.back = far
+            assert eng._scan(P, Q, phi0) == cell, (k, far)
+            eng.back, eng.hint, eng.served = carried
         lo, hi = cell
-        phi0 = ref.phi_at(P, Q, 0.0)
         flo = ref.phi_at(P, Q, lo) if lo > 0.0 else phi0
         fhi = ref.phi_at(P, Q, hi)
         if not flo > 0.0 > fhi:
@@ -411,14 +410,14 @@ def _assert_refiner_matches_find_root(setup, ncycles):
         assert abs(tau - ref.refine(P, Q, lo, hi, flo, fhi)) <= tol, k
         refined += 1
     assert refined >= ncycles // 2
-    return misses, eng.served, int(np.sum(~tr.saturated))
+    return eng.served, int(np.sum(~tr.saturated))
 
 
 def test_refiner_matches_find_root_near_boundary():
-    # the orbit barely moves from cycle to cycle, so the certificates of
-    # two cycles serve nearly every later one
+    # the orbit barely moves from cycle to cycle, and its rows bend down
+    # over the first chunk, so the search decides nearly every scan
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
-    _, served, scanned = _assert_refiner_matches_find_root(fam(1000.0), 3000)
+    served, scanned = _assert_refiner_matches_find_root(fam(1000.0), 3000)
     assert served >= 0.9 * scanned
 
 
@@ -429,100 +428,139 @@ def test_refiner_matches_find_root_on_duty_family():
 
 def test_windowed_scan_misses_on_a_saturating_orbit():
     # well below the onset the orbit alternates saturated cycles with long
-    # recovery cycles, whose crossings fall beyond the last cycle's window
+    # recovery cycles, whose crossings lie far from the last one and the
+    # one two back: the gallop still reaches them, so the search decides
+    # nearly every scan
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
-    assert _assert_refiner_matches_find_root(fam(600.0), 1500)[0] > 0
-
-
-def test_certificate_refuses_a_far_state():
-    # certified on the near-boundary orbit, whose crossing lies at row 600;
-    # with the output voltage 2% low the crossing moves below the certified
-    # rows, which the check must refuse, and 5% high it moves past the
-    # walked window, which the scan must leave to the whole chunk; either
-    # full scan records a new certificate
-    m, ramp, u, T, x0 = make_ramp_family(FAST, Scheme.V_COTC, FAST_D,
-                                         FAST_T)(1000.0)
-    ref = _LoopEngine(m, ramp, u, T)
-    for scale, row in ((0.98, 417), (1.05, 835)):
-        eng = _CountingEngine(m, ramp, u, T)
-        x = eng.run(x0, 200)[1][-1]
-        certs = list(eng._certs)
-        assert eng.hint == 600 and len(certs) == 2
-        assert all((row < cert[0]) is (scale < 1.0) for cert in certs)
-        _, _, P, Q = ref.coefficients(x * [1.0, scale])
-        cell = ref.scan(P, Q)
-        assert cell[1] == row * eng.step
-        served = eng.served
-        assert eng._scan(P, Q) == cell
-        assert eng.served == served
-        assert all(eng._certs[-1] is not cert for cert in certs)
+    served, scanned = _assert_refiner_matches_find_root(fam(600.0), 1500)
+    assert served >= 0.9 * scanned
 
 
 def _near_boundary_engine():
     """A counting engine that ran 200 cycles of the near-boundary orbit,
-    its loop form, and the hint and certificates it carries."""
+    its loop form, and the state the run ended at."""
     m, ramp, u, T, x0 = make_ramp_family(FAST, Scheme.V_COTC, FAST_D,
                                          FAST_T)(1000.0)
     eng = _CountingEngine(m, ramp, u, T)
-    eng.run(x0, 200)
-    return eng, _LoopEngine(m, ramp, u, T), eng.hint, list(eng._certs)
+    x = eng.run(x0, 200)[1][-1]
+    return eng, _LoopEngine(m, ramp, u, T), x
+
+
+def test_certificate_refuses_a_far_state():
+    # the near-boundary orbit crosses at row 600; with the output voltage
+    # 2% low the crossing moves down to row 417, and 5% high up to row 835.
+    # The gallop from row 600 must reach either, and the search decide it
+    eng, ref, x = _near_boundary_engine()
+    assert eng.hint == 600
+    carried = eng.back, eng.hint
+    for scale, row in ((0.98, 417), (1.05, 835)):
+        _, _, P, Q = ref.coefficients(x * [1.0, scale])
+        cell = ref.scan(P, Q)
+        assert cell[1] == row * eng.step
+        eng.back, eng.hint = carried
+        eng.served = 0
+        assert eng._scan(P, Q, P + eng.du - eng.ramp.ma * eng.ramp.d) == cell
+        assert eng.served == 1
 
 
 def test_walk_decides_rows_near_zero():
-    # A full scan at a state whose crossing row r lies just below zero
-    # certifies the rows below r.  States that put row r within a few ulp
-    # of zero, on both sides, pass that certificate's check, and its walk
-    # starts at row r, whose sign it decides on Python floats by the full
-    # scan's own operations.  The walk must serve every scan and find the
-    # whole-chunk loop-form cell
-    eng, ref, hint, certs = _near_boundary_engine()
+    # States that put one of rows 601-604 within a few ulp of zero, on both
+    # sides.  The search's bisection stops next to that row, and its walk
+    # down, on the full scan's own operations, decides the row's sign.  The
+    # search must decide every scan and find the whole-chunk loop-form cell
+    eng, ref, x = _near_boundary_engine()
     table = eng._table[0]
     chunk = np.arange(1, table.shape[1] + 1)
     du = eng.du
-    walked = signs = 0
+    carried = eng.back, eng.hint
+    p_orbit = ref.coefficients(x)[2]
+    decided = signs = 0
     for r in range(600, 604):
         t0, t1, t3 = table[:, r].tolist()
         for n in range(4):
-            P = certs[-1][1] * (1.0 + n * 1e-7)
-            q_zero = -(t0 * P + du + t3) / t1
-            q = q_zero * (1.0 - math.copysign(1e-9, t1 * q_zero))
-            eng.hint, eng._certs = hint, []
-            assert eng._scan(P, q) == ref.scan(P, q)
-            certified = list(eng._certs)
-            assert eng.hint == r + 1 and certified[-1][0] == r
-            q = q_zero
+            P = p_orbit * (1.0 + n * 1e-7)
+            phi0 = P + du - eng.ramp.ma * eng.ramp.d
+            q = -(t0 * P + du + t3) / t1
             for _ in range(4):
                 q = math.nextafter(q, -math.inf)
             for _ in range(9):
-                eng._certs, eng.served = list(certified), 0
-                assert eng._scan(P, q) == ref.scan(P, q), (r, n, q)
+                eng.back, eng.hint = carried
+                eng.served = 0
+                assert eng._scan(P, q, phi0) == ref.scan(P, q), (r, n, q)
                 value = float(ref.phis(P, q, chunk)[r])
                 assert abs(value) <= 64.0 * np.finfo(float).eps * abs(t1 * q)
-                walked += eng.served
+                decided += eng.served
                 signs |= 1 << (value > 0.0)
                 q = math.nextafter(q, math.inf)
-    assert walked == 4 * 4 * 9 and signs == 3
+    assert decided == 4 * 4 * 9 and signs == 3
 
 
 def test_walk_refuses_a_nan_state():
-    # a NaN P fails every certificate check; the whole-chunk scan then finds
-    # no crossing, as the loop form does
-    eng, ref, hint, certs = _near_boundary_engine()
-    Q = certs[-1][2]
+    # a NaN P is refused by the search; the whole-chunk scan then finds no
+    # crossing, as the loop form does
+    eng, ref, x = _near_boundary_engine()
+    Q = ref.coefficients(x)[3]
     with pytest.raises(AssertionError, match="no crossing"):
         ref.scan(math.nan, Q)
-    eng.served = 0
+    assert eng._search(math.nan, Q, math.nan) == 0
     with pytest.raises(MissedSwitchingError):
-        eng._scan(math.nan, Q)
-    assert eng.served == 0
+        eng._scan(math.nan, Q, math.nan)
+
+
+def test_search_returns_the_first_of_two_crossings():
+    # an off stage that rings within the table's first chunk: on these
+    # states phi falls through zero, rises above it and falls through it
+    # again.  Started at or past the second crossing, a gallop would find
+    # that one; the shape bound must refuse such states, so that every
+    # scan returns the first crossing
+    m = build_model(BuckParams(R=50.0, L=1e-7, C=1e-6, Rc=1e-3, vs=5.0),
+                    Scheme.V_COTC)
+    setup = m, RampSpec(ma=1e5, d=1.2e-6), np.array([5.0, 1.0]), 3e-6
+    eng = _CycleEngine(*setup)
+    ref = _LoopEngine(*setup)
+    chunk = np.arange(1, 2 * SCAN_DIVISIONS + 1)
+    states = 0
+    for P in np.linspace(1.0, 3.0, 21).tolist():
+        for Q in np.linspace(-3e6, 3e6, 21).tolist():
+            phi0 = P + eng.du - eng.ramp.ma * eng.ramp.d
+            below = ref.phis(P, Q, chunk) <= 0.0
+            # rows at or below zero whose predecessor is above it
+            crossings = chunk[below & ~np.concatenate([[False], below[:-1]])]
+            if not phi0 > 0.0 or len(crossings) < 2:
+                continue
+            cell = ref.scan(P, Q)
+            assert cell[1] == crossings[0] * eng.step
+            for back in (crossings[1], chunk[-1]):
+                eng.back = int(back)
+                assert eng._scan(P, Q, phi0) == cell, (P, Q, back)
+            states += 1
+    assert states >= 300
+
+
+def test_unproven_orbit_takes_the_table_scan():
+    # after each on-time this orbit's output voltage keeps rising for a
+    # while, and past row 1300 phi bends up again: over the table's first
+    # chunk it neither falls nor is concave, so no bound proves its shape.
+    # Every scan takes the numpy table, and the trace matches the loop form
+    p = BuckParams(R=0.28, L=7e-7, C=2.1e-5, Rc=0.025, vs=5.3)
+    setup = make_ramp_family(p, Scheme.V_COTC, 2.4e-6, 4.1e-6)(15000.0)
+    tr = _assert_matches_loop_form(setup, 100)
+    m, ramp, u, T, x0 = setup
+    eng = _CountingEngine(m, ramp, u, T)
+    eng.run(x0, 100)
+    assert eng.served == 0 and not tr.saturated.any()
+    ref = _LoopEngine(m, ramp, u, T)
+    _, _, P, Q = ref.coefficients(tr.x_end[-1])
+    slope = np.diff(ref.phis(P, Q, np.arange(2 * SCAN_DIVISIONS + 1)))
+    assert slope.max() > 0.0 and np.diff(slope).max() > 0.0
 
 
 @pytest.mark.parametrize("factor", [0.992, 1.008])
 def test_certificates_serve_probes_near_the_onset(factor):
-    # within 1% of Eq22 the multiplier is close to -1: each cycle's state
-    # lies close to the one two back, so two certificates serve the scans
+    # within 1% of Eq22 the multiplier is close to -1: each cycle's
+    # crossing lies close to the one two back, where the gallop starts
     m = build_model(FAST, Scheme.V_COTC)
     ma = factor * pdb_boundary_exact(m, FAST.vs, FAST_D, FAST_T)
     fam = make_ramp_family(FAST, Scheme.V_COTC, FAST_D, FAST_T)
-    _, served, scanned = _assert_refiner_matches_find_root(fam(ma), 3000)
+    served, scanned = _assert_refiner_matches_find_root(fam(ma), 3000)
     assert served >= 0.9 * scanned
