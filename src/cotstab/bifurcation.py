@@ -17,9 +17,10 @@ import math
 import numpy as np
 
 from .errors import CotstabError, DomainError, PoleEvaluationError, UsageError
-from .linalg import eigenvalues, expm, find_root, solve_linear
+from .linalg import eigenvalues, find_root, solve_linear
 from .models import BuckParams, ConverterModel, Scheme, build_model
-from .sampled import SteadyState, linearize, steady_state_at
+from .sampled import (CycleOps, SteadyState, _cycle, linearize,
+                      steady_state_at)
 
 __all__ = [
     "CATALOG",
@@ -145,21 +146,21 @@ def _boundary_core(m: ConverterModel, vs, d, T):
     """Shared factor of the buck PDB/SNB boundaries at every (vs, d, T).
 
     The arguments broadcast; returns them as arrays with ``W = exp(A T)``
-    and the vs-free drive ``(W - exp(A (T - d))) B11`` per point, from
-    one stacked exponential.
+    and the vs-free drive ``(W - exp(A (T - d))) B11`` per point.  A grid
+    forms its own stage operators; a single point reads the model's.
     """
     vs, d, T = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                      for x in (vs, d, T)))
-    bad = ~((0.0 < d) & (d <= T))
-    if bad.any():
-        i = int(np.argmax(bad))
+    ok = (0.0 < d) & (d <= T)
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise DomainError(f"need 0 < d <= T, got d={float(d.flat[i])!r}, "
                           f"T={float(T.flat[i])!r}")
-    bad = ~np.isfinite(vs)
-    if bad.any():
-        raise DomainError(f"vs must be finite, got {float(vs[bad][0])!r}")
-    w, v = expm(m.A, np.stack((T, T - d)))
-    return vs, w, (w - v) @ m.B11
+    ok = np.isfinite(vs)
+    if not ok.all():
+        raise DomainError(f"vs must be finite, got {float(vs[~ok][0])!r}")
+    ops = CycleOps(m, d, T) if T.ndim else _cycle(m, d, T, closed=True)
+    return vs, ops.W, (ops.W - ops.p2) @ m.B11
 
 
 def _feedback(m: ConverterModel, sol, vs):
@@ -271,6 +272,13 @@ def _family_boundary(p: BuckParams, scheme: Scheme, d: float, vo: float):
     return boundary
 
 
+def _bracket(name: str, lo: float, hi: float, n: int):
+    """``n`` points from ``lo`` to ``hi``; DomainError unless lo < hi."""
+    if not lo < hi:
+        raise DomainError(f"need {name}_lo < {name}_hi, got [{lo!r}, {hi!r}]")
+    return np.linspace(lo, hi, n)
+
+
 def _first_root(residual, xs):
     """First root of ``residual`` on the grid ``xs``, polished; or None.
 
@@ -298,7 +306,7 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
     """
     boundary = _family_boundary(p, scheme, d, vo)
     return _first_root(lambda D: boundary(D) - ma,
-                       np.linspace(D_lo, D_hi, DUTY_GRID))
+                       _bracket("D", D_lo, D_hi, DUTY_GRID))
 
 
 def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
@@ -310,13 +318,10 @@ def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
     relative in duty.  Returns (duty at the maximum, threshold value).
     """
     value = _family_boundary(p, scheme, d, vo)
-    ds = np.linspace(D_lo, D_hi, DUTY_GRID)
-    vals = value(ds)
-    k = int(np.argmax(vals))
-    lo = ds[max(k - 1, 0)]
-    hi = ds[min(k + 1, len(ds) - 1)]
+    ds = _bracket("D", D_lo, D_hi, DUTY_GRID)
+    k = int(np.argmax(value(ds)))
+    a, b = ds[max(k - 1, 0)], ds[min(k + 1, len(ds) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
     fc, fe = value(c), value(e)
@@ -387,11 +392,8 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     """
     _check_duty(D)
     m = build_model(p, scheme)
-
-    def residual(d):
-        return pdb_boundary_exact(m, p.vs, d, d / D) - ma
-
-    root = _first_root(residual, np.linspace(d_lo, d_hi, ON_TIME_GRID))
+    root = _first_root(lambda d: pdb_boundary_exact(m, p.vs, d, d / D) - ma,
+                       _bracket("d", d_lo, d_hi, ON_TIME_GRID))
     if root is None:
         raise DomainError("the period-doubling boundary is not crossed "
                           "inside the on-time bracket")

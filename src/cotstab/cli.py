@@ -59,11 +59,9 @@ _KEYS = {"scheme": "scheme",
 
 
 def _parse_range(text: str, what: str) -> tuple[float, float, int]:
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must look like lo:hi:n, got {text!r}")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = str(text).split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"{what} must look like lo:hi:n, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -267,6 +265,18 @@ def _sweep_rows(table: Table, grid, *funcs) -> Table:
 _FORMULA_COLUMNS = ["formula_id", "route", "value", "unit"]
 
 
+def _catalog_rows(kind: str, scheme, route: str, unit: str, value) -> list:
+    """A row per ``kind`` form for ``scheme``, valued by ``value(id)``; a
+    form that fails at the point (Eq41 without a period, say) is left out."""
+    rows = []
+    for formula in applicable_formulas(kind, scheme):
+        try:
+            rows.append((formula, route, value(formula), unit))
+        except CotstabError as exc:
+            LOG.debug("%s failed: %s", formula, exc)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each body takes the parsed arguments and the config and
 # returns the table to emit
@@ -381,18 +391,11 @@ def _pdb_boundary(args, cfg: dict) -> Table:
         ("Eq26", "series_linear", pdb_boundary_approx(
             m, p.vs, d, T, "linear"), "V/s"),
     ]
-    for formula in applicable_formulas("min_ramp", scheme):
-        rows.append((formula, "closed_form", min_ramp_formula(
-            p, scheme, d, T, formula), "V/s"))
-    # without ESR there is no ripple slope to normalise by: rows left out
-    for formula in applicable_formulas("min_ramp_normalized", scheme):
-        try:
-            value = min_ramp_normalized(p, d, T, formula)
-        except CotstabError as exc:
-            LOG.debug("%s failed: %s", formula, exc)
-            continue
-        rows.append((formula, "closed_form_normalized", value,
-                     "ratio_to_ripple_slope"))
+    rows += _catalog_rows("min_ramp", scheme, "closed_form", "V/s",
+                          lambda f: min_ramp_formula(p, scheme, d, T, f))
+    rows += _catalog_rows("min_ramp_normalized", scheme,
+                          "closed_form_normalized", "ratio_to_ripple_slope",
+                          lambda f: min_ramp_normalized(p, d, T, f))
     rows.append(("-", "harmonic_balance", hb_pdb_splot(p, scheme, d, T, nh),
                  "V/s"))
     return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "PDB",
@@ -409,9 +412,8 @@ def _snb_boundary(args, cfg: dict) -> Table:
             m, p.vs, ss.d, ss.T), "V/s"),
         ("Eq17", "pole_placement", s_exact(m, ss, 1.0), "V/s"),
     ]
-    for formula in applicable_formulas("snb", op.scheme):
-        rows.append((formula, "series", snb_boundary_approx(
-            m, p, ss.d, ss.T, formula), "V/s"))
+    rows += _catalog_rows("snb", op.scheme, "series", "V/s",
+                          lambda f: snb_boundary_approx(m, p, ss.d, ss.T, f))
     rows.append(("-", "harmonic_balance", hb_snb_condition(
         p, op.scheme, ss.d, ss.T, nh), "V/s"))
     return Table(_FORMULA_COLUMNS, rows, {**_op_metadata(op), "kind": "SNB",
@@ -424,6 +426,8 @@ def _max_on_time(args, cfg: dict) -> Table:
     ma = cfg.get("ma", 0.0)
     if args.sweep:
         _, d_lo, d_hi, _ = _parse_sweep(args.sweep, ("d",))
+        if not d_lo < d_hi:
+            raise ConfigError(f"--sweep d= needs lo < hi, got {args.sweep!r}")
     elif "d" in cfg:
         d_lo, d_hi = cfg["d"] / 5.0, cfg["d"] * 5.0
     else:
@@ -441,16 +445,8 @@ def _max_on_time(args, cfg: dict) -> Table:
         exact, T41 = math.nan, None
         meta["search_note"] = str(exc)
     rows = [("-", "search", exact, "s")]
-    # an applicable form may still fail here: Eq41 without a period, Eq27
-    # without feedback acceleration; its row is then left out
-    for formula in applicable_formulas("on_time", scheme):
-        try:
-            value = max_on_time(p, scheme, ma, D, formula,
-                                T=T41 if formula == "Eq41" else None)
-        except CotstabError as exc:
-            LOG.debug("%s failed: %s", formula, exc)
-            continue
-        rows.append((formula, "closed_form", value, "s"))
+    rows += _catalog_rows("on_time", scheme, "closed_form", "s",
+                          lambda f: max_on_time(p, scheme, ma, D, f, T=T41))
     return Table(_FORMULA_COLUMNS, rows, meta)
 
 
@@ -461,9 +457,8 @@ def _min_ri(args, cfg: dict) -> Table:
                           f"V_COTC_CURRENT_RAMP, config says {cfg['scheme'].name}")
     d, T = _timing(cfg, args.command)
     rows = [("-", "search", exact_min_ri(p, d, T), "ohm")]
-    for formula in applicable_formulas("min_ri", Scheme.V_COTC_CURRENT_RAMP):
-        rows.append((formula, "closed_form",
-                     min_sense_resistance(p, d, T, formula), "ohm"))
+    rows += _catalog_rows("min_ri", Scheme.V_COTC_CURRENT_RAMP, "closed_form",
+                          "ohm", lambda f: min_sense_resistance(p, d, T, f))
     meta = {"scheme": Scheme.V_COTC_CURRENT_RAMP.name, "d_seconds": d,
             "T_seconds": T, "duty": d / T, "kind": "PDB"}
     return Table(_FORMULA_COLUMNS, rows, meta)

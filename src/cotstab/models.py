@@ -121,11 +121,12 @@ class RampSpec:
 
 
 def _check_matrix(name, m, shape):
-    m = np.asarray(m, dtype=float)
+    m = np.array(m, dtype=float)
     if m.shape != shape:
         raise DimensionError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} contains non-finite entries")
+    m.setflags(write=False)
     return m
 
 
@@ -137,7 +138,8 @@ class ConverterModel:
     ``T - d``): ``xdot = A x``.  The modulator compares
     ``y = Cvec x + Dvec u`` against the ramp; ``scheme`` is the feedback
     arrangement ``Cvec`` realises.
-    :func:`build_model` builds it from the parameters.
+    :func:`build_model` builds it from the parameters.  The arrays are
+    read-only copies, which the stage operators kept in ``_cycle`` rely on.
     """
 
     A: np.ndarray
@@ -145,6 +147,7 @@ class ConverterModel:
     Cvec: np.ndarray
     Dvec: np.ndarray
     scheme: Scheme = field(compare=False)
+    _cycle: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, shape in (("A", (2, 2)), ("B", (2, 2)), ("Cvec", (2,)),

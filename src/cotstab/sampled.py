@@ -12,6 +12,7 @@ given ramp.  No averaging is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,32 +37,52 @@ __all__ = [
 PERIOD_GRID = 2000  # points of solve_period's residual scan
 
 
-@dataclass(frozen=True)
 class CycleOps:
-    """Stage operators of one cycle (d, T) of a model.
-
-    ``p1 = exp(A d)`` and ``p2 = exp(A (T - d))`` carry the state across
-    the on and off stages, and ``j1b1`` is the driven integral
-    ``int exp(A s) ds B`` over the on stage (the off stage is undriven).
-    One instance per (model, d, T) serves the steady state, its
-    linearization and the pole placement function, which read it instead
-    of recomputing the exponentials.
+    """Stage operators of the cycle (d, T) of a model, the one place that
+    forms them: ``p1 = exp(A d)``, ``p2 = exp(A (T - d))``, ``W = exp(A T)``
+    and the on stage's drive ``j1b1 = int_0^d exp(A s) ds B``, each on first
+    read and equal to the one-matrix call bit for bit.  ``d`` and ``T`` are
+    floats, or arrays that broadcast (a grid): a float cycle forms ``p1``,
+    ``p2`` and ``W`` as one read-only stack, a grid ``p2`` and ``W``.
     """
 
-    d: float
-    T: float
-    p1: np.ndarray
-    p2: np.ndarray
-    j1b1: np.ndarray
+    def __init__(self, m: ConverterModel, d, T):
+        self.m, self.d, self.T = m, d, T
+        self._grid = isinstance(d, np.ndarray) or isinstance(T, np.ndarray)
+
+    @cached_property
+    def _stack(self):
+        d, T = self.d, self.T
+        out = expm(self.m.A, np.stack(np.broadcast_arrays(T - d, T))
+                   if self._grid else (d, T - d, T))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def p1(self):
+        return expm(self.m.A, self.d) if self._grid else self._stack[0]
+
+    p2 = property(lambda self: self._stack[-2])
+    W = property(lambda self: self._stack[-1])
+
+    @cached_property
+    def j1b1(self):
+        out = expm_integral(self.m.A, self.m.B, self.d)
+        out.setflags(write=False)
+        return out
 
 
-def _cycle_ops(m: ConverterModel, d: float, T: float) -> CycleOps:
-    """Stage operators of the cycle (d, T): two stacked exponentials."""
-    if not 0.0 < d < T:
+def _cycle(m: ConverterModel, d, T, closed: bool = False) -> CycleOps:
+    """The model's stage operators of the float cycle (d, T): a model keeps
+    its last, so an operating point forms each exponential once.
+    ``closed`` admits the boundaries' ``d = T``; they check it."""
+    if not (closed or 0.0 < d < T):
         raise DomainError(f"need 0 < d < T, got d={d!r}, T={T!r}")
-    p1, p2 = expm(m.A, (d, T - d))
-    return CycleOps(d=float(d), T=float(T), p1=p1, p2=p2,
-                    j1b1=expm_integral(m.A, m.B, d))
+    d, T = float(d), float(T)
+    if (ops := m._cycle) is None or (ops.d, ops.T) != (d, T):
+        ops = CycleOps(m, d, T)
+        object.__setattr__(m, "_cycle", ops)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -90,14 +111,14 @@ class SteadyState:
         return self.d / self.T
 
 
-def _cycle_start(p1, p2, j1b1, u):
+def _cycle_start(ops: CycleOps, u):
     """Start state of the periodic orbit: ``(I - p2 p1) x0 = p2 j1b1 u``.
 
     ``p2`` may be a stack of off-stage operators, one orbit per slice;
     each slice is solved exactly as it would be alone.
     """
-    lhs = np.eye(p1.shape[-1]) - p2 @ p1
-    rhs = p2 @ (j1b1 @ u)
+    lhs = np.eye(ops.m.n) - ops.p2 @ ops.p1
+    rhs = ops.p2 @ (ops.j1b1 @ u)
     try:
         return solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
@@ -125,9 +146,9 @@ def steady_state_at(m: ConverterModel, d: float, T: float, u) -> SteadyState:
     the pair is consistent with a given ramp is a separate question
     (see :func:`solve_period` and :func:`consistent_vc`).
     """
-    ops = _cycle_ops(m, d, T)
+    ops = _cycle(m, d, T)
     u = np.asarray(u, dtype=float)
-    return _orbit(m, ops, u, _cycle_start(ops.p1, ops.p2, ops.j1b1, u))
+    return _orbit(m, ops, u, _cycle_start(ops, u))
 
 
 def consistent_vc(m: ConverterModel, ramp: RampSpec, T: float, vs: float) -> float:
@@ -149,8 +170,8 @@ def consistent_steady_state(m: ConverterModel, ramp: RampSpec, T: float,
     the switching residual, affine in ``vc``, is read off it at ``vc = 0``
     and ``vc = 1``.
     """
-    ops = _cycle_ops(m, ramp.d, T)
-    x0 = _cycle_start(ops.p1, ops.p2, ops.j1b1, np.array([vs, 0.0]))
+    ops = _cycle(m, ramp.d, T)
+    x0 = _cycle_start(ops, np.array([vs, 0.0]))
     r0, r1 = (float(m.Cvec @ x0 + m.Dvec @ np.array([vs, vc]))
               - ramp.ma * ops.T for vc in (0.0, 1.0))
     slope = r1 - r0
@@ -171,8 +192,7 @@ def period_residual(m: ConverterModel, ramp: RampSpec, u, T):
     if not np.all(ramp.d < ts):
         raise DomainError(f"need 0 < d < T, got d={ramp.d!r}, T={T!r}")
     u = np.asarray(u, dtype=float)
-    x0 = _cycle_start(expm(m.A, ramp.d), expm(m.A, ts - ramp.d),
-                      expm_integral(m.A, m.B, ramp.d), u)
+    x0 = _cycle_start(CycleOps(m, ramp.d, ts if ts.ndim else float(ts)), u)
     # a stacked product, so that each point is its own Cvec @ x0
     y_end = (m.Cvec @ x0[..., None])[..., 0] + m.Dvec @ u
     res = y_end - ramp.ma * ts

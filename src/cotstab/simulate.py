@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import (BracketError, DomainError, MissedSwitchingError,
                      NumericError, UsageError)
-from .linalg import _closed_form, expm, expm_integral
+from .linalg import _closed_form
 from .models import BuckParams, ConverterModel, RampSpec, Scheme, build_model
-from .sampled import SteadyState, consistent_steady_state, steady_state_at
+from .sampled import (SteadyState, _cycle, consistent_steady_state,
+                      steady_state_at)
 
 __all__ = [
     "Trace",
@@ -98,9 +99,8 @@ class _CycleEngine:
         if not np.isfinite(self.u).all():
             raise DomainError(f"u must be finite, got {self.u.tolist()!r}")
         self.T_guess = float(T_guess)
-        d = ramp.d
-        self.p1 = expm(m.A, d)
-        self.j1u = expm_integral(m.A, m.B, d) @ self.u
+        ops = _cycle(m, ramp.d, self.T_guess)
+        self.p1, self.j1u = ops.p1, ops.j1b1 @ self.u
         self.du = float(m.Dvec @ self.u)
         self.step = self.T_guess / SCAN_DIVISIONS
         self.kmax = int(np.ceil(HORIZON_PERIODS * self.T_guess / self.step))

@@ -398,6 +398,25 @@ def test_boundary_grids_reject_bad_points():
         range_max_pdb_ramp(FAST, Scheme.V_COTC, FAST_D, 2.0, 0.5, 1.2)
 
 
+# a reversed or empty bracket names the caller's bounds, not a grid cell
+def test_onset_duty_rejects_a_reversed_bracket():
+    with pytest.raises(DomainError, match=r"D_lo < D_hi, got \[1.0, 0.2\]"):
+        pdb_onset_duty(FAST, Scheme.V_COTC, 0.0, FAST_D, 2.0, 1.0, 0.2)
+
+
+def test_range_max_pdb_ramp_rejects_a_reversed_bracket():
+    # it used to return an unrefined grid point, (0.99899, 4215.78)
+    for lo, hi in ((1.0, 0.2), (0.5, 0.5), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="D_lo < D_hi"):
+            range_max_pdb_ramp(FAST, Scheme.V_COTC, FAST_D, 2.0, lo, hi)
+
+
+def test_exact_max_on_time_rejects_a_reversed_bracket():
+    with pytest.raises(DomainError,
+                       match=r"d_lo < d_hi, got \[2.8e-06, 4e-07\]"):
+        exact_max_on_time(FAST, Scheme.V_COTC, 0.0, 0.4, 2.8e-6, 0.4e-6)
+
+
 def test_exact_max_on_time_is_a_boundary_crossing():
     d_star = exact_max_on_time(FAST, Scheme.V_COTC, 0.0, 0.4, 0.4e-6, 2.8e-6)
     m = build_model(FAST, Scheme.V_COTC)

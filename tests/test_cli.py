@@ -243,6 +243,16 @@ def test_max_on_time_search_and_formulas(capsys, tmp_path):
         want / 0.4, rel=1e-9)
 
 
+def test_max_on_time_rejects_a_reversed_sweep(capsys, tmp_path):
+    # a descending --sweep d= is a bracket here, not a grid: config error
+    path = tmp_path / "duty.conf"
+    path.write_text(BASE.replace("T = 3e-6", "D = 0.4"))
+    rc, out, err = run_cli(capsys, ["max-on-time", "--config", str(path),
+                                    "--sweep", "d=2.8e-6:0.4e-6:5"])
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert "ConfigError: --sweep d= needs lo < hi" in err
+
+
 def test_min_ri_search_and_formulas(capsys, tmp_path):
     path = tmp_path / "ri.conf"
     path.write_text(BASE.replace("scheme = V_COTC",

@@ -5,10 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from cotstab import (DegenerateSwitchingError, DomainError, RampSpec, Scheme,
-                     consistent_steady_state, consistent_vc, expm,
-                     expm_integral, linearize, orbit_sample, period_residual,
-                     poles, solve_linear, solve_period, steady_state_at)
+from cotstab import (ConverterModel, CycleOps, DegenerateSwitchingError,
+                     DomainError, RampSpec, Scheme, build_model,
+                     consistent_steady_state, consistent_vc,
+                     critical_ramp_eig, expm, expm_integral, linalg,
+                     linearize, orbit_sample, pdb_boundary_exact,
+                     period_residual, poles, s_exact, snb_boundary_exact,
+                     solve_linear, solve_period, steady_state_at)
+from cotstab import bifurcation, simulate
+from cotstab.cli import main as cli_main
 from helpers import (FAST, FAST_D, FAST_T, SCHEMES, operating,
                      random_operating)
 
@@ -29,11 +34,142 @@ def test_cycle_ops_hold_the_stage_operators_bitwise():
     _, _, d, T, m, _, u, ss = random_operating(rng)
     ops = steady_state_at(m, d, T, u).ops
     assert (ops.d, ops.T) == (d, T)
-    assert np.array_equal(ops.p1, expm(m.A, d))
-    assert np.array_equal(ops.p2, expm(m.A, T - d))
-    assert np.array_equal(ops.j1b1, expm_integral(m.A, m.B, d))
-    for name in ("p1", "p2", "j1b1"):
-        assert np.array_equal(getattr(ss.ops, name), getattr(ops, name))
+    alone = {"p1": expm(m.A, d), "p2": expm(m.A, T - d), "W": expm(m.A, T),
+             "j1b1": expm_integral(m.A, m.B, d)}
+    # a grid of cycles, its second point this one: slices are bitwise too
+    grid = CycleOps(m, np.array([0.5 * d, d]), np.array([T, T]))
+    for name, value in alone.items():
+        assert np.array_equal(getattr(ops, name), value)
+        assert np.array_equal(getattr(ss.ops, name), value)
+        assert np.array_equal(getattr(CycleOps(m, d, T), name), value)
+        assert np.array_equal(getattr(grid, name)[1], value)
+        with pytest.raises(ValueError):     # the model shares them
+            getattr(ops, name)[0, ...] = 0.0
+
+
+def test_a_model_keeps_only_its_last_float_cycle_bitwise():
+    # cycles A, B, A on one model, with a boundary grid after each, give
+    # what a fresh model gives, bit for bit, on every route that reads the
+    # model's stage operators
+    m = build_model(FAST, Scheme.V_COTC)
+    u = np.array([FAST.vs, 0.0])
+
+    def results(model, d, T):
+        ss = steady_state_at(model, d, T, u)
+        pdb = pdb_boundary_exact(model, FAST.vs, d, T)
+        return (ss.x0_0.tolist(), ss.xdot0_minus.tolist(), pdb,
+                snb_boundary_exact(model, FAST.vs, d, T),
+                s_exact(model, ss, -1.0), s_exact(model, ss, 0.5),
+                critical_ramp_eig(model, d, T, u, -1.0, pdb - 0.1 * abs(pdb),
+                                  pdb + 0.1 * abs(pdb)))
+
+    for d, T in ((FAST_D, FAST_T), (1.0e-6, 2.6e-6), (FAST_D, FAST_T)):
+        assert results(m, d, T) == results(
+            build_model(FAST, Scheme.V_COTC), d, T)
+        grid = pdb_boundary_exact(m, FAST.vs, np.array([0.8, 1.0]) * d, T)
+        assert grid[1] == pdb_boundary_exact(
+            build_model(FAST, Scheme.V_COTC), FAST.vs, d, T)
+    with pytest.raises(ValueError):
+        m.A[0, 0] = 1.0
+
+
+def test_models_copy_the_arrays_they_are_given():
+    m = build_model(FAST, Scheme.V_COTC)
+    a = m.A.copy()
+    mine = ConverterModel(A=a, B=m.B, Cvec=m.Cvec, Dvec=m.Dvec,
+                          scheme=m.scheme)
+    a[0, 0] = 1.0
+    assert np.array_equal(mine.A, m.A)
+    assert not any(x.flags.writeable for x in (mine.A, mine.B, mine.Cvec,
+                                               mine.Dvec))
+
+
+# each command of the benchmark's cli workload and the stage exponentials
+# (calls of expm and expm_integral) it makes.  While the boundaries and the
+# simulator formed their own, pdb-boundary and snb-boundary made 3,
+# simulate 4 and examples 85.  max-on-time and examples run root searches
+# whose length follows the last bits of BLAS products, which differ between
+# OpenBLAS kernels (examples makes 73-77 on the kernels tried), so theirs
+# are ceilings, the counts from before, with an exact count of the
+# on-stage drives alone (examples formed 11 before)
+_FAST_ARGS = ["--set", "scheme=V_COTC", "--set", "vs=5.0", "--set", "R=0.5",
+              "--set", "L=2e-6", "--set", "C=2e-5", "--set", "Rc=0.02",
+              "--set", "d=1.2e-6"]
+_CLI_EXPONENTIALS = [
+    (["steady-state", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=1000"], 2),
+    (["poles", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=0"], 6),
+    (["pole-locus", *_FAST_ARGS, "--set", "T=3e-6", "--sweep",
+      "lambda=-1.5:1.5:61"], 2),
+    (["splot", *_FAST_ARGS, "--set", "T=3e-6", "--sweep", "D=0.2:0.6:41"], 41),
+    (["pdb-boundary", *_FAST_ARGS, "--set", "T=3e-6", "--nh", "50"], 2),
+    (["snb-boundary", "--set", "scheme=C_COTC", "--set", "vs=13.2",
+      "--set", "R=10.0", "--set", "L=3.1e-6", "--set", "C=3e-4",
+      "--set", "Rc=4.5e-3", "--set", "Ri=0.15", "--set", "d=0.26e-6",
+      "--set", "T=1.04e-6", "--nh", "50"], 2),
+    (["min-ri", *_FAST_ARGS, "--set", "scheme=V_COTC_CURRENT_RAMP",
+      "--set", "T=3e-6"], 2),
+    (["max-on-time", *_FAST_ARGS[:-2], "--set", "D=0.4", "--sweep",
+      "d=0.4e-6:2.8e-6:2"], (10, 0)),
+    (["simulate", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=9500",
+      "--set", "settle=100", "--cycles", "150"], 2),
+    (["examples"], (85, 8)),
+]
+
+
+@pytest.fixture
+def exponentials(monkeypatch):
+    """Names of the stage exponentials called, in order."""
+    import cotstab.cases  # noqa: F401  (every module that may hold them)
+    import cotstab.cli  # noqa: F401
+    calls = []
+    for name in ("expm", "expm_integral"):
+        orig = getattr(linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("cotstab") and getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_design_draw_forms_each_stage_exponential_once(exponentials):
+    # the call sequence of a draw of the benchmark's design workload: the
+    # on-stage map, the off-stage map and W as one stack, and the drive
+    rng = np.random.default_rng(7109)
+    for scheme in SCHEMES:
+        p, _, d, T, *_ = random_operating(rng, scheme)
+        exponentials.clear()
+        m = build_model(p, scheme)
+        u = np.array([p.vs, consistent_vc(m, RampSpec(0.0, d), T, p.vs)])
+        ss = steady_state_at(m, d, T, u)
+        linearize(m, ss, 0.0).poles()
+        pdb = pdb_boundary_exact(m, p.vs, d, T)
+        snb_boundary_exact(m, p.vs, d, T)
+        s_exact(m, ss, -1.0)
+        s_exact(m, ss, 1.0)
+        critical_ramp_eig(m, d, T, u, -1.0, pdb - 0.1 * abs(pdb),
+                          pdb + 0.005 * abs(pdb))
+        assert exponentials == ["expm", "expm_integral"]
+
+
+@pytest.mark.parametrize("argv, count", _CLI_EXPONENTIALS,
+                         ids=[a[0] for a, _ in _CLI_EXPONENTIALS])
+def test_cli_commands_form_no_more_exponentials(exponentials, capsys, argv,
+                                                count):
+    assert cli_main(argv) == 0
+    if isinstance(count, tuple):    # a root search: a ceiling, exact drives
+        assert len(exponentials) <= count[0]
+        assert exponentials.count("expm_integral") == count[1]
+    else:
+        assert len(exponentials) == count
+
+
+def test_only_sampled_forms_stage_exponentials():
+    for module in (bifurcation, simulate):
+        assert not {"expm", "expm_integral"} & set(vars(module))
 
 
 def test_consistent_orbit_equals_the_separate_calls_bitwise():
