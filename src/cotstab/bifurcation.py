@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .errors import CotstabError, DomainError, PoleEvaluationError, UsageError
-from .linalg import eigenvalues, find_root, solve_linear
+from .linalg import (_golden_max, _grid_roots, eigenvalues, find_root,
+                     solve_linear)
 from .models import BuckParams, ConverterModel, Scheme, build_model
 from .sampled import (CycleOps, SteadyState, _cycle, linearize,
                       steady_state_at)
@@ -104,8 +105,11 @@ def _check_formula(kind: str, formula: str, scheme=None):
 
 
 def _check_duty(D):
-    if not 0.0 < D <= 1.0:
-        raise DomainError(f"duty must lie in (0, 1], got {D!r}")
+    """Raise DomainError unless every duty of ``D`` lies in (0, 1]."""
+    D = np.asarray(D)
+    bad = D[~((0.0 < D) & (D <= 1.0))]
+    if bad.size:
+        raise DomainError(f"duty must lie in (0, 1], got {float(bad[0])!r}")
 
 
 def s_exact(m: ConverterModel, ss: SteadyState, lam: float) -> float:
@@ -262,11 +266,7 @@ def _family_boundary(p: BuckParams, scheme: Scheme, d: float, vo: float):
     m = build_model(p, scheme)
 
     def boundary(D):
-        D = np.asarray(D, dtype=float)
-        bad = ~((0.0 < D) & (D <= 1.0))
-        if bad.any():
-            raise DomainError(
-                f"duty must lie in (0, 1], got {float(D[bad].flat[0])!r}")
+        _check_duty(D)
         return pdb_boundary_exact(m, vo / D, d, d / D)
 
     return boundary
@@ -277,20 +277,6 @@ def _bracket(name: str, lo: float, hi: float, n: int):
     if not lo < hi:
         raise DomainError(f"need {name}_lo < {name}_hi, got [{lo!r}, {hi!r}]")
     return np.linspace(lo, hi, n)
-
-
-def _first_root(residual, xs):
-    """First root of ``residual`` on the grid ``xs``, polished; or None.
-
-    ``residual`` takes the whole grid at once.  The first cell whose end
-    values straddle or touch zero is handed to the bracketing root finder,
-    which returns a grid zero as it stands.
-    """
-    vals = residual(xs)
-    for i in range(len(xs) - 1):
-        if vals[i] * vals[i + 1] <= 0.0:
-            return float(find_root(residual, xs[i], xs[i + 1]))
-    return None
 
 
 def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
@@ -305,8 +291,8 @@ def pdb_onset_duty(p: BuckParams, scheme: Scheme, ma: float, d: float,
     applied slope in the range.
     """
     boundary = _family_boundary(p, scheme, d, vo)
-    return _first_root(lambda D: boundary(D) - ma,
-                       _bracket("D", D_lo, D_hi, DUTY_GRID))
+    return next(_grid_roots(lambda D: boundary(D) - ma,
+                            _bracket("D", D_lo, D_hi, DUTY_GRID)), None)
 
 
 def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
@@ -320,21 +306,8 @@ def range_max_pdb_ramp(p: BuckParams, scheme: Scheme, d: float, vo: float,
     value = _family_boundary(p, scheme, d, vo)
     ds = _bracket("D", D_lo, D_hi, DUTY_GRID)
     k = int(np.argmax(value(ds)))
-    a, b = ds[max(k - 1, 0)], ds[min(k + 1, len(ds) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = value(c), value(e)
-    while (b - a) > 1e-6 * max(abs(a), abs(b)):
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = value(e)
-    dstar = 0.5 * (a + b)
+    dstar = _golden_max(value, ds[max(k - 1, 0)], ds[min(k + 1, len(ds) - 1)],
+                        1e-6)
     return float(dstar), float(value(dstar))
 
 
@@ -392,8 +365,8 @@ def exact_max_on_time(p: BuckParams, scheme: Scheme, ma: float, D: float,
     """
     _check_duty(D)
     m = build_model(p, scheme)
-    root = _first_root(lambda d: pdb_boundary_exact(m, p.vs, d, d / D) - ma,
-                       _bracket("d", d_lo, d_hi, ON_TIME_GRID))
+    root = next(_grid_roots(lambda d: pdb_boundary_exact(m, p.vs, d, d / D) - ma,
+                            _bracket("d", d_lo, d_hi, ON_TIME_GRID)), None)
     if root is None:
         raise DomainError("the period-doubling boundary is not crossed "
                           "inside the on-time bracket")
@@ -442,26 +415,25 @@ def exact_min_ri(p: BuckParams, d: float, T: float) -> float:
     return float(1e-12 - s0 / slope)
 
 
-def closed_form_pole(p: BuckParams, scheme: Scheme, d: float, T: float,
+def closed_form_pole(m: ConverterModel, p: BuckParams, d: float, T: float,
                      formula: str) -> float:
     """Nonzero cycle-map pole without a ramp, by closed form.
 
-    The companion pole is always 0 in that case.  Eq20/Eq21 evaluate the
-    general first-order expression at the exact orbit; the remaining ids
-    are the fully reduced per-scheme expressions.
+    ``m`` is the model of ``p``.  The companion pole is always 0 in that
+    case.  Eq20/Eq21 evaluate the general first-order expression at the
+    exact orbit, from the stage operators the model keeps for (d, T); the
+    remaining ids are the fully reduced per-scheme expressions.
     """
-    _check_formula("pole", formula, scheme)
+    _check_formula("pole", formula, m.scheme)
     rho = p.rho
     if formula in ("Eq20", "Eq21"):
-        mdl = build_model(p, scheme)
-        ss = steady_state_at(mdl, d, T, (p.vs, 0.0))
+        ss = steady_state_at(m, d, T, (p.vs, 0.0))
         if formula == "Eq20":
             v = ss.xdot0_minus
-            a_mix = mdl.A * d + mdl.A * (T - d)
-            return 1.0 - float(mdl.Cvec @ (a_mix @ v)) / float(mdl.Cvec @ v)
-        x0 = ss.x0_0
-        a1x = mdl.A @ x0
-        return 1.0 - float(mdl.Cvec @ (mdl.A @ a1x)) * T / float(mdl.Cvec @ a1x)
+            a_mix = m.A * d + m.A * (T - d)
+            return 1.0 - float(m.Cvec @ (a_mix @ v)) / float(m.Cvec @ v)
+        a1x = m.A @ ss.x0_0
+        return 1.0 - float(m.Cvec @ (m.A @ a1x)) * T / float(m.Cvec @ a1x)
     if formula == "Eq40":
         gain = 2.0 * rho * T / (2.0 * p.Rc * p.C + T - d)
         return 1.0 + gain * ((T - d) / (2.0 * p.R * p.C) - 1.0)

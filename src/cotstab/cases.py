@@ -16,7 +16,7 @@ import numpy as np
 
 from .bifurcation import (closed_form_pole, critical_ramp_eig, ct_pole_formula,
                           equivalent_ct_pole, exact_max_on_time, exact_min_ri,
-                          max_on_time, min_sense_resistance,
+                          family_point, max_on_time, min_sense_resistance,
                           pdb_boundary_exact, pdb_onset_duty,
                           range_max_pdb_ramp, s_exact, snb_boundary_approx,
                           snb_boundary_exact)
@@ -83,9 +83,9 @@ def case_no_ramp_poles() -> CaseResult:
         Check("pole at origin", hi, 0.0, 1e-9),
         Check("subharmonic pole", lo, -1.0512484, 1e-5),
         Check("crude cycle-average pole", closed_form_pole(
-            p, Scheme.V_COTC, _FAST_D, _FAST_T, "Eq40"), -1.0192308, 1e-5),
+            m, p, _FAST_D, _FAST_T, "Eq40"), -1.0192308, 1e-5),
         Check("two-pole reduced-model pole", closed_form_pole(
-            p, Scheme.V_COTC, _FAST_D, _FAST_T, "Eq42"), -1.3076923, 1e-5),
+            m, p, _FAST_D, _FAST_T, "Eq42"), -1.3076923, 1e-5),
         Check("simulated deviation ratio", abs(mult), 1.0512512, 1e-3),
     ))
 
@@ -128,13 +128,12 @@ def case_marginal_point() -> CaseResult:
     """At the onset duty the subharmonic pole sits exactly at -1."""
     p = _fast_buck()
     dstar = pdb_onset_duty(p, Scheme.V_COTC, 0.0, _FAST_D, 2.0, 0.2, 1.0)
-    T = _FAST_D / dstar
-    vs = 2.0 / dstar
-    _, _, lin = _operating(p.with_(vs=vs), Scheme.V_COTC, _FAST_D, T, 0.0)
+    pd, T = family_point(p, _FAST_D, 2.0, dstar)
+    _, _, lin = _operating(pd, Scheme.V_COTC, _FAST_D, T, 0.0)
     lo, hi = _sorted_real_poles(lin)
     return CaseResult("marginal-point", "marginal operating point", (
         Check("implied period", T, 3.3300308e-6, 1e-11),
-        Check("implied source", vs, 5.5500513, 1e-5),
+        Check("implied source", pd.vs, 5.5500513, 1e-5),
         Check("pole on the unit circle", lo, -1.0, 1e-6),
         Check("pole at origin", hi, 0.0, 1e-6),
     ))
@@ -217,13 +216,11 @@ def case_tangency() -> CaseResult:
 def case_two_routes() -> CaseResult:
     """Frequency-domain and state-space boundaries agree."""
     p = _fast_buck()
+    m = build_model(p, Scheme.V_COTC)   # A, B and Cvec do not depend on vs
     checks = []
     for D in (0.3, 0.4, 0.6):
-        T = _FAST_D / D
-        vs = 2.0 / D
-        pd = p.with_(vs=vs)
-        m = build_model(pd, Scheme.V_COTC)
-        exact = pdb_boundary_exact(m, vs, _FAST_D, T)
+        pd, T = family_point(p, _FAST_D, 2.0, D)
+        exact = pdb_boundary_exact(m, pd.vs, _FAST_D, T)
         hb = hb_pdb_splot(pd, Scheme.V_COTC, _FAST_D, T, 2000)
         checks.append(Check(f"duty {D}: series vs matrix boundary",
                             hb - exact, 0.0, 0.01 * abs(exact)))

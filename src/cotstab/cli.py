@@ -96,6 +96,8 @@ def _convert(key: str, text: str):
         raise ConfigError(f"{key} must be finite, got {text!r}")
     if key == "D" and not 0.0 < value <= 1.0:
         raise ConfigError(f"D must lie in (0, 1], got {text!r}")
+    if key == "d" and not value > 0.0:
+        raise ConfigError(f"d must be positive, got {text!r}")
     return value
 
 
@@ -247,17 +249,18 @@ def _sweep_rows(table: Table, grid, *funcs) -> Table:
     """One row per grid point: the point, then each function's value(s).
 
     A function that fails at a point reads NaN in its columns there; one
-    that fails everywhere gives a single NaN column, widened to the table.
+    that fails at every point fails the command with its first point's
+    error, as no row would hold a value.
     """
     columns = []
     for func in funcs:
         xs, ys, notes = sweep(func, *grid)
         for note in notes:
             LOG.debug("sweep point failed: %s", note)
+        if len(notes) == len(xs):
+            func(float(xs[0]))      # raises the first point's error again
         columns.append(ys)
-    values = np.broadcast_to(np.column_stack(columns),
-                             (len(xs), len(table.columns) - 1))
-    for x, row in zip(xs, values):
+    for x, row in zip(xs, np.column_stack(columns)):
         table.add(float(x), *row)
     return table
 
@@ -312,7 +315,7 @@ def _poles(args, cfg: dict) -> Table:
     # different operating point, so they are only reported when ma = 0.
     if op.ramp.ma == 0.0:
         for formula in applicable_formulas("pole", op.scheme):
-            value = closed_form_pole(op.p, op.scheme, d, T, formula)
+            value = closed_form_pole(op.m, op.p, d, T, formula)
             table.add(formula, "closed_form", value, 0.0, abs(value),
                       equivalent_ct_pole(value, T))
         for formula in applicable_formulas("ct_pole", op.scheme):
@@ -338,13 +341,13 @@ def _splot_mode(cfg: dict, what: str):
 
 
 def _splot_point(p, d, mode, D):
-    """Source voltage, on-time and period implied by one duty value."""
+    """Parameters, on-time and period implied by one duty value."""
     kind, value = mode
     if kind == "family":
         pp, T = family_point(p, d, value, D)
-        return pp.vs, d, T
+        return pp, d, T
     T = value
-    return p.vs, D * T, T
+    return p, D * T, T
 
 
 def _splot(args, cfg: dict) -> Table:
@@ -358,10 +361,10 @@ def _splot(args, cfg: dict) -> Table:
                    "pdb_series_linear_volts_per_second"], metadata=meta)
 
     def point(D):
-        vs, dd, T = _splot_point(p, d, mode, D)
-        return (pdb_boundary_exact(m, vs, dd, T),
-                pdb_boundary_approx(m, vs, dd, T, "full"),
-                pdb_boundary_approx(m, vs, dd, T, "linear"))
+        pp, dd, T = _splot_point(p, d, mode, D)
+        return (pdb_boundary_exact(m, pp.vs, dd, T),
+                pdb_boundary_approx(m, pp.vs, dd, T, "full"),
+                pdb_boundary_approx(m, pp.vs, dd, T, "linear"))
 
     return _sweep_rows(table, grid, point)
 
@@ -428,6 +431,8 @@ def _max_on_time(args, cfg: dict) -> Table:
         _, d_lo, d_hi, _ = _parse_sweep(args.sweep, ("d",))
         if not d_lo < d_hi:
             raise ConfigError(f"--sweep d= needs lo < hi, got {args.sweep!r}")
+        if not d_lo > 0.0:
+            raise ConfigError(f"--sweep d= needs lo > 0, got {args.sweep!r}")
     elif "d" in cfg:
         d_lo, d_hi = cfg["d"] / 5.0, cfg["d"] * 5.0
     else:
@@ -477,10 +482,9 @@ def _hb_splot(args, cfg: dict) -> Table:
             "column_pdb_exact": "Eq22", **mode_meta}
 
     def point(D):
-        vs, dd, T = _splot_point(p, d, mode, D)
-        pp = p.with_(vs=vs)
+        pp, dd, T = _splot_point(p, d, mode, D)
         hb = [hb_pdb_splot(pp, scheme, dd, T, depth) for depth in depths]
-        return (*hb, pdb_boundary_exact(m, vs, dd, T))
+        return (*hb, pdb_boundary_exact(m, pp.vs, dd, T))
 
     return _sweep_rows(Table(columns, metadata=meta), grid, point)
 
@@ -506,8 +510,6 @@ def _freq_sweep(args, cfg: dict, prefix: str, boundary_text: str, series,
     if needs_ramp and ma == 0.0:
         raise ConfigError(f"{args.command} needs a nonzero ma (the sum is "
                           "normalized by the ramp amplitude)")
-    if not d > 0.0:  # or every point would fail, and read NaN
-        raise ConfigError(f"{args.command} needs d > 0, got d={d!r}")
     bad = [fs for fs in grid[:2] if not fs > 0.0]   # the grid's ends
     if bad:
         raise ConfigError(f"{args.command} needs switching frequencies "
@@ -520,7 +522,7 @@ def _freq_sweep(args, cfg: dict, prefix: str, boundary_text: str, series,
     def point(fs):
         T = 1.0 / fs
         if T <= d:
-            return math.nan, math.nan, math.nan
+            raise DomainError(f"fs={fs!r} leaves no off time after d={d!r}")
         val = series(2.0 * math.pi * fs, p, scheme, d, nh)
         return val.real, val.imag, boundary(T, ma, p.vs)
 

@@ -374,6 +374,36 @@ def find_root(f, lo, hi, tol=None):
         f"than tol = {tol!r}")
 
 
+def _grid_roots(f, xs, values=None):
+    """Roots of ``f`` on the grid ``xs`` (where it has ``values``, or takes
+    the whole grid at once), in grid order: every cell whose end values
+    straddle or touch zero, polished by :func:`find_root`, which returns a
+    zero end as it stands, so that a zero grid point is found twice."""
+    values = f(xs) if values is None else values
+    for i in range(len(xs) - 1):
+        if values[i] * values[i + 1] <= 0.0:
+            yield find_root(f, xs[i], xs[i + 1])
+
+
+def _golden_max(f, a, b, rtol):
+    """A maximum of ``f`` on ``[a, b]`` by golden sections: the midpoint of
+    the bracket once it is no wider than ``rtol`` of its larger end."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    e = a + invphi * (b - a)
+    fc, fe = f(c), f(e)
+    while (b - a) > rtol * max(abs(a), abs(b)):
+        if fc > fe:
+            b, e, fe = e, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + invphi * (b - a)
+            fe = f(e)
+    return 0.5 * (a + b)
+
+
 def _residual(f, x):
     fx = float(f(x))
     if not math.isfinite(fx):

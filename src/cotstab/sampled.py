@@ -12,12 +12,13 @@ given ramp.  No averaging is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DegenerateSwitchingError, DomainError, SingularMatrixError
-from .linalg import eigenvalues, expm, expm_integral, find_root, solve_linear
+from .linalg import (_EPS, _golden_max, _grid_roots, eigenvalues, expm,
+                     expm_integral, find_root, solve_linear)
 from .models import ConverterModel, RampSpec
 
 __all__ = [
@@ -199,49 +200,64 @@ def period_residual(m: ConverterModel, ramp: RampSpec, u, T):
     return float(res) if res.ndim == 0 else res
 
 
+def _rounding_bound(m: ConverterModel, ramp: RampSpec, u, T: float) -> float:
+    """Bound on the rounding error of :func:`period_residual` at T.
+
+    The stage operators and the drive are exact to eps of their size; the
+    periodicity solve carries that to the start state through the
+    magnitudes of ``(I - p2 p1)^-1``, and the feedback row on to the
+    residual, whose sum adds eps of its own terms.
+    """
+    ss = steady_state_at(m, ramp.d, T, u)
+    p = ss.ops.p2 @ ss.ops.p1
+    lhs = np.eye(m.n) - p
+    x0_error = np.abs(np.linalg.inv(lhs)) @ (
+        (np.abs(p) + np.abs(lhs)) @ np.abs(ss.x0_0))
+    return 4.0 * _EPS * float(np.abs(m.Cvec) @ x0_error
+                              + np.abs(m.Dvec) @ np.abs(u) + abs(ramp.ma * T))
+
+
 def solve_period(m: ConverterModel, ramp: RampSpec, u, T_lo: float,
                  T_hi: float):
     """All periods in [T_lo, T_hi] whose steady cycle meets the ramp.
 
     Scans the boundary residual on a uniform grid of ``PERIOD_GRID``
-    points, in one stacked evaluation, and polishes each sign change with
-    the bracketing root finder.  Near-tangent double roots are also
-    reported when the residual dips to zero without changing sign.
-    Multiple roots indicate proximity to a saddle-node point.  Returns a
-    list of (T, SteadyState) pairs in ascending T; empty when no cycle
-    closes in the bracket.
+    points, in one stacked evaluation, and polishes every cell whose end
+    values straddle or touch zero with the bracketing root finder.  An
+    interior minimum of |residual| with no sign change in its two cells
+    is refined by golden sections: where the refined residual changes
+    sign, the periods on either side of it are polished; where it lies
+    within its own rounding bound, the minimum is a double period, the
+    tangency of a saddle-node.  Several periods thus indicate proximity to
+    a saddle-node point.  Periods closer than 1e-9 of the bracket are
+    merged.  Returns a list of (T, SteadyState) pairs in ascending T;
+    empty when no cycle closes in the bracket.
     """
     if not ramp.d < T_lo < T_hi:
         raise DomainError(
             f"bracket must satisfy d < T_lo < T_hi, got d={ramp.d!r}, "
             f"T_lo={T_lo!r}, T_hi={T_hi!r}")
+    residual = partial(period_residual, m, ramp, u)
     ts = np.linspace(T_lo, T_hi, PERIOD_GRID)
-    res = period_residual(m, ramp, u, ts)
-    scale = float(np.max(np.abs(res))) or 1.0
-    roots = []
-    for i in range(len(ts) - 1):
-        a, b = res[i], res[i + 1]
-        if a == 0.0:
-            roots.append(ts[i])
-        elif a * b < 0.0:
-            roots.append(find_root(
-                lambda t: period_residual(m, ramp, u, t), ts[i], ts[i + 1]))
-    if res[-1] == 0.0:
-        roots.append(ts[-1])
-    # tangency catch: an interior |residual| minimum that touches zero at
-    # grid resolution counts as an even-multiplicity root
+    res = residual(ts)
+    roots = list(_grid_roots(residual, ts, res))
     for i in range(1, len(ts) - 1):
-        if (abs(res[i]) <= 1e-7 * scale and res[i] != 0.0
-                and abs(res[i - 1]) >= abs(res[i]) <= abs(res[i + 1])
-                and res[i - 1] * res[i] > 0.0 and res[i] * res[i + 1] > 0.0):
-            roots.append(ts[i])
-    roots.sort()
-    out = []
-    min_sep = 1e-9 * (T_hi - T_lo)
-    for r in roots:
-        if out and abs(r - out[-1][0]) <= min_sep:
+        a, b, c = res[i - 1:i + 2]
+        if not (a * b > 0.0 and b * c > 0.0 and abs(a) >= abs(b) <= abs(c)):
             continue
-        out.append((float(r), steady_state_at(m, ramp.d, r, u)))
+        side = 1.0 if b > 0.0 else -1.0
+        t = _golden_max(lambda x: -side * residual(x), ts[i - 1], ts[i + 1],
+                        1e-12)
+        r = residual(t)
+        if abs(r) <= _rounding_bound(m, ramp, u, t):
+            roots.append(t)
+        elif r * side < 0.0:
+            roots += [find_root(residual, ts[i - 1], t),
+                      find_root(residual, t, ts[i + 1])]
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1][0] > 1e-9 * (T_hi - T_lo):
+            out.append((float(r), steady_state_at(m, ramp.d, r, u)))
     return out
 
 

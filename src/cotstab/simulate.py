@@ -529,14 +529,13 @@ def make_duty_family(p: BuckParams, scheme: Scheme, d: float, vo: float,
     reference is re-placed at each point.
     """
     ramp = RampSpec(ma=ma, d=d)
+    m = build_model(p, scheme)      # A, B and Cvec do not depend on vs
 
     def family(D: float):
         if not 0.0 < D < 1.0:
             raise DomainError(f"duty must lie in (0, 1), got {D!r}")
         T = d / D
-        pd = p.with_(vs=vo / D)
-        m = build_model(pd, scheme)
-        ss = consistent_steady_state(m, ramp, T, pd.vs)
+        ss = consistent_steady_state(m, ramp, T, vo / D)
         return m, ramp, ss.u, T, _kicked_orbit_start(ss)
 
     return family

@@ -76,7 +76,7 @@ def _sorted_real(eigs):
 def test_criterion_01_no_ramp_poles():
     m, ramp, u, _ = operating(FAST, Scheme.V_COTC, FAST_D, FAST_T, 0.0)
     lam = sorted(poles(m, ramp, u, FAST_T), key=abs)
-    eq42 = closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq42")
+    eq42 = closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq42")
     # -1.1 is quoted to two significant figures, so the exact pole is
     # checked at that precision and pinned by the simulated multiplier,
     # which forms no Jacobian

@@ -44,7 +44,8 @@ REF = FAST.with_(Ri=0.05)
 
 # closed-form kind -> its evaluation at one id and scheme on REF
 EVALUATE = {
-    "pole": lambda f, s: closed_form_pole(REF, s, FAST_D, FAST_T, f),
+    "pole": lambda f, s: closed_form_pole(build_model(REF, s), REF, FAST_D,
+                                          FAST_T, f),
     "ct_pole": lambda f, s: ct_pole_formula(REF, s, FAST_D, FAST_T, f),
     "min_ramp": lambda f, s: min_ramp_formula(REF, s, FAST_D, FAST_T, f),
     "min_ramp_normalized":
@@ -355,6 +356,24 @@ def test_range_max_pdb_ramp_reference():
     assert d_star > 0.99  # worst case sits at the full-duty edge
 
 
+def test_range_max_pdb_ramp_finds_an_interior_maximum():
+    # a design whose worst duty lies inside the range, so that the golden
+    # section also moves its upper end down; every other case peaks at the
+    # end of its range
+    p = BuckParams(R=6.564, L=0.8567e-6, C=35.21e-6, Rc=13.10e-3,
+                   Ri=31.23e-3, vs=18.0)
+    d, vo = 3.69e-6, 15.2
+    d_star, val = range_max_pdb_ramp(p, Scheme.V_COTC, d, vo, 0.1, 0.9)
+    assert 0.1 < d_star < 0.9
+    assert d_star == pytest.approx(0.1061, abs=1e-4)
+    ds = np.linspace(0.1, 0.9, 4001)
+    m = build_model(p, Scheme.V_COTC)
+    assert val >= np.max(pdb_boundary_exact(m, vo / ds, d, d / ds))
+    pd, T = family_point(p, d, vo, d_star)
+    ss = steady_state_at(m, d, T, (pd.vs, 0.0))
+    assert val == pytest.approx(s_exact(m, ss, -1.0), rel=1e-8)
+
+
 def test_stacked_boundaries_equal_scalar_calls_bitwise():
     rng = np.random.default_rng(7301)
     for scheme in SCHEMES:
@@ -462,20 +481,35 @@ def test_min_sense_resistance_forms():
 
 
 def test_closed_form_poles():
-    assert closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq20") == \
+    m = build_model(FAST, Scheme.V_COTC)
+    mc = build_model(CURRENT, Scheme.C_COTC)
+    assert closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq20") == \
         pytest.approx(-1.0489336220143399, rel=1e-12)
     # the two general first-order routes are separate code paths
-    assert closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq20") == \
-        pytest.approx(closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T,
-                                       "Eq21"), rel=1e-12)
-    assert closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq40") == \
+    assert closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq20") == \
+        pytest.approx(closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq21"),
+                      rel=1e-12)
+    assert closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq40") == \
         pytest.approx(-1.0192307692307692, rel=1e-12)
-    assert closed_form_pole(FAST, Scheme.V_COTC, FAST_D, FAST_T, "Eq42") == \
+    assert closed_form_pole(m, FAST, FAST_D, FAST_T, "Eq42") == \
         pytest.approx(-1.3076923076923075, rel=1e-12)
-    assert closed_form_pole(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, "Eq50") == \
+    assert closed_form_pole(mc, CURRENT, CUR_D, CUR_T, "Eq50") == \
         pytest.approx(0.99956407, abs=1e-7)
     with pytest.raises(UsageError):
-        closed_form_pole(FAST, Scheme.C_COTC, FAST_D, FAST_T, "Eq40")
+        closed_form_pole(mc, CURRENT, CUR_D, CUR_T, "Eq40")
+
+
+def test_closed_form_orbit_poles_read_the_models_stage_operators():
+    # Eq20/Eq21 read the orbit from the operators the model keeps for
+    # (d, T), so they form no exponential of their own and equal the
+    # values of a fresh model bit for bit
+    m, *_ = operating(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, 0.0)
+    ops = m._cycle
+    for formula in ("Eq20", "Eq21"):
+        fresh = build_model(CURRENT, Scheme.C_COTC)
+        assert closed_form_pole(m, CURRENT, CUR_D, CUR_T, formula) == \
+            closed_form_pole(fresh, CURRENT, CUR_D, CUR_T, formula)
+        assert m._cycle is ops
 
 
 def test_equivalent_ct_pole_mappings():
@@ -497,7 +531,8 @@ def test_ct_pole_closed_forms():
     assert ct_pole_formula(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, "Eq51") == \
         pytest.approx(419.1662, abs=1e-3)
     # the scalar pole form and its ct map tell one story
-    lam50 = closed_form_pole(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, "Eq50")
+    lam50 = closed_form_pole(build_model(CURRENT, Scheme.C_COTC), CURRENT,
+                             CUR_D, CUR_T, "Eq50")
     assert equivalent_ct_pole(lam50, CUR_T) == pytest.approx(
         ct_pole_formula(CURRENT, Scheme.C_COTC, CUR_D, CUR_T, "Eq51"),
         rel=1e-9)

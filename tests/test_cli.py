@@ -614,6 +614,43 @@ def test_config_rejects_duty_outside_unit_interval(capsys, tmp_path, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["max-on-time", "--set", "d=-1e-6"], "ConfigError: d must be positive"),
+    (["max-on-time", "--set", "d=0"], "ConfigError: d must be positive"),
+    (["max-on-time", "--sweep", "d=-1e-6:2.8e-6:2"],
+     "ConfigError: --sweep d= needs lo > 0"),
+    (["splot", "--set", "vo=2", "--set", "d=0"],
+     "ConfigError: d must be positive"),
+    (["hb-splot", "--set", "vo=2", "--set", "d=-1e-6"],
+     "ConfigError: d must be positive"),
+], ids=["max-on-time-negative", "max-on-time-zero", "max-on-time-sweep",
+        "splot-family", "hb-splot-family"])
+def test_non_positive_on_time_is_a_config_error(capsys, tmp_path, argv,
+                                                error):
+    # such an on-time once gave a NaN search row or all-NaN tables, exit 0
+    path = tmp_path / "duty.conf"
+    path.write_text(BASE.replace("T = 3e-6", "D = 0.4"))
+    rc, out, err = run_cli(capsys, [argv[0], "--config", str(path),
+                                    *argv[1:]])
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert error in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["splot", "--sweep", "D=1.5:2:3"],
+     "DomainError: need 0 < d <= T, got d=4.5e-06, T=3e-06"),
+    (["splot", "--set", "vo=2", "--sweep", "D=1.5:2:3"],
+     "DomainError: duty must lie in (0, 1], got 1.5"),
+    (["l2", "--nh", "40", "--sweep", "fs=1e6:2e6:3"],
+     "DomainError: fs=1000000.0 leaves no off time after d=1.2e-06"),
+], ids=["splot-fixed-period", "splot-family", "l2"])
+def test_sweep_with_no_evaluable_point_fails(capsys, conf, argv, error):
+    # such a sweep once printed an all-NaN table and exited 0
+    rc, out, err = run_cli(capsys, [argv[0], "--config", conf, *argv[1:]])
+    assert (rc, out) == (cli.EXIT_CONFIG, "")
+    assert error in err
+
+
 @pytest.mark.parametrize("argv", [
     ["steady-state"], ["poles"], ["pole-locus"], ["pdb-boundary"],
     ["snb-boundary"], ["simulate"], ["onset", "--sweep", "ma=0:5000:2"],

@@ -14,8 +14,8 @@ from cotstab import (ConverterModel, CycleOps, DegenerateSwitchingError,
                      solve_linear, solve_period, steady_state_at)
 from cotstab import bifurcation, simulate
 from cotstab.cli import main as cli_main
-from helpers import (FAST, FAST_D, FAST_T, SCHEMES, operating,
-                     random_operating)
+from helpers import (CURRENT, CUR_D, CUR_T, FAST, FAST_D, FAST_T, SCHEMES,
+                     operating, random_operating)
 
 def test_orbit_is_a_fixed_point_of_the_cycle_map():
     rng = np.random.default_rng(7101)
@@ -97,7 +97,7 @@ _FAST_ARGS = ["--set", "scheme=V_COTC", "--set", "vs=5.0", "--set", "R=0.5",
               "--set", "d=1.2e-6"]
 _CLI_EXPONENTIALS = [
     (["steady-state", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=1000"], 2),
-    (["poles", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=0"], 6),
+    (["poles", *_FAST_ARGS, "--set", "T=3e-6", "--set", "ma=0"], 2),
     (["pole-locus", *_FAST_ARGS, "--set", "T=3e-6", "--sweep",
       "lambda=-1.5:1.5:61"], 2),
     (["splot", *_FAST_ARGS, "--set", "T=3e-6", "--sweep", "D=0.2:0.6:41"], 41),
@@ -237,6 +237,30 @@ def test_solve_period_recovers_the_design_period():
     t_root, ss_root = found[0]
     assert t_root == pytest.approx(T, rel=1e-9)
     assert ss_root.y_end == pytest.approx(ramp.ma * t_root, rel=1e-9)
+
+
+def test_solve_period_finds_the_saddle_node_double_period():
+    # at the exact saddle-node slope the residual touches zero at T without
+    # changing sign: the grid's least |residual| lies far above the
+    # rounding of the residual, and the refined minimum is the period
+    m = build_model(CURRENT, Scheme.C_COTC)
+    snb = snb_boundary_exact(m, CURRENT.vs, CUR_D, CUR_T)
+    ramp = RampSpec(snb, CUR_D)
+    u = consistent_steady_state(m, ramp, CUR_T, CURRENT.vs).u
+    assert period_residual(m, ramp, u, CUR_T) == 0.0
+    for lo, hi in ((0.9, 1.1), (0.55, 1.9)):
+        found = solve_period(m, ramp, u, lo * CUR_T, hi * CUR_T)
+        assert found
+        for t_root, _ in found:
+            assert abs(t_root - CUR_T) <= 1e-6 * CUR_T
+    # a steeper negative ramp parts the two periods, both on the grid
+    ramp = RampSpec(1.001 * snb, CUR_D)
+    u = consistent_steady_state(m, ramp, CUR_T, CURRENT.vs).u
+    for lo, hi in ((0.9, 1.1), (0.55, 1.9)):
+        found = solve_period(m, ramp, u, lo * CUR_T, hi * CUR_T)
+        assert len(found) == 2
+        assert found[0][0] == pytest.approx(0.999 * CUR_T, rel=1e-5)
+        assert found[1][0] == pytest.approx(CUR_T, rel=1e-9)
 
 
 def test_stacked_period_residuals_match_the_pointwise_residual():

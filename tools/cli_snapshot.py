@@ -31,7 +31,7 @@ damped simulation (the ``q == 0`` branch of the simulator's closed form)
 and one on the fixed-output duty family; the built-in worked cases; the
 error cases of ``tests/test_cli.py``; and, for each command that keeps
 formula rows, ``--formula`` with every catalog id on every scheme, so each
-row filter and each "does not apply" error is covered.  That is 783
+row filter and each "does not apply" error is covered.  That is 791
 invocations, which run in well under a minute on a 2-core host.
 """
 
@@ -193,6 +193,16 @@ def invocations(conf: dict) -> list[list[str]]:
         ["splot", "--config", fast, "--sweep", "D=0.5:1.0:2"],
         ["min-ri", "--config", fast, "--set", "d=3e-6",
          "--set", "scheme=V_COTC_CURRENT_RAMP"],
+        ["max-on-time", "--config", conf["max-on-time"], "--set", "d=-1e-6"],
+        ["max-on-time", "--config", conf["max-on-time"], "--set", "d=0"],
+        ["max-on-time", "--config", conf["max-on-time"],
+         "--sweep", "d=-1e-6:2.8e-6:2"],
+        ["splot", "--config", fast, "--set", "vo=2", "--set", "d=0"],
+        ["hb-splot", "--config", fast, "--set", "vo=2", "--set", "d=-1e-6"],
+        # sweeps with no point that can be evaluated
+        ["splot", "--config", fast, "--sweep", "D=1.5:2:3"],
+        ["splot", "--config", fast, "--set", "vo=2", "--sweep", "D=1.5:2:3"],
+        ["l2", "--config", fast, "--nh", "40", "--sweep", "fs=1e6:2e6:3"],
         ["--version"],
         ["no-such-command"],
     ]
